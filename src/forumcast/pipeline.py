@@ -18,6 +18,7 @@ order, so the worker count never changes the output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -332,7 +333,12 @@ def read_features_csv(path: str) -> dict[str, list[float | None]]:
     for r in rows:
         for name in CORPUS_FEATURE_COLUMNS:
             cell = (r[name] or "").strip()
-            columns[name].append(float(cell) if cell else None)
+            try:
+                columns[name].append(float(cell) if cell else None)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric {name} cell {cell!r} in week {r['week']}"
+                ) from None
     return columns
 
 
@@ -425,7 +431,11 @@ def run_analyze(config: PipelineConfig, features_path: str | None = None):
 
 def run_all(config: PipelineConfig):
     """features then analyze; a failure mid-way leaves earlier outputs in
-    place plus errors.json describing where it stopped."""
+    place plus errors.json describing where it stopped. An errors.json left
+    by an earlier run is removed first, so it never outlives a success."""
+    error_path = os.path.join(config.output_dir, "errors.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(error_path)
     stage = "features"
     try:
         run_features(config)
@@ -433,7 +443,6 @@ def run_all(config: PipelineConfig):
         return run_analyze(config)
     except ForumcastError as exc:
         os.makedirs(config.output_dir, exist_ok=True)
-        error_path = os.path.join(config.output_dir, "errors.json")
         with open(error_path, "w", encoding="utf-8") as handle:
             json.dump(
                 {"stage": stage, "type": type(exc).__name__, "error": str(exc)},

@@ -7,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forumcast.centrality import (
+    SCALAR_WORK_LIMIT,
+    _batched_betweenness,
+    _scalar_betweenness,
     approx_betweenness,
     betweenness_centrality,
     centralization,
@@ -29,6 +32,27 @@ def small_digraphs(draw):
             if a != b and draw(st.booleans()):
                 arcs[(a, b)] = draw(st.integers(min_value=1, max_value=3))
     return DirectedWeightedGraph(arcs, nodes=nodes)
+
+
+@st.composite
+def kernel_jobs(draw):
+    """A random digraph with a sorted source sample and its n / k scale."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    p = draw(st.sampled_from([0.05, 0.15, 0.4]))
+    g = random_digraph(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n, p)
+    sources = sorted(draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True)))
+    return g, sources, n / len(sources)
+
+
+def layered_dag(layers: int) -> DirectedWeightedGraph:
+    """Two nodes per layer, every arc from one layer to the next: a0000 has
+    2**(k-1) geodesics to each node of layer k."""
+    arcs = {}
+    for k in range(layers - 1):
+        for a in "ab":
+            for b in "ab":
+                arcs[(f"{a}{k:04d}", f"{b}{k + 1:04d}")] = 1
+    return DirectedWeightedGraph(arcs)
 
 
 class TestDegree:
@@ -87,6 +111,49 @@ class TestBetweennessExact:
     def test_weights_never_matter(self, g):
         unweighted = DirectedWeightedGraph({arc: 1 for arc in g.arcs}, nodes=g.nodes)
         assert betweenness_centrality(g).raw == betweenness_centrality(unweighted).raw
+
+
+class TestKernels:
+    """The batched sparse-matrix kernel against the scalar loop it replaces
+    on large jobs; both are called directly, whatever the job size."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_jobs())
+    def test_batched_matches_scalar(self, job):
+        g, sources, scale = job
+        scalar = _scalar_betweenness(g, sources, scale)
+        batched = _batched_betweenness(g, sources, scale)
+        for v in g.nodes:
+            assert (scalar[v] == 0.0) == (batched[v] == 0.0)
+            assert abs(scalar[v] - batched[v]) <= 1e-12 * abs(scalar[v])
+        # three sources per batch: several batches, same summation order
+        assert _batched_betweenness(g, sources, scale, batch_cells=3 * g.n) == batched
+
+    @pytest.mark.parametrize("n,p", [(200, 0.02), (300, 0.01)])
+    def test_batched_matches_networkx(self, n, p):
+        nx = pytest.importorskip("networkx")
+        g = random_digraph(random.Random(n), n, p)
+        assert g.n * g.m >= SCALAR_WORK_LIMIT
+        reference = nx.DiGraph()
+        reference.add_nodes_from(g.nodes)
+        reference.add_edges_from(g.arcs)
+        expected = nx.betweenness_centrality(reference, normalized=False)
+        raw = betweenness_centrality(g).raw
+        for v in g.nodes:
+            assert raw[v] == pytest.approx(expected[v], rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kernel", [_scalar_betweenness, _batched_betweenness])
+    def test_path_count_overflow_is_analysis_error(self, kernel):
+        g = layered_dag(1100)
+        with pytest.raises(AnalysisError, match="float range"):
+            kernel(g, ["a0000"], 1.0)
+
+    def test_path_counts_near_float_max_agree(self):
+        g = layered_dag(1000)
+        scalar = _scalar_betweenness(g, ["a0000"], 1.0)
+        batched = _batched_betweenness(g, ["a0000"], 1.0)
+        for v in g.nodes:
+            assert batched[v] == pytest.approx(scalar[v], rel=1e-12)
 
 
 class TestApproxBetweenness:

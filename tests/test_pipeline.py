@@ -317,6 +317,17 @@ class TestFailureHandling:
         # the features stage completed before the failure
         assert os.path.isfile(os.path.join(config.output_dir, "features.csv"))
 
+    def test_success_removes_stale_errors_json(self, config):
+        messages_path = config.messages_path
+        config.messages_path = messages_path + ".missing"
+        with pytest.raises(ConfigError):
+            run_all(config)
+        error_path = os.path.join(config.output_dir, "errors.json")
+        assert os.path.isfile(error_path)
+        config.messages_path = messages_path
+        run_all(config)
+        assert not os.path.exists(error_path)
+
     def test_focal_word_must_survive_filtering(self, config):
         config.focal_word = "the"
         with pytest.raises(ConfigError, match="exactly one token"):
@@ -411,6 +422,45 @@ class TestCli:
         code = main(["analyze", "-c", self.write_config(config, tmp_path)])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_non_numeric_feature_cell_exit_code(self, config, tmp_path, capsys):
+        run_features(config)
+        features = os.path.join(config.output_dir, "features.csv")
+        rows = read_rows(features)
+        rows[1]["sentiment"] = "n/a"
+        with open(features, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=FEATURE_CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main(["analyze", "-c", self.write_config(config, tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert features in err
+        assert "sentiment" in err
+        assert "week 1" in err
+
+    def test_path_count_overflow_exit_code(self, config, tmp_path, capsys):
+        # Two authors per layer, each replying to both authors of the next
+        # layer: 2**1098 geodesics cross the week-0 interaction graph.
+        layers = [(f"a{k:04d}", f"b{k:04d}") for k in range(1100)]
+        stamp = "2020-01-06T10:00:00Z"
+        messages = [
+            {"id": f"p-{u}", "author_id": u, "timestamp": stamp, "body": "acme"}
+            for layer in layers
+            for u in layer
+        ]
+        messages += [
+            {"id": f"r-{u}-{v}", "author_id": u, "timestamp": stamp, "body": "acme",
+             "parent_id": f"p-{v}"}
+            for here, there in zip(layers, layers[1:])
+            for u in here
+            for v in there
+        ]
+        with open(config.messages_path, "w") as handle:
+            handle.writelines(json.dumps(m) + "\n" for m in messages)
+        code = main(["run", "-c", self.write_config(config, tmp_path)])
+        assert code == 3
+        assert "window 0: shortest-path counts exceed the float range" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "exc,expected",
