@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
 from .errors import DataError
+from .tables import open_input, write_csv
 
 WEEK = timedelta(days=7)
 
@@ -104,12 +105,6 @@ class WindowedCorpus:
     def week_count(self) -> int:
         return len(self.windows)
 
-    def all_messages(self) -> list[Message]:
-        out: list[Message] = []
-        for window in self.messages_by_window:
-            out.extend(window)
-        return out
-
 
 def parse_timestamp(raw: str) -> datetime:
     """Parse an RFC 3339 timestamp; naive values are taken as UTC."""
@@ -162,12 +157,7 @@ def load_messages(
     rejections: list[RejectedRow] = []
     seen_ids: set[str] = set()
 
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read messages file {path}: {exc}") from exc
-
-    with handle:
+    with open_input(path, "messages file") as handle:
         if format == "jsonl":
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
@@ -203,11 +193,7 @@ def load_messages(
 
 def write_rejections(path: str, rejections: list[RejectedRow]) -> None:
     """Write the rejection report as CSV ``line,reason``."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["line", "reason"])
-        for row in rejections:
-            writer.writerow([row.line, row.reason])
+    write_csv(path, ("line", "reason"), ((row.line, row.reason) for row in rejections))
 
 
 def make_windows(horizon_start: datetime, horizon_weeks: int) -> list[TimeWindow]:
@@ -260,12 +246,7 @@ def load_market_series(
     ``date`` rows need ``horizon_start`` to resolve onto the same weekly grid
     that :func:`partition_weeks` uses. Duplicate weeks are an error.
     """
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read market series {path}: {exc}") from exc
-
-    with handle:
+    with open_input(path, "market series") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -9,13 +9,12 @@ pure; reports are bit-identical across reruns of the same inputs.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _stats
+from scipy import special
 
 from .corpus import MarketSeries
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     RankDeficiencyError,
     UndefinedCorrelationError,
 )
+from .tables import format_cell, write_csv
 
 DEPENDENT_COLUMN = "price"
 
@@ -124,7 +124,7 @@ def pearson(x: Series, y: Series) -> CorrelationResult:
         p = 0.0
     else:
         t = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p = 2.0 * float(_stats.t.sf(abs(t), n - 2))
+        p = 2.0 * float(special.stdtr(n - 2, -abs(t)))
     return CorrelationResult(r=r, n=n, p=p)
 
 
@@ -189,24 +189,27 @@ def ols(y: Series, X: Sequence[Series], intercept: bool = True) -> OlsResult:
     names.extend(x.name for x in X)
     design = np.column_stack(columns)
     p = design.shape[1]
-    condition_number = float(np.linalg.cond(design))
-    rank = int(np.linalg.matrix_rank(design))
+    # One thin SVD gives the condition number, the rank (with matrix_rank's
+    # tolerance), beta = V (U'y / s) and diag((X'X)^-1) = sum_j (V_ij / s_j)^2.
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    condition_number = float(s[0] / s[-1]) if s[-1] > 0.0 else math.inf
+    rank = int(np.count_nonzero(s > s[0] * max(n, p) * np.finfo(float).eps))
     if rank < p:
         raise RankDeficiencyError(
             f"ols({y.name!r}): design matrix rank {rank} < {p} columns"
             f" (condition number {condition_number:.3g}); drop collinear regressors"
         )
-    beta, _, _, _ = np.linalg.lstsq(design, yv, rcond=None)
+    scaled_v = vt.T / s
+    beta = scaled_v @ (u.T @ yv)
     fitted = design @ beta
     resid = yv - fitted
     rss = float(resid @ resid)
     df_resid = n - p
     sigma2 = rss / df_resid
-    xtx_inv = np.linalg.inv(design.T @ design)
-    bse = np.sqrt(np.clip(np.diag(xtx_inv), 0.0, None) * sigma2)
+    bse = np.sqrt(np.square(scaled_v).sum(axis=1) * sigma2)
     with np.errstate(divide="ignore", invalid="ignore"):
         tvalues = np.where(bse > 0, beta / bse, np.inf * np.sign(beta))
-    pvalues = 2.0 * _stats.t.sf(np.abs(tvalues), df_resid)
+    pvalues = 2.0 * special.stdtr(df_resid, -np.abs(tvalues))
     if intercept:
         centered = yv - yv.mean()
         tss = float(centered @ centered)
@@ -283,7 +286,7 @@ def granger_test(
     restricted = ols(dep_m, restricted_x)
     unrestricted = ols(dep_m, unrestricted_x)
     chi2 = max(n_eff * (restricted.rss - unrestricted.rss) / unrestricted.rss, 0.0)
-    p = float(_stats.chi2.sf(chi2, max_lag))
+    p = float(special.chdtrc(max_lag, chi2))
     return GrangerResult(chi2=chi2, df=max_lag, p=p, lag_order=max_lag, nobs=n_eff)
 
 
@@ -484,114 +487,71 @@ def run_battery(panel: FeaturePanel, config: BatteryConfig = BatteryConfig()) ->
     )
 
 
-def _fmt(value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
+def _result_cells(result, fields: Sequence[str]) -> list:
+    """The named fields of a cell's result and its stars; blanks if it failed."""
+    if result is None:
+        return [None] * (len(fields) + 1)
+    return [getattr(result, name) for name in fields] + [significance_stars(result.p)]
+
+
+def _write_report_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    write_csv(path, header, ([format_cell(value) for value in row] for row in rows))
 
 
 def write_correlations_csv(report: AnalysisReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["predictor", "lag", "r", "n", "p", "stars", "error"])
-        for cell in report.correlations:
-            if cell.result is not None:
-                writer.writerow(
-                    [
-                        cell.predictor,
-                        cell.lag,
-                        _fmt(cell.result.r),
-                        cell.result.n,
-                        _fmt(cell.result.p),
-                        significance_stars(cell.result.p),
-                        "",
-                    ]
-                )
-            else:
-                writer.writerow([cell.predictor, cell.lag, "", "", "", "", cell.error])
+    _write_report_csv(
+        path,
+        ("predictor", "lag", "r", "n", "p", "stars", "error"),
+        (
+            [cell.predictor, cell.lag, *_result_cells(cell.result, ("r", "n", "p")), cell.error]
+            for cell in report.correlations
+        ),
+    )
 
 
 def write_granger_csv(report: AnalysisReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["predictor", "chi2", "df", "p", "nobs", "stars", "error"])
-        for cell in report.granger:
-            if cell.result is not None:
-                writer.writerow(
-                    [
-                        cell.predictor,
-                        _fmt(cell.result.chi2),
-                        cell.result.df,
-                        _fmt(cell.result.p),
-                        cell.result.nobs,
-                        significance_stars(cell.result.p),
-                        "",
-                    ]
-                )
-            else:
-                writer.writerow([cell.predictor, "", "", "", "", "", cell.error])
+    _write_report_csv(
+        path,
+        ("predictor", "chi2", "df", "p", "nobs", "stars", "error"),
+        (
+            [cell.predictor, *_result_cells(cell.result, ("chi2", "df", "p", "nobs")), cell.error]
+            for cell in report.granger
+        ),
+    )
 
 
 def write_regression_terms_csv(report: AnalysisReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["model", "term", "coefficient", "std_error", "t", "p", "stars", "error"])
-        for model in report.models:
-            if model.result is None:
-                writer.writerow([model.spec.name, "", "", "", "", "", "", model.error])
-                continue
-            res = model.result
-            for i, name in enumerate(res.names):
-                writer.writerow(
-                    [
-                        model.spec.name,
-                        name,
-                        _fmt(float(res.params[i])),
-                        _fmt(float(res.bse[i])),
-                        _fmt(float(res.tvalues[i])),
-                        _fmt(float(res.pvalues[i])),
-                        significance_stars(float(res.pvalues[i])),
-                        "",
-                    ]
-                )
+    rows: list[list] = []
+    for model in report.models:
+        res = model.result
+        if res is None:
+            rows.append([model.spec.name, *[None] * 6, model.error])
+            continue
+        for i, name in enumerate(res.names):
+            p = float(res.pvalues[i])
+            rows.append(
+                [model.spec.name, name, res.params[i], res.bse[i], res.tvalues[i], p,
+                 significance_stars(p), None]
+            )
+    _write_report_csv(
+        path, ("model", "term", "coefficient", "std_error", "t", "p", "stars", "error"), rows
+    )
 
 
 def write_regression_models_csv(report: AnalysisReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "model",
-                "nobs",
-                "regressors",
-                "r2",
-                "adj_r2",
-                "durbin_watson",
-                "condition_number",
-                "dropped_rows",
-                "error",
-            ]
+    rows: list[list] = []
+    for model in report.models:
+        res = model.result
+        if res is None:
+            rows.append([model.spec.name, *[None] * 7, model.error])
+            continue
+        rows.append(
+            [model.spec.name, res.nobs, len(model.spec.terms), res.r2, res.adj_r2,
+             res.durbin_watson, res.condition_number, res.dropped_rows, None]
         )
-        for model in report.models:
-            if model.result is None:
-                writer.writerow([model.spec.name, "", "", "", "", "", "", "", model.error])
-                continue
-            res = model.result
-            writer.writerow(
-                [
-                    model.spec.name,
-                    res.nobs,
-                    len(model.spec.terms),
-                    _fmt(res.r2),
-                    _fmt(res.adj_r2),
-                    _fmt(res.durbin_watson),
-                    _fmt(res.condition_number),
-                    res.dropped_rows,
-                    "",
-                ]
-            )
+    header = ("model", "nobs", "regressors", "r2", "adj_r2", "durbin_watson",
+              "condition_number", "dropped_rows", "error")
+    _write_report_csv(path, header, rows)
 
 
 def _md_num(value: float, digits: int = 4) -> str:

@@ -8,8 +8,6 @@ stored as arcs, so downstream centrality code sees loop-free digraphs.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -17,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Message
 from .errors import DataError
+from .tables import write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -110,16 +109,11 @@ class DirectedWeightedGraph:
 
     def write_edge_list(self, path: str) -> None:
         """CSV export: source,target,weight, rows sorted by (source, target)."""
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["source", "target", "weight"])
-            for (source, target) in sorted(self._arcs):
-                writer.writerow([source, target, self._arcs[(source, target)]])
+        rows = sorted((source, target, weight) for (source, target), weight in self._arcs.items())
+        write_csv(path, ("source", "target", "weight"), rows)
 
     def write_summary(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.summary())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedWeightedGraph):

@@ -23,8 +23,8 @@ import csv
 import hashlib
 import json
 import logging
-import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -74,6 +74,7 @@ from .semantics import (
     score_message,
     window_sentiment,
 )
+from .tables import format_cell, open_input, write_csv, write_json
 from .textproc import (
     StopwordList,
     Vocabulary,
@@ -86,6 +87,8 @@ from .textproc import (
 )
 
 logger = logging.getLogger(__name__)
+
+_EXPORT_NAME = re.compile(r"week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)")
 
 FEATURE_CSV_COLUMNS = (
     "week",
@@ -165,9 +168,7 @@ def normalize_focal_word(config: PipelineConfig, stop: StopwordList,
     return tokens[0]
 
 
-def _compute_window_features(
-    task: _WindowTask, state: _SharedState
-) -> tuple[WindowFeatures, dict[str, dict[str, int]]]:
+def _compute_window_features(task: _WindowTask, state: _SharedState) -> WindowFeatures:
     config = state.config
     index = task.index
     messages = task.messages
@@ -213,20 +214,19 @@ def _compute_window_features(
             emotionality=emotionality(scores),
             complexity=complexity(streams, state.vocab),
         )
-        exports = {}
         if config.export_graphs:
-            exports = _export_graphs(config.output_dir, index, interaction, word_graph)
-        return features, exports
+            _export_graphs(config.output_dir, index, interaction, word_graph)
+        return features
     except ForumcastError as exc:
         raise type(exc)(f"window {index}: {exc}") from exc
 
 
-def _compute_window_in_worker(task: _WindowTask):
+def _compute_window_in_worker(task: _WindowTask) -> WindowFeatures:
     assert _worker_state is not None
     return _compute_window_features(task, _worker_state)
 
 
-def _export_graphs(output_dir: str, index: int, interaction, word_graph) -> dict[str, dict[str, int]]:
+def _export_graphs(output_dir: str, index: int, interaction, word_graph) -> None:
     graphs_dir = os.path.join(output_dir, "graphs")
     os.makedirs(graphs_dir, exist_ok=True)
     stem = f"week_{index:03d}"
@@ -234,7 +234,16 @@ def _export_graphs(output_dir: str, index: int, interaction, word_graph) -> dict
     interaction.write_summary(os.path.join(graphs_dir, f"{stem}_interaction_summary.json"))
     word_graph.write_edge_list(os.path.join(graphs_dir, f"{stem}_words_edges.csv"))
     word_graph.write_summary(os.path.join(graphs_dir, f"{stem}_words_summary.json"))
-    return {"interaction": interaction.summary(), "words": word_graph.summary()}
+
+
+def _remove_stale_exports(output_dir: str) -> None:
+    """Delete the graph exports of an earlier run, and nothing else, so a
+    rerun with fewer weeks or without exports leaves none behind."""
+    graphs_dir = os.path.join(output_dir, "graphs")
+    with contextlib.suppress(FileNotFoundError):
+        for name in os.listdir(graphs_dir):
+            if _EXPORT_NAME.fullmatch(name):
+                os.remove(os.path.join(graphs_dir, name))
 
 
 def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, WindowedCorpus, list]:
@@ -276,45 +285,17 @@ def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, WindowedCo
     return state, corpus, rejections
 
 
-def _fmt_cell(value: float | int | bool | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
-
-
 def write_features_csv(rows: Sequence[WindowFeatures], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(FEATURE_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.week,
-                    row.activity,
-                    row.activity_words,
-                    _fmt_cell(row.group_degree),
-                    _fmt_cell(row.group_betweenness),
-                    _fmt_cell(row.focal_degree),
-                    _fmt_cell(row.focal_betweenness),
-                    _fmt_cell(row.focal_present),
-                    _fmt_cell(row.sentiment),
-                    _fmt_cell(row.emotionality),
-                    _fmt_cell(row.complexity),
-                ]
-            )
+    write_csv(
+        path,
+        FEATURE_CSV_COLUMNS,
+        ([format_cell(getattr(row, name)) for name in FEATURE_CSV_COLUMNS] for row in rows),
+    )
 
 
 def read_features_csv(path: str) -> dict[str, list[float | None]]:
     """Feature table back into columns; empty cells become None."""
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read feature table {path}: {exc}") from exc
-    with handle:
+    with open_input(path, "feature table") as handle:
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
         needed = {"week", *CORPUS_FEATURE_COLUMNS}
@@ -351,6 +332,7 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     state, corpus, rejections = _load_shared_state(config)
     write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
 
+    _remove_stale_exports(config.output_dir)
     tasks = [
         _WindowTask(index=i, messages=tuple(corpus.messages_by_window[i]))
         for i in range(corpus.week_count)
@@ -359,11 +341,10 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         with ProcessPoolExecutor(
             max_workers=config.workers, initializer=_init_worker, initargs=(state,)
         ) as pool:
-            results = list(pool.map(_compute_window_in_worker, tasks, chunksize=4))
+            rows = list(pool.map(_compute_window_in_worker, tasks, chunksize=4))
     else:
-        results = [_compute_window_features(task, state) for task in tasks]
+        rows = [_compute_window_features(task, state) for task in tasks]
 
-    rows = [features for features, _exports in results]
     write_features_csv(rows, os.path.join(config.output_dir, "features.csv"))
     return rows
 
@@ -401,9 +382,7 @@ def write_manifest(config: PipelineConfig, features_path: str, path: str) -> Non
         "config_sha256": config_hash(config),
         "inputs": inputs,
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, manifest)
 
 
 def run_analyze(config: PipelineConfig, features_path: str | None = None):
@@ -443,14 +422,7 @@ def run_all(config: PipelineConfig):
         return run_analyze(config)
     except ForumcastError as exc:
         os.makedirs(config.output_dir, exist_ok=True)
-        with open(error_path, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"stage": stage, "type": type(exc).__name__, "error": str(exc)},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
+        write_json(error_path, {"stage": stage, "type": type(exc).__name__, "error": str(exc)})
         raise
 
 

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 from .corpus import Message
 from .errors import DataError, MissingScoreError
+from .tables import open_input
 from .textproc import Vocabulary, token_surprisal, tokenize
 
 LEXICON = "lexicon"
@@ -32,15 +33,6 @@ class SentimentScore:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise DataError(f"sentiment score {self.value} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class WindowSemantics:
-    """Weekly aggregates; None marks a window with nothing to score."""
-
-    sentiment: float | None
-    emotionality: float | None
-    complexity: float | None
 
 
 class SentimentScorer(Protocol):
@@ -123,7 +115,7 @@ def complexity(streams: Iterable[Sequence[str]], vocab: Vocabulary) -> float | N
 def load_lexicon(path: str) -> dict[str, float]:
     """CSV word,polarity with polarity in [-1, 1]."""
     lexicon: dict[str, float] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open_input(path, "lexicon") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or set(reader.fieldnames) != {"word", "polarity"}:
             raise DataError(f"{path}: expected header word,polarity, got {reader.fieldnames}")
@@ -150,7 +142,7 @@ def load_lexicon(path: str) -> dict[str, float]:
 def load_precomputed(path: str) -> dict[str, float]:
     """CSV message_id,score with score in [0, 1]."""
     scores: dict[str, float] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open_input(path, "precomputed sentiment file") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or set(reader.fieldnames) != {"message_id", "score"}:
             raise DataError(f"{path}: expected header message_id,score, got {reader.fieldnames}")

@@ -20,19 +20,12 @@ from typing import Iterable
 
 from . import _stemmer
 from .errors import DataError
+from .tables import open_input
 
 _TOKEN_RE = re.compile(r"\w+(?:-\w+)*", re.UNICODE)
 _ALL_DIGITS_RE = re.compile(r"\d+")
 
 BUNDLED_LANGUAGES = ("english", "italian")
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """Filtered, ordered tokens of one message."""
-
-    message_id: str
-    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -102,11 +95,8 @@ def token_surprisal(word: str, vocab: Vocabulary) -> float:
 
 def load_wordlist(path: str) -> set[str]:
     """Read a one-word-per-line UTF-8 file (stopwords or dictionary)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return {line.strip().lower() for line in handle if line.strip()}
-    except OSError as exc:
-        raise DataError(f"cannot read word list {path}: {exc}") from exc
+    with open_input(path, "word list") as handle:
+        return {line.strip().lower() for line in handle if line.strip()}
 
 
 def load_stopwords(language: str = "english", path: str | None = None) -> StopwordList:

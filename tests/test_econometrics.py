@@ -289,6 +289,55 @@ class TestOls:
         with pytest.raises(DataError, match="length"):
             ols(Series("y", np.arange(5.0)), [Series("x", np.arange(4.0))])
 
+    def test_diagnostics_match_separate_factorizations(self):
+        rng = np.random.default_rng(31)
+        n = 40
+        X = [Series(f"x{i}", rng.normal(size=n) * 10.0 ** i) for i in range(3)]
+        y = Series("y", rng.normal(size=n))
+        fit = ols(y, X)
+        design = np.column_stack([np.ones(n)] + [x.values for x in X])
+        sigma2 = fit.rss / fit.df_resid
+        bse = np.sqrt(np.diag(np.linalg.inv(design.T @ design)) * sigma2)
+        assert fit.condition_number == pytest.approx(np.linalg.cond(design), rel=1e-12)
+        assert fit.bse == pytest.approx(bse, rel=1e-9)
+        beta, *_ = np.linalg.lstsq(design, y.values, rcond=None)
+        assert fit.params == pytest.approx(beta, rel=1e-9)
+
+
+class TestPValues:
+    """Tail probabilities come from scipy.special; they must equal the
+    scipy.stats distributions they replace, edge values included."""
+
+    @pytest.mark.parametrize("x", [0.0, math.inf, -math.inf, math.nan, 0.7, 40.0])
+    @pytest.mark.parametrize("df", [1, 7, 90])
+    def test_t_tail(self, x, df):
+        from scipy import special, stats
+
+        np.testing.assert_array_equal(special.stdtr(df, -x), stats.t.sf(x, df))
+
+    # The Granger statistic is clamped at zero, so -inf is outside its domain.
+    @pytest.mark.parametrize("x", [0.0, math.inf, math.nan, 0.7, 40.0])
+    @pytest.mark.parametrize("df", [1, 3, 12])
+    def test_chi2_tail(self, x, df):
+        from scipy import special, stats
+
+        np.testing.assert_array_equal(special.chdtrc(df, x), stats.chi2.sf(x, df))
+
+    def test_reported_p_values_match_scipy_stats(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(17)
+        n = 60
+        x = Series("x", rng.normal(size=n))
+        y = Series("y", 0.3 * x.values + rng.normal(size=n))
+        corr = pearson(x, y)
+        t = corr.r * math.sqrt((n - 2) / (1.0 - corr.r ** 2))
+        assert corr.p == 2.0 * stats.t.sf(abs(t), n - 2)
+        fit = ols(y, [x])
+        assert np.array_equal(fit.pvalues, 2.0 * stats.t.sf(np.abs(fit.tvalues), fit.df_resid))
+        granger = granger_test(y, x, 2)
+        assert granger.p == stats.chi2.sf(granger.chi2, 2)
+
 
 class TestGranger:
     def test_planted_lagged_driver_detected(self):
@@ -497,6 +546,20 @@ class TestReportWriters:
         text = path.read_text()
         assert "| predictor |" in text
         assert "model_8" in text
+
+    def test_failed_cells_written_blank_with_error(self, tmp_path):
+        collinear = ModelSpec("collinear", (ModelTerm("activity", 0), ModelTerm("activity", 0)))
+        config = BatteryConfig(correlation_lags=(0, 99), models=(collinear,))
+        report = run_battery(_synthetic_panel(), config)
+        write_correlations_csv(report, str(tmp_path / "c.csv"))
+        write_regression_terms_csv(report, str(tmp_path / "t.csv"))
+        write_regression_models_csv(report, str(tmp_path / "m.csv"))
+        corr = self._rows(tmp_path / "c.csv")[2]
+        assert corr[:6] == ["activity_words", "99", "", "", "", ""] and "lag 99" in corr[6]
+        term = self._rows(tmp_path / "t.csv")[1]
+        assert term[:7] == ["collinear"] + [""] * 6 and "rank" in term[7]
+        model = self._rows(tmp_path / "m.csv")[1]
+        assert model[:8] == ["collinear"] + [""] * 7 and "rank" in model[8]
 
     def test_writers_deterministic(self, report, tmp_path):
         a = tmp_path / "a.csv"

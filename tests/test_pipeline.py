@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -195,6 +197,31 @@ class TestGraphExports:
         config.export_graphs = False
         run_features(config)
         assert not os.path.isdir(os.path.join(config.output_dir, "graphs"))
+
+    def _exports(self, config) -> list[str]:
+        return sorted(os.listdir(os.path.join(config.output_dir, "graphs")))
+
+    def test_rerun_with_fewer_weeks_removes_stale_exports(self, config):
+        run_features(config)
+        assert len(self._exports(config)) == 12
+        keep = os.path.join(config.output_dir, "graphs", "week_notes.txt")
+        with open(keep, "w") as handle:
+            handle.write("not an export")
+        config.horizon_weeks = 1
+        run_features(config)
+        assert self._exports(config) == [
+            "week_000_interaction_edges.csv",
+            "week_000_interaction_summary.json",
+            "week_000_words_edges.csv",
+            "week_000_words_summary.json",
+            "week_notes.txt",
+        ]
+
+    def test_rerun_without_exports_removes_stale_exports(self, config):
+        run_features(config)
+        config.export_graphs = False
+        run_features(config)
+        assert self._exports(config) == []
 
     def test_rejections_file_always_written(self, config):
         run_features(config)
@@ -439,6 +466,17 @@ class TestCli:
         assert "sentiment" in err
         assert "week 1" in err
 
+    @pytest.mark.parametrize("field", ["messages_path", "lexicon_path"])
+    def test_non_utf8_input_exit_code(self, config, tmp_path, capsys, field):
+        path = getattr(config, field)
+        with open(path, "ab") as handle:
+            handle.write(b"caf\xe9,0.5\n")
+        code = main(["run", "-c", self.write_config(config, tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: cannot read" in err and path in err
+        assert "Traceback" not in err
+
     def test_path_count_overflow_exit_code(self, config, tmp_path, capsys):
         # Two authors per layer, each replying to both authors of the next
         # layer: 2**1098 geodesics cross the week-0 interaction graph.
@@ -489,6 +527,15 @@ class TestCli:
         code = main(["features", "-c", self.write_config(config, tmp_path)])
         assert code == 3
         assert "analysis error" in capsys.readouterr().err
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about a second of start-up; p-values use scipy.special.
+        code = "import sys, forumcast.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
 
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0

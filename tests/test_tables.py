@@ -1,0 +1,83 @@
+from __future__ import annotations
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from forumcast.corpus import load_market_series, load_messages
+from forumcast.errors import DataError
+from forumcast.pipeline import read_features_csv
+from forumcast.semantics import load_lexicon, load_precomputed
+from forumcast.tables import format_cell, open_input, write_csv, write_json
+from forumcast.textproc import load_wordlist
+
+
+class TestFormatCell:
+    @pytest.mark.parametrize(
+        "value,expected",
+        [
+            (None, ""),
+            (math.nan, ""),
+            (np.float64("nan"), ""),
+            (True, "1"),
+            (False, "0"),
+            (0.1, "0.1"),
+            (1e-300, "1e-300"),
+            (math.inf, "inf"),
+            (np.float64(0.25), "0.25"),
+            (3, "3"),
+            ("abc", "abc"),
+        ],
+    )
+    def test_spelling(self, value, expected):
+        assert format_cell(value) == expected
+
+    def test_float_round_trips(self):
+        value = 0.1 + 0.2
+        assert float(format_cell(value)) == value
+
+
+class TestWriters:
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ("a", "b"), [("x,y", 1), ("é", "")])
+        assert path.read_bytes() == 'a,b\r\n"x,y",1\r\né,\r\n'.encode("utf-8")
+
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json(str(path), {"b": 1, "a": [2]})
+        assert path.read_text(encoding="utf-8") == '{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize(
+        "load",
+        [
+            load_messages,
+            load_market_series,
+            load_lexicon,
+            load_precomputed,
+            load_wordlist,
+            read_features_csv,
+        ],
+    )
+    def test_non_utf8_is_data_error(self, tmp_path, load):
+        path = tmp_path / "input"
+        path.write_bytes(b"a,b\nok,\xff\n")
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load(str(path))
+
+    @pytest.mark.parametrize("load", [load_lexicon, load_precomputed])
+    def test_missing_file_is_data_error(self, tmp_path, load):
+        path = tmp_path / "absent.csv"
+        with pytest.raises(DataError, match="cannot read"):
+            load(str(path))
+
+    def test_data_error_from_the_reader_passes_through(self, tmp_path):
+        path = tmp_path / "x"
+        path.write_text("x")
+        with pytest.raises(DataError, match="^boom$"):
+            with open_input(str(path), "thing"):
+                raise DataError("boom")
