@@ -4,8 +4,9 @@
 Synthesizes token streams over a 16k-word vocabulary (Zipf-weighted draws
 plus one pass over the full vocabulary so every word appears) until the
 co-occurrence event count passes the target, builds the graph, and reports
-node/arc/event counts and wall time. Also times sampled betweenness, the
-documented path for graphs of this size.
+node/arc/event counts, wall time and the process's peak RSS before and after
+the build. Also times sampled betweenness, the documented path for graphs of
+this size.
 
 Usage:
     python scripts/benchmark_word_network.py [--events 6000000] [--seed 1]
@@ -13,6 +14,7 @@ Usage:
 
 import argparse
 import random
+import resource
 import time
 
 from forumcast.centrality import approx_betweenness
@@ -36,6 +38,11 @@ def synthesize_streams(vocab_size: int, target_events: int, seed: int) -> list[l
     return streams
 
 
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--vocab", type=int, default=16000)
@@ -46,7 +53,7 @@ def main() -> None:
 
     streams = synthesize_streams(args.vocab, args.events, args.seed)
     tokens = sum(len(s) for s in streams)
-    print(f"{len(streams)} streams, {tokens} tokens")
+    print(f"{len(streams)} streams, {tokens} tokens, peak RSS {peak_rss_mb():.0f} MB")
 
     t0 = time.perf_counter()
     graph = build_word_network(streams, 7)
@@ -54,6 +61,7 @@ def main() -> None:
     print(
         f"build: {build_seconds:.2f}s  n={graph.n}  m={graph.m}"
         f"  events={graph.total_weight}  self_pairs={graph.self_loop_events}"
+        f"  peak RSS {peak_rss_mb():.0f} MB"
     )
 
     t0 = time.perf_counter()

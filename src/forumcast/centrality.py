@@ -8,11 +8,11 @@ over a uniform sample of sources, scaled by n / sample_count, so a full
 sample is bit-identical to the exact computation.
 
 Two kernels compute the accumulation. Small jobs (sources x arcs below
-``SCALAR_WORK_LIMIT``) run a per-source BFS over the graph's adjacency
-tuples; larger ones run the same algorithm level-synchronously over a batch
-of sources at once, as sparse-matrix products on an integer-indexed CSR view
-(Kepner & Gilbert, Graph Algorithms in the Language of Linear Algebra,
-2011). Both add per-source dependencies into the score in sorted source
+``SCALAR_WORK_LIMIT``) run a per-source BFS over integer lists taken from
+the graph's CSR arrays; larger ones run the same algorithm
+level-synchronously over a batch of sources at once, as sparse-matrix
+products over those arrays (Kepner & Gilbert, Graph Algorithms in the
+Language of Linear Algebra, 2011). Both add per-source dependencies into the score in sorted source
 order, and the batched kernel uses only CSR products, whose summation order
 is fixed by the graph, so results never depend on the batch width.
 """
@@ -22,10 +22,9 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import AnalysisError
 from .graphs import DirectedWeightedGraph
@@ -34,9 +33,9 @@ DEGREE = "degree"
 BETWEENNESS = "betweenness"
 
 # Below this many source x arc scans the batched kernel's fixed cost per call
-# (node index, two CSR matrices, a few array passes per BFS level; ~0.2 ms)
-# exceeds the scalar loop's whole run; the two broke even near 1000 on forum
-# interaction and word graphs.
+# (two CSR matrices, a few array passes per BFS level; ~0.2 ms) exceeds the
+# scalar loop's whole run; the two broke even near 1000 on forum interaction
+# and word graphs.
 SCALAR_WORK_LIMIT = 1000
 # Cap on n x batch width: each (n x S) float array of the batched kernel stays
 # within 2 MiB whatever the graph size.
@@ -64,10 +63,10 @@ class CentralizationScore:
 def degree_centrality(g: DirectedWeightedGraph) -> CentralityVector:
     """raw(v) = distinct in-arcs + distinct out-arcs; normalized by 2(n-1)."""
     n = g.n
-    raw = {v: float(len(g.successors(v)) + len(g.predecessors(v))) for v in g.nodes}
+    degree = (np.diff(g.indptr) + np.bincount(g.indices, minlength=n)).astype(float)
+    raw = dict(zip(g.nodes, degree.tolist()))
     if n >= 2:
-        denom = 2.0 * (n - 1)
-        normalized = {v: score / denom for v, score in raw.items()}
+        normalized = dict(zip(g.nodes, (degree / (2.0 * (n - 1))).tolist()))
     else:
         normalized = {v: 0.0 for v in raw}
     return CentralityVector(metric=DEGREE, raw=raw, normalized=normalized, graph_n=n)
@@ -76,58 +75,46 @@ def degree_centrality(g: DirectedWeightedGraph) -> CentralityVector:
 def _scalar_betweenness(
     g: DirectedWeightedGraph, sources: Sequence[str], scale: float
 ) -> dict[str, float]:
-    # Brandes (2001): one BFS + dependency back-propagation per source.
-    # Sources must arrive sorted; accumulation order is then fixed, which
-    # makes exact and full-sample runs bit-identical.
-    score = {v: 0.0 for v in g.nodes}
-    for s in sources:
-        order: list[str] = []
-        preds: dict[str, list[str]] = {}
-        sigma: dict[str, int] = {s: 1}
-        dist: dict[str, int] = {s: 0}
-        queue: deque[str] = deque((s,))
+    # Brandes (2001): one BFS + dependency back-propagation per source, over
+    # node ids. Sources must arrive sorted; accumulation order is then fixed,
+    # which makes exact and full-sample runs bit-identical.
+    n = g.n
+    indptr = g.indptr.tolist()
+    indices = g.indices.tolist()
+    score = [0.0] * n
+    for s in map(g.node_id, sources):
+        order: list[int] = []
+        preds: dict[int, list[int]] = {}
+        sigma = [0] * n
+        dist = [-1] * n
+        sigma[s] = 1
+        dist[s] = 0
+        queue: deque[int] = deque((s,))
         while queue:
             v = queue.popleft()
             order.append(v)
             next_dist = dist[v] + 1
             sigma_v = sigma[v]
-            for w in g.successors(v):
-                if w not in dist:
+            for w in indices[indptr[v]:indptr[v + 1]]:
+                if dist[w] < 0:
                     dist[w] = next_dist
-                    sigma[w] = 0
                     preds[w] = []
                     queue.append(w)
                 if dist[w] == next_dist:
                     sigma[w] += sigma_v
                     preds[w].append(v)
-        delta: dict[str, float] = {}
+        delta = [0.0] * n
         try:
             while order:
                 w = order.pop()
-                coefficient = (1.0 + delta.get(w, 0.0)) / sigma[w]
+                coefficient = (1.0 + delta[w]) / sigma[w]
                 for v in preds.get(w, ()):
-                    delta[v] = delta.get(v, 0.0) + sigma[v] * coefficient
+                    delta[v] += sigma[v] * coefficient
                 if w != s:
-                    score[w] += delta.get(w, 0.0) * scale
+                    score[w] += delta[w] * scale
         except OverflowError:
             raise AnalysisError(_PATH_COUNT_OVERFLOW) from None
-    return score
-
-
-def _adjacency_csr(
-    nodes: Sequence[str], neighbours: Callable[[str], Sequence[str]], index: Mapping[str, int]
-) -> csr_matrix:
-    """0/1 CSR matrix with row i holding ``neighbours(nodes[i])``. The
-    neighbour tuples are sorted, so the column indices are too. Indices are
-    int32, scipy's native width, which holds any graph that fits in memory as
-    a dict of arcs."""
-    counts = np.fromiter((len(neighbours(v)) for v in nodes), dtype=np.int32, count=len(nodes))
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.fromiter(
-        (index[w] for v in nodes for w in neighbours(v)), dtype=np.int32, count=int(indptr[-1])
-    )
-    return csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(nodes), len(nodes)))
+    return dict(zip(g.nodes, score))
 
 
 def _batched_betweenness(
@@ -143,10 +130,8 @@ def _batched_betweenness(
     # each level is one product succ @ coef with coef = (1 + delta) / sigma on
     # that level, which hands every parent its children's dependency.
     n = g.n
-    index = {v: i for i, v in enumerate(g.nodes)}
-    succ = _adjacency_csr(g.nodes, g.successors, index)
-    pred = _adjacency_csr(g.nodes, g.predecessors, index)
-    rows = np.fromiter((index[s] for s in sources), dtype=np.int64, count=len(sources))
+    succ, pred = g.adjacency_matrices()
+    rows = np.fromiter(map(g.node_id, sources), dtype=np.int64, count=len(sources))
     score = np.zeros(n)
     width = max(1, batch_cells // n)
     for start in range(0, len(rows), width):

@@ -216,7 +216,7 @@ def load_config(path: str) -> PipelineConfig:
     try:
         with open(path, encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc

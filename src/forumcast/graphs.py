@@ -9,9 +9,13 @@ stored as arcs, so downstream centrality code sees loop-free digraphs.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
+from scipy.sparse import csr_matrix
 
 from .corpus import Message
 from .errors import DataError
@@ -25,13 +29,20 @@ DEFAULT_COOCCURRENCE_WINDOW = 7
 class DirectedWeightedGraph:
     """Immutable digraph with positive integer arc weights.
 
-    Nodes are strings (actor ids or words). Arc weights count events:
+    Nodes are strings (actor ids or words), kept sorted in ``nodes``; a
+    node's id is its position there, so ids follow string order. Arcs are
+    stored once, as CSR arrays over those ids: the successors of node ``i``
+    are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order, and an
+    int64 weight array runs parallel to ``indices``. Arc weights count events:
     repeated replies or repeated co-occurrences accumulate on one arc.
-    Adjacency lists are built lazily and sorted, so traversal order is
-    deterministic.
+    ``arcs``, ``successors`` and ``predecessors`` are views derived from the
+    arrays, so traversal order is deterministic.
     """
 
-    __slots__ = ("_nodes", "_arcs", "_self_loop_events", "_succ", "_pred", "_total_weight")
+    __slots__ = (
+        "_nodes", "_indptr", "_indices", "_weights", "_self_loop_events", "_total_weight",
+        "_matrices",
+    )
 
     def __init__(
         self,
@@ -47,20 +58,62 @@ class DirectedWeightedGraph:
                 raise DataError(f"arc {source!r}->{target!r} has non-positive weight {weight}")
             node_set.add(source)
             node_set.add(target)
-        self._nodes: tuple[str, ...] = tuple(sorted(node_set))
-        self._arcs: dict[tuple[str, str], int] = dict(arcs)
+        ordered = tuple(sorted(node_set))
+        index = {v: i for i, v in enumerate(ordered)}
+        n = len(ordered)
+        keyed = np.array(
+            sorted((index[source] * n + index[target], weight)
+                   for (source, target), weight in arcs.items()),
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        self._init_from_codes(ordered, keyed[:, 0], keyed[:, 1], self_loop_events)
+
+    @classmethod
+    def from_codes(
+        cls,
+        nodes: tuple[str, ...],
+        codes: np.ndarray,
+        weights: np.ndarray,
+        self_loop_events: int = 0,
+    ) -> DirectedWeightedGraph:
+        """Graph from arc codes ``source_id * n + target_id`` over ``nodes``.
+
+        The caller guarantees what ``__init__`` checks: ``nodes`` sorted and
+        distinct, ``codes`` ascending and distinct with no self-loop, every
+        weight at least 1.
+        """
+        graph = cls.__new__(cls)
+        graph._init_from_codes(nodes, codes, weights, self_loop_events)
+        return graph
+
+    def _init_from_codes(
+        self, nodes: tuple[str, ...], codes: np.ndarray, weights: np.ndarray,
+        self_loop_events: int,
+    ) -> None:
+        n = len(nodes)
+        sources, targets = np.divmod(codes, n)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        self._nodes = nodes
+        self._indptr = _frozen(indptr)
+        # int32: scipy's native index width, so its matrices share these arrays.
+        self._indices = _frozen(targets.astype(np.int32))
+        self._weights = _frozen(np.array(weights, dtype=np.int64))
         self._self_loop_events = self_loop_events
-        self._total_weight = sum(self._arcs.values())
-        self._succ: dict[str, tuple[str, ...]] | None = None
-        self._pred: dict[str, tuple[str, ...]] | None = None
+        self._total_weight = int(self._weights.sum())
+        self._matrices: tuple[csr_matrix, csr_matrix] | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
         return self._nodes
 
     @property
-    def arcs(self) -> Mapping[tuple[str, str], int]:
-        return self._arcs
+    def indptr(self) -> np.ndarray:
+        return self._indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self._indices
 
     @property
     def n(self) -> int:
@@ -68,7 +121,7 @@ class DirectedWeightedGraph:
 
     @property
     def m(self) -> int:
-        return len(self._arcs)
+        return len(self._indices)
 
     @property
     def total_weight(self) -> int:
@@ -78,26 +131,49 @@ class DirectedWeightedGraph:
     def self_loop_events(self) -> int:
         return self._self_loop_events
 
-    def _build_adjacency(self) -> None:
-        succ: dict[str, list[str]] = {v: [] for v in self._nodes}
-        pred: dict[str, list[str]] = {v: [] for v in self._nodes}
-        for source, target in self._arcs:
-            succ[source].append(target)
-            pred[target].append(source)
-        self._succ = {v: tuple(sorted(out)) for v, out in succ.items()}
-        self._pred = {v: tuple(sorted(inc)) for v, inc in pred.items()}
+    def node_id(self, node: str) -> int:
+        """Position of ``node`` in ``nodes``; KeyError if absent."""
+        i = bisect_left(self._nodes, node)
+        if i == len(self._nodes) or self._nodes[i] != node:
+            raise KeyError(node)
+        return i
+
+    def _arc_sources(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
+
+    def adjacency_matrices(self) -> tuple[csr_matrix, csr_matrix]:
+        """0/1 successor and predecessor matrices, the first over the graph's
+        own CSR arrays, built once per graph. Both keep each row's column
+        indices ascending."""
+        if self._matrices is None:
+            succ = csr_matrix(
+                (np.ones(self.m), self._indices, self._indptr), shape=(self.n, self.n)
+            )
+            self._matrices = (succ, succ.T.tocsr())
+        return self._matrices
+
+    def _arc_rows(self) -> Iterator[tuple[str, str, int]]:
+        """(source, target, weight) per arc, in CSR order: (source, target)."""
+        names = self._nodes
+        return zip(
+            map(names.__getitem__, self._arc_sources().tolist()),
+            map(names.__getitem__, self._indices.tolist()),
+            self._weights.tolist(),
+        )
+
+    @property
+    def arcs(self) -> Mapping[tuple[str, str], int]:
+        """{(source, target): weight}, in (source, target) order."""
+        return {(source, target): weight for source, target, weight in self._arc_rows()}
 
     def successors(self, node: str) -> tuple[str, ...]:
-        if self._succ is None:
-            self._build_adjacency()
-        assert self._succ is not None
-        return self._succ[node]
+        i = self.node_id(node)
+        row = self._indices[self._indptr[i]:self._indptr[i + 1]]
+        return tuple(self._nodes[j] for j in row.tolist())
 
     def predecessors(self, node: str) -> tuple[str, ...]:
-        if self._pred is None:
-            self._build_adjacency()
-        assert self._pred is not None
-        return self._pred[node]
+        sources = self._arc_sources()[self._indices == self.node_id(node)]
+        return tuple(self._nodes[j] for j in sources.tolist())
 
     def summary(self) -> dict[str, int]:
         return {
@@ -108,9 +184,8 @@ class DirectedWeightedGraph:
         }
 
     def write_edge_list(self, path: str) -> None:
-        """CSV export: source,target,weight, rows sorted by (source, target)."""
-        rows = sorted((source, target, weight) for (source, target), weight in self._arcs.items())
-        write_csv(path, ("source", "target", "weight"), rows)
+        """CSV export: source,target,weight, rows in (source, target) order."""
+        write_csv(path, ("source", "target", "weight"), self._arc_rows())
 
     def write_summary(self, path: str) -> None:
         write_json(path, self.summary())
@@ -120,7 +195,9 @@ class DirectedWeightedGraph:
             return NotImplemented
         return (
             self._nodes == other._nodes
-            and self._arcs == other._arcs
+            and np.array_equal(self._indptr, other._indptr)
+            and np.array_equal(self._indices, other._indices)
+            and np.array_equal(self._weights, other._weights)
             and self._self_loop_events == other._self_loop_events
         )
 
@@ -129,6 +206,11 @@ class DirectedWeightedGraph:
             f"DirectedWeightedGraph(n={self.n}, m={self.m},"
             f" total_weight={self._total_weight})"
         )
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -151,7 +233,8 @@ def build_interaction_network(
 
     ``author_by_id`` may cover more messages than ``messages`` (replies can
     point outside the window); when omitted it is derived from ``messages``.
-    Dangling parent ids are logged and skipped; self-replies create no arc.
+    Replies to unknown parents are skipped, with one warning per call that
+    counts them; self-replies create no arc.
     """
     if author_by_id is None:
         author_by_id = {msg.id: msg.author_id for msg in messages}
@@ -159,24 +242,26 @@ def build_interaction_network(
     nodes = {msg.author_id for msg in messages}
     comments = 0
     self_replies = 0
-    dangling = 0
+    dangling: list[Message] = []
     for msg in messages:
         if msg.parent_id is None:
             continue
         comments += 1
         parent_author = author_by_id.get(msg.parent_id)
         if parent_author is None:
-            dangling += 1
-            logger.warning(
-                "message %s replies to unknown parent %s; arc skipped", msg.id, msg.parent_id
-            )
+            dangling.append(msg)
             continue
         if parent_author == msg.author_id:
             self_replies += 1
             continue
         arc_counts[(msg.author_id, parent_author)] += 1
+    if dangling:
+        logger.warning(
+            "%d replies point to unknown parents, arcs skipped (first: message %s"
+            " replies to %s)", len(dangling), dangling[0].id, dangling[0].parent_id,
+        )
     graph = DirectedWeightedGraph(arc_counts, nodes=nodes, self_loop_events=self_replies)
-    return graph, InteractionTallies(comments, self_replies, dangling)
+    return graph, InteractionTallies(comments, self_replies, len(dangling))
 
 
 def build_word_network(
@@ -191,22 +276,41 @@ def build_word_network(
     """
     if window_size < 1:
         raise DataError(f"window_size must be >= 1, got {window_size}")
-    pair_counts: Counter[tuple[str, str]] = Counter()
-    nodes: set[str] = set()
+    flat: list[str] = []
+    lengths: list[int] = []
     for tokens in streams:
-        length = len(tokens)
-        if length == 0:
-            continue
-        nodes.update(tokens)
-        pair_counts.update(
-            (tokens[i], tokens[j])
-            for i in range(length - 1)
-            for j in range(i + 1, min(length, i + window_size + 1))
-        )
-    self_pairs = 0
-    for key in [k for k in pair_counts if k[0] == k[1]]:
-        self_pairs += pair_counts.pop(key)
-    return DirectedWeightedGraph(pair_counts, nodes=nodes, self_loop_events=self_pairs)
+        flat.extend(tokens)
+        lengths.append(len(tokens))
+    # Ids follow Python string order, the graph's node order, so the pair code
+    # source * n + target sorts like the (source, target) strings.
+    nodes = tuple(sorted(set(flat)))
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    stream_of = np.repeat(np.arange(len(lengths)), lengths)
+    # Codes of the pairs (i, i + offset) inside one stream go, offset by
+    # offset, into one buffer that is sorted in place: counting its runs of
+    # equal codes then needs no second copy of the pairs.
+    width = min(window_size, max(lengths, default=1) - 1)
+    codes = np.empty(len(flat) * width, dtype=np.int64)
+    filled = 0
+    for offset in range(1, width + 1):
+        same_stream = stream_of[:-offset] == stream_of[offset:]
+        sources = ids[:-offset][same_stream]
+        sources *= n
+        np.add(sources, ids[offset:][same_stream], out=codes[filled:filled + len(sources)])
+        filled += len(sources)
+    codes = codes[:filled]
+    codes.sort()
+    run_start = np.ones(filled + 1, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=run_start[1:filled])
+    bounds = np.flatnonzero(run_start)
+    arc_codes = codes[bounds[:-1]]
+    counts = bounds[1:] - bounds[:-1]
+    loop = arc_codes % (n + 1) == 0  # source == target: identical-word pairs
+    return DirectedWeightedGraph.from_codes(
+        nodes, arc_codes[~loop], counts[~loop], self_loop_events=int(counts[loop].sum())
+    )
 
 
 def activity(messages: Sequence[Message]) -> int:

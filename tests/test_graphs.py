@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +24,23 @@ from oracles import enumerate_cooccurrences
 
 token = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 streams_strategy = st.lists(st.lists(token, max_size=12), max_size=6)
+# Short strings over an alphabet with non-ASCII letters, a comma, a quote and
+# NUL (which a NumPy unicode array would drop when trailing); few enough that
+# tokens repeat.
+wide_token = st.text(alphabet="aAzé日ß,\"\x00", min_size=1, max_size=3)
+
+
+@st.composite
+def arc_maps(draw):
+    """{(source, target): weight} over wide_token names, plus isolated nodes."""
+    names = draw(st.lists(wide_token, min_size=1, max_size=8, unique=True))
+    arcs = {}
+    for a in names:
+        for b in names:
+            if a != b and draw(st.booleans()):
+                arcs[(a, b)] = draw(st.integers(min_value=1, max_value=5))
+    isolated = draw(st.lists(wide_token, max_size=3))
+    return arcs, isolated
 
 
 class TestGraphType:
@@ -43,6 +63,49 @@ class TestGraphType:
         g = DirectedWeightedGraph({("a", "c"): 1, ("a", "b"): 1, ("d", "a"): 1})
         assert g.successors("a") == ("b", "c")
         assert g.predecessors("a") == ("d",)
+
+    @given(arc_maps())
+    def test_array_built_equals_mapping_built(self, drawn):
+        arcs, isolated = drawn
+        nodes = tuple(sorted({*isolated, *(v for arc in arcs for v in arc)}))
+        index = {v: i for i, v in enumerate(nodes)}
+        keyed = sorted((index[a] * len(nodes) + index[b], w) for (a, b), w in arcs.items())
+        codes = np.array([code for code, _ in keyed], dtype=np.int64)
+        weights = np.array([w for _, w in keyed], dtype=np.int64)
+        built = DirectedWeightedGraph.from_codes(nodes, codes, weights, self_loop_events=4)
+        mapped = DirectedWeightedGraph(arcs, nodes=isolated, self_loop_events=4)
+        assert built == mapped
+        assert built.nodes == mapped.nodes == nodes
+        assert dict(built.arcs) == dict(mapped.arcs) == arcs
+        assert built.total_weight == sum(arcs.values())
+
+    @given(arc_maps())
+    def test_adjacency_views_sorted(self, drawn):
+        arcs, isolated = drawn
+        g = DirectedWeightedGraph(arcs, nodes=isolated)
+        for v in g.nodes:
+            assert g.successors(v) == tuple(sorted(b for a, b in arcs if a == v))
+            assert g.predecessors(v) == tuple(sorted(a for a, b in arcs if b == v))
+        assert list(g.arcs) == sorted(arcs)
+
+    def test_unknown_node_is_key_error(self):
+        g = DirectedWeightedGraph({("a", "c"): 1})
+        for node in ("b", "", "d"):
+            with pytest.raises(KeyError):
+                g.successors(node)
+            with pytest.raises(KeyError):
+                g.predecessors(node)
+
+    @given(arc_maps())
+    def test_edge_list_bytes_match_sorted_rendering(self, tmp_path_factory, drawn):
+        arcs, isolated = drawn
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(("source", "target", "weight"))
+        writer.writerows(sorted((a, b, w) for (a, b), w in arcs.items()))
+        out = tmp_path_factory.mktemp("edges") / "edges.csv"
+        DirectedWeightedGraph(arcs, nodes=isolated).write_edge_list(str(out))
+        assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_edge_list_export_sorted(self, tmp_path):
         g = DirectedWeightedGraph({("b", "a"): 2, ("a", "b"): 1})
@@ -120,6 +183,18 @@ class TestWordNetwork:
         assert dict(g.arcs) == dict(pairs)
         assert g.self_loop_events == identical
 
+    @given(
+        st.lists(st.lists(wide_token, max_size=14), max_size=6),
+        st.integers(min_value=1, max_value=10),
+    )
+    def test_matches_bruteforce_wide_tokens(self, streams, window):
+        # empty and one-token streams, repeats, non-ASCII and NUL-ended tokens
+        g = build_word_network(streams, window)
+        pairs, identical = enumerate_cooccurrences(streams, window)
+        assert dict(g.arcs) == dict(pairs)
+        assert g.self_loop_events == identical
+        assert g.nodes == tuple(sorted({t for stream in streams for t in stream}))
+
     @given(streams_strategy)
     def test_stream_order_irrelevant(self, streams):
         forward = build_word_network(streams)
@@ -164,6 +239,19 @@ class TestInteractionNetwork:
         assert g.m == 0
         assert tallies.dangling_parents == 1
         assert any("ghost" in record.message for record in caplog.records)
+
+    def test_one_warning_per_call_counts_dangling(self, caplog):
+        msgs = [make_message("p", "alice")] + [
+            make_message(f"c{i}", "bob", parent=f"ghost{i}", offset_hours=i + 1)
+            for i in range(3)
+        ]
+        with caplog.at_level("WARNING"):
+            _g, tallies = build_interaction_network(msgs)
+        assert tallies.dangling_parents == 3
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "3 replies" in warnings[0].getMessage()
+        assert "ghost0" in warnings[0].getMessage()
 
     def test_external_author_map_resolves_cross_window_parents(self):
         comment = make_message("c", "bob", parent="old-post", week=1)

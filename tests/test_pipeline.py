@@ -477,6 +477,16 @@ class TestCli:
         assert "data error: cannot read" in err and path in err
         assert "Traceback" not in err
 
+    def test_non_utf8_config_exit_code(self, config, tmp_path, capsys):
+        path = self.write_config(config, tmp_path)
+        with open(path, "ab") as handle:
+            handle.write(b'messages_path: "caf\xe9"\n')
+        code = main(["run", "-c", path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: cannot read config" in err and path in err
+        assert "Traceback" not in err
+
     def test_path_count_overflow_exit_code(self, config, tmp_path, capsys):
         # Two authors per layer, each replying to both authors of the next
         # layer: 2**1098 geodesics cross the week-0 interaction graph.
