@@ -1,9 +1,9 @@
 """Pipeline configuration: a YAML file mirroring one dataclass.
 
 The file round-trips: load -> save -> load yields an equal config. Unknown
-keys are rejected so typos fail fast. Path existence is checked separately
-(``validate_paths``) right before a run, not at parse time, so configs can
-be written before their inputs exist.
+keys are rejected so typos fail fast. Paths are checked separately
+(``validate_paths``, ``validate_output_dir``) right before a run, not at
+parse time, so configs can be written before their inputs exist.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any
 
 import yaml
 
-from .corpus import parse_timestamp
+from .corpus import WEEK, parse_timestamp
 from .econometrics import DEFAULT_MODELS, BatteryConfig, ModelSpec, ModelTerm, PREDICTOR_COLUMNS
 from .errors import ConfigError
 from .textproc import BUNDLED_LANGUAGES
@@ -81,11 +81,18 @@ def validate(config: PipelineConfig) -> None:
             f"messages_format must be one of {MESSAGE_FORMATS}, got {config.messages_format!r}"
         )
     try:
-        parse_timestamp(config.horizon_start)
+        start = parse_timestamp(config.horizon_start)
     except Exception as exc:
         raise ConfigError(f"horizon_start is not a valid RFC3339 instant: {exc}") from exc
     if config.horizon_weeks < 1:
         raise ConfigError(f"horizon_weeks must be >= 1, got {config.horizon_weeks}")
+    try:
+        start + config.horizon_weeks * WEEK
+    except OverflowError:
+        raise ConfigError(
+            f"horizon of {config.horizon_weeks} weeks from {config.horizon_start}"
+            " ends past the last representable instant"
+        ) from None
     if config.window_size < 1:
         raise ConfigError(f"window_size must be >= 1, got {config.window_size}")
     if config.betweenness_mode not in BETWEENNESS_MODES:
@@ -149,6 +156,17 @@ def validate_paths(config: PipelineConfig) -> None:
     for name, path in paths.items():
         if not os.path.isfile(path):
             raise ConfigError(f"{name}: no such file: {path}")
+    validate_output_dir(config)
+
+
+def validate_output_dir(config: PipelineConfig) -> None:
+    """``output_dir`` must be a directory or creatable as one: its nearest
+    existing ancestor must be a directory. Touches nothing."""
+    path = os.path.abspath(config.output_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output_dir {config.output_dir}: {path} is not a directory")
 
 
 def to_dict(config: PipelineConfig) -> dict[str, Any]:

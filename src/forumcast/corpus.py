@@ -107,14 +107,18 @@ class WindowedCorpus:
 
 
 def parse_timestamp(raw: str) -> datetime:
-    """Parse an RFC 3339 timestamp; naive values are taken as UTC."""
+    """Parse an RFC 3339 timestamp; naive values are taken as UTC. An instant
+    whose UTC form falls outside ``datetime``'s range is a ValueError too."""
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.astimezone(timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{raw!r} is out of range in UTC") from None
 
 
 def _message_from_record(record: dict, seen_ids: set[str]) -> Message:

@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -36,10 +37,9 @@ from .centrality import (
     centralization,
     degree_centrality,
 )
-from .config import PipelineConfig, to_dict, validate, validate_paths
+from .config import PipelineConfig, to_dict, validate, validate_output_dir, validate_paths
 from .corpus import (
     Message,
-    WindowedCorpus,
     load_market_series,
     load_messages,
     parse_timestamp,
@@ -122,18 +122,18 @@ class WindowFeatures:
 
 @dataclass(frozen=True)
 class _WindowTask:
-    """Everything one worker needs to process one window."""
+    """Everything one worker needs to process one window: its messages and,
+    in the same order, their filtered token streams."""
 
     index: int
     messages: tuple[Message, ...]
+    streams: tuple[list[str], ...]
 
 
 @dataclass
 class _SharedState:
     config: PipelineConfig
     author_by_id: Mapping[str, str]
-    stop: StopwordList
-    dictionary: frozenset[str] | None
     scorer: SentimentScorer
     vocab: Vocabulary
     focal_token: str
@@ -172,10 +172,8 @@ def _compute_window_features(task: _WindowTask, state: _SharedState) -> WindowFe
     config = state.config
     index = task.index
     messages = task.messages
+    streams = task.streams
     try:
-        streams = [
-            _tokenize_message(m.body, config, state.stop, state.dictionary) for m in messages
-        ]
         word_graph = build_word_network(streams, config.window_size)
         interaction, _tallies = build_interaction_network(messages, state.author_by_id)
 
@@ -187,7 +185,11 @@ def _compute_window_features(task: _WindowTask, state: _SharedState) -> WindowFe
             group_betweenness = None
 
         focal = state.focal_token
-        present = focal in set(word_graph.nodes)
+        try:
+            word_graph.node_id(focal)
+            present = True
+        except KeyError:
+            present = False
         if present:
             focal_degree = degree_centrality(word_graph).normalized[focal]
             if config.betweenness_mode == "sampled" and word_graph.n > 1:
@@ -246,7 +248,7 @@ def _remove_stale_exports(output_dir: str) -> None:
                 os.remove(os.path.join(graphs_dir, name))
 
 
-def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, WindowedCorpus, list]:
+def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, list[_WindowTask], list]:
     stop = load_stopwords(config.language, config.stopwords_path)
     dictionary = (
         frozenset(load_wordlist(config.dictionary_path)) if config.dictionary_path else None
@@ -265,24 +267,29 @@ def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, WindowedCo
     if corpus.dropped:
         logger.info("%d messages fall outside the horizon", len(corpus.dropped))
 
-    author_by_id = {m.id: m.author_id for m in messages}
-    all_streams = (
-        _tokenize_message(m.body, config, stop, dictionary)
-        for window in corpus.messages_by_window
-        for m in window
-    )
-    vocab = build_vocabulary(all_streams)
-    focal_token = normalize_focal_word(config, stop, dictionary)
+    # The one text pass: each in-horizon message is tokenized here and its
+    # stream rides with its window. The streams live until the windows are
+    # done, so equal tokens are interned to one string object; a fresh string
+    # per occurrence would take about five times the memory on a busy forum.
+    tasks = [
+        _WindowTask(
+            index=i,
+            messages=tuple(window),
+            streams=tuple(
+                list(map(sys.intern, _tokenize_message(m.body, config, stop, dictionary)))
+                for m in window
+            ),
+        )
+        for i, window in enumerate(corpus.messages_by_window)
+    ]
     state = _SharedState(
         config=config,
-        author_by_id=author_by_id,
-        stop=stop,
-        dictionary=dictionary,
+        author_by_id={m.id: m.author_id for m in messages},
         scorer=scorer,
-        vocab=vocab,
-        focal_token=focal_token,
+        vocab=build_vocabulary(stream for task in tasks for stream in task.streams),
+        focal_token=normalize_focal_word(config, stop, dictionary),
     )
-    return state, corpus, rejections
+    return state, tasks, rejections
 
 
 def write_features_csv(rows: Sequence[WindowFeatures], path: str) -> None:
@@ -312,8 +319,14 @@ def read_features_csv(path: str) -> dict[str, list[float | None]]:
         raise DataError(f"{path}: week column must cover 0..{len(rows) - 1} without gaps")
     columns: dict[str, list[float | None]] = {name: [] for name in CORPUS_FEATURE_COLUMNS}
     for r in rows:
+        # DictReader pads a short row with None and files a long row's
+        # surplus under the key None; a cut-off file must not pass.
+        if None in r or None in r.values():
+            raise DataError(
+                f"{path}: the row of week {r['week']} does not have one cell per column"
+            )
         for name in CORPUS_FEATURE_COLUMNS:
-            cell = (r[name] or "").strip()
+            cell = r[name].strip()
             try:
                 columns[name].append(float(cell) if cell else None)
             except ValueError:
@@ -329,14 +342,10 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     validate_paths(config)
     os.makedirs(config.output_dir, exist_ok=True)
 
-    state, corpus, rejections = _load_shared_state(config)
+    state, tasks, rejections = _load_shared_state(config)
     write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
 
     _remove_stale_exports(config.output_dir)
-    tasks = [
-        _WindowTask(index=i, messages=tuple(corpus.messages_by_window[i]))
-        for i in range(corpus.week_count)
-    ]
     if config.workers > 1:
         with ProcessPoolExecutor(
             max_workers=config.workers, initializer=_init_worker, initargs=(state,)
@@ -388,6 +397,7 @@ def write_manifest(config: PipelineConfig, features_path: str, path: str) -> Non
 def run_analyze(config: PipelineConfig, features_path: str | None = None):
     """Panel assembly and the full battery from an existing feature table."""
     validate(config)
+    validate_output_dir(config)
     os.makedirs(config.output_dir, exist_ok=True)
     if features_path is None:
         features_path = os.path.join(config.output_dir, "features.csv")
@@ -412,6 +422,7 @@ def run_all(config: PipelineConfig):
     """features then analyze; a failure mid-way leaves earlier outputs in
     place plus errors.json describing where it stopped. An errors.json left
     by an earlier run is removed first, so it never outlives a success."""
+    validate_output_dir(config)
     error_path = os.path.join(config.output_dir, "errors.json")
     with contextlib.suppress(FileNotFoundError):
         os.remove(error_path)

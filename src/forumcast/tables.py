@@ -47,10 +47,11 @@ def write_json(path: str, obj: Any) -> None:
 @contextlib.contextmanager
 def open_input(path: str, what: str) -> Iterator[TextIO]:
     """Open ``path`` as UTF-8 text for reading. A file that cannot be read,
-    or that is not UTF-8, raises a DataError naming it, also when the fault
-    shows up only while the caller reads."""
+    that is not UTF-8, or whose CSV the ``csv`` module refuses (a field over
+    its size limit) raises a DataError naming it, also when the fault shows
+    up only while the caller reads."""
     try:
         with open(path, encoding="utf-8", newline="") as handle:
             yield handle
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc

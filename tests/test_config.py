@@ -90,6 +90,17 @@ def test_field_validation(tmp_path, field, value, fragment):
         validate(config)
 
 
+@pytest.mark.parametrize(
+    "start,weeks", [("9999-12-01T00:00:00Z", 10), ("2020-01-06T00:00:00Z", 10**9)]
+)
+def test_horizon_end_must_be_representable(tmp_path, start, weeks):
+    config = valid_config(tmp_path)
+    config.horizon_start = start
+    config.horizon_weeks = weeks
+    with pytest.raises(ConfigError, match="ends past the last representable instant"):
+        validate(config)
+
+
 def test_sentiment_backend_exactly_one(tmp_path):
     config = valid_config(tmp_path)
     config.precomputed_sentiment_path = str(tmp_path / "scores.csv")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -40,6 +41,11 @@ class TestParseTimestamp:
         with pytest.raises(ValueError):
             parse_timestamp("last tuesday")
 
+    @pytest.mark.parametrize("raw", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:30:00+01:00"])
+    def test_outside_utc_range_is_value_error(self, raw):
+        with pytest.raises(ValueError, match="out of range"):
+            parse_timestamp(raw)
+
 
 class TestLoadMessages:
     def test_jsonl_round_trip(self, tmp_path):
@@ -70,6 +76,18 @@ class TestLoadMessages:
         assert "missing required field 'id'" in rejections[1].reason
         assert "duplicate message id 'a'" in rejections[2].reason
         assert "timestamp" in rejections[3].reason
+
+    def test_timestamp_outside_utc_range_is_rejected_row(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "a", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z", "body": "x"}\n'
+            '{"id": "b", "author_id": "u1", "timestamp": "9999-12-31T23:00:00-05:00",'
+            ' "body": "y"}\n'
+        )
+        messages, rejections = load_messages(str(path), "jsonl")
+        assert [m.id for m in messages] == ["a"]
+        assert [r.line for r in rejections] == [2]
+        assert rejections[0].reason.startswith("unparseable timestamp")
 
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -162,6 +180,12 @@ class TestMarketSeries:
         assert series.values == {1: 42.0}
         with pytest.raises(DataError):
             load_market_series(str(path), "price")
+
+    def test_date_outside_utc_range_names_file_and_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("date,value\n2020-01-13,42.0\n9999-12-31T23:00:00-05:00,1.0\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: bad week key")):
+            load_market_series(str(path), "price", horizon_start=EPOCH)
 
     def test_duplicate_week_named_in_error(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -132,6 +132,23 @@ class TestFeatureValues:
         assert rows[0].complexity != pytest.approx(leaked, abs=1e-9)
 
 
+class TestTextPass:
+    def test_each_message_tokenized_once(self, config, monkeypatch):
+        import forumcast.pipeline as pipeline
+
+        calls = []
+        tokenize = pipeline.tokenize
+
+        def counting(body, **kwargs):
+            calls.append(body)
+            return tokenize(body, **kwargs)
+
+        monkeypatch.setattr(pipeline, "tokenize", counting)
+        run_features(config)
+        in_horizon = [m["body"] for m in _MESSAGES if m["id"] != "m0"]
+        assert sorted(calls) == sorted(in_horizon + [config.focal_word])
+
+
 class TestFeatureCsv:
     def test_round_trip(self, config, tmp_path):
         rows = run_features(config)
@@ -164,6 +181,15 @@ class TestFeatureCsv:
         path = tmp_path / "gappy.csv"
         write_features_csv([rows[0], rows[2]], str(path))
         with pytest.raises(DataError, match="without gaps"):
+            read_features_csv(str(path))
+
+    @pytest.mark.parametrize("cells", [len(FEATURE_CSV_COLUMNS) - 2, len(FEATURE_CSV_COLUMNS) + 1])
+    def test_read_rejects_row_of_wrong_width(self, tmp_path, cells):
+        path = tmp_path / "bad.csv"
+        header = ",".join(FEATURE_CSV_COLUMNS)
+        full = "0" + ",1" * (len(FEATURE_CSV_COLUMNS) - 1)
+        path.write_text(f"{header}\n{full}\n1" + ",1" * (cells - 1) + "\n")
+        with pytest.raises(DataError, match="week 1 does not have one cell per column"):
             read_features_csv(str(path))
 
     def test_read_rejects_bad_week(self, tmp_path):
@@ -465,6 +491,50 @@ class TestCli:
         assert features in err
         assert "sentiment" in err
         assert "week 1" in err
+
+    def test_truncated_feature_table_exit_code(self, config, tmp_path, capsys):
+        run_features(config)
+        features = os.path.join(config.output_dir, "features.csv")
+        with open(features, "rb") as handle:
+            content = handle.read()
+        assert len(content.splitlines()[-1]) > 40
+        with open(features, "wb") as handle:
+            handle.write(content[:-40])
+        code = main(["analyze", "-c", self.write_config(config, tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert features in err and "week 2" in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["run", "--dry-run"], ["features"], ["analyze"]],
+        ids=["run", "dry-run", "features", "analyze"],
+    )
+    def test_output_dir_is_a_file_exit_code(self, config, tmp_path, capsys, command):
+        config.output_dir = str(tmp_path / "taken")
+        with open(config.output_dir, "w") as handle:
+            handle.write("keep me\n")
+        code = main([*command, "-c", self.write_config(config, tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error: output_dir" in err and config.output_dir in err
+        with open(config.output_dir) as handle:
+            assert handle.read() == "keep me\n"
+
+    def test_output_dir_under_a_file_exit_code(self, config, tmp_path, capsys):
+        (tmp_path / "taken").write_text("keep me\n")
+        config.output_dir = str(tmp_path / "taken" / "out")
+        code = main(["run", "-c", self.write_config(config, tmp_path)])
+        assert code == 1
+        assert "config error: output_dir" in capsys.readouterr().err
+
+    def test_oversized_lexicon_field_exit_code(self, config, tmp_path, capsys):
+        with open(config.lexicon_path, "a") as handle:
+            handle.write("x" * 140_000 + ",0.5\n")
+        code = main(["run", "-c", self.write_config(config, tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: cannot read lexicon" in err and config.lexicon_path in err
 
     @pytest.mark.parametrize("field", ["messages_path", "lexicon_path"])
     def test_non_utf8_input_exit_code(self, config, tmp_path, capsys, field):

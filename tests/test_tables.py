@@ -69,6 +69,23 @@ class TestUnreadableInputs:
         with pytest.raises(DataError, match=re.escape(str(path))):
             load(str(path))
 
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda path: load_messages(path, "csv"),
+            load_market_series,
+            load_lexicon,
+            load_precomputed,
+            read_features_csv,
+        ],
+    )
+    def test_oversized_csv_field_is_data_error(self, tmp_path, load):
+        # The csv module refuses fields over 131072 characters.
+        path = tmp_path / "input"
+        path.write_text("x" * 200_000 + ",b\n")
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*field larger"):
+            load(str(path))
+
     @pytest.mark.parametrize("load", [load_lexicon, load_precomputed])
     def test_missing_file_is_data_error(self, tmp_path, load):
         path = tmp_path / "absent.csv"
