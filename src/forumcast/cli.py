@@ -2,7 +2,7 @@
 
 Subcommands:
     ingest-check   parse inputs and print corpus counts as JSON
-    features       extract the weekly feature table (+ graph exports)
+    features       extract the weekly feature and diagnostics tables (+ edge tables)
     analyze        run the analysis battery over an existing feature table
     run            features then analyze; --dry-run validates config only
     selftest       run built-in fixture checks
@@ -42,7 +42,7 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-export-graphs",
         action="store_true",
-        help="skip per-window edge list and summary exports",
+        help="skip the graphs/ edge tables (diagnostics.csv is still written)",
     )
 
 
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest-check", help="parse inputs, print counts, touch nothing")
     _add_config_arguments(p)
 
-    p = sub.add_parser("features", help="extract the weekly feature table")
+    p = sub.add_parser("features", help="extract the weekly feature and diagnostics tables")
     _add_config_arguments(p)
 
     p = sub.add_parser("analyze", help="run the battery over a feature table")

@@ -24,7 +24,7 @@ from .errors import (
     RankDeficiencyError,
     UndefinedCorrelationError,
 )
-from .tables import format_cell, write_csv
+from .tables import format_cell, replacing, write_csv
 
 DEPENDENT_COLUMN = "price"
 
@@ -620,5 +620,5 @@ def write_summary_md(report: AnalysisReport, path: str) -> None:
         )
         lines.append("")
 
-    with open(path, "w", encoding="utf-8") as handle:
+    with replacing(path, encoding="utf-8") as handle:
         handle.write("\n".join(lines))

@@ -8,6 +8,7 @@ stored as arcs, so downstream centrality code sees loop-free digraphs.
 
 from __future__ import annotations
 
+import csv
 import logging
 from bisect import bisect_left
 from collections import Counter
@@ -19,11 +20,13 @@ from scipy.sparse import csr_matrix
 
 from .corpus import Message
 from .errors import DataError
-from .tables import write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_COOCCURRENCE_WINDOW = 7
+
+EDGE_TABLE_COLUMNS = ("week", "source", "target", "weight")
+EDGE_BLOCK_ROWS = 4096
 
 
 class DirectedWeightedGraph:
@@ -152,19 +155,15 @@ class DirectedWeightedGraph:
             self._matrices = (succ, succ.T.tocsr())
         return self._matrices
 
-    def _arc_rows(self) -> Iterator[tuple[str, str, int]]:
-        """(source, target, weight) per arc, in CSR order: (source, target)."""
-        names = self._nodes
-        return zip(
-            map(names.__getitem__, self._arc_sources().tolist()),
-            map(names.__getitem__, self._indices.tolist()),
-            self._weights.tolist(),
-        )
-
     @property
     def arcs(self) -> Mapping[tuple[str, str], int]:
         """{(source, target): weight}, in (source, target) order."""
-        return {(source, target): weight for source, target, weight in self._arc_rows()}
+        names = self._nodes
+        return dict(zip(
+            zip(map(names.__getitem__, self._arc_sources().tolist()),
+                map(names.__getitem__, self._indices.tolist())),
+            self._weights.tolist(),
+        ))
 
     def successors(self, node: str) -> tuple[str, ...]:
         i = self.node_id(node)
@@ -183,12 +182,28 @@ class DirectedWeightedGraph:
             "self_loop_events": self._self_loop_events,
         }
 
-    def write_edge_list(self, path: str) -> None:
-        """CSV export: source,target,weight, rows in (source, target) order."""
-        write_csv(path, ("source", "target", "weight"), self._arc_rows())
+    def edge_table_rows(self, week: int, block_rows: int = EDGE_BLOCK_ROWS) -> Iterator[bytes]:
+        """The graph's rows of an edge table, ``week,source,target,weight`` in
+        (source, target) order, spelled as ``csv.writer``'s default dialect
+        spells them and UTF-8 encoded in blocks of at most ``block_rows`` rows.
 
-    def write_summary(self, path: str) -> None:
-        write_json(path, self.summary())
+        Each node name is CSV-quoted once, not once per arc. Blocks stay
+        small because a whole window's rows held as one list of strings, plus
+        their join, cost a worker several MB on a 35k-arc word graph.
+        """
+        fields = _csv_fields(self._nodes)
+        heads = [f"{week},{field}," for field in fields]
+        sources = self._arc_sources()
+        for start in range(0, self.m, block_rows):
+            stop = start + block_rows
+            yield "".join([
+                f"{heads[source]}{fields[target]},{weight}\r\n"
+                for source, target, weight in zip(
+                    sources[start:stop].tolist(),
+                    self._indices[start:stop].tolist(),
+                    self._weights[start:stop].tolist(),
+                )
+            ]).encode("utf-8")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DirectedWeightedGraph):
@@ -206,6 +221,22 @@ class DirectedWeightedGraph:
             f"DirectedWeightedGraph(n={self.n}, m={self.m},"
             f" total_weight={self._total_weight})"
         )
+
+
+class _Echo:
+    """A file whose ``write`` hands back what it is given."""
+
+    def write(self, text: str) -> str:
+        return text
+
+
+def _csv_fields(names: Sequence[str]) -> list[str]:
+    """Each name as ``csv.writer``'s default dialect spells it as one field
+    of a row: quoted only when it holds a comma, a quote or a line break."""
+    writer = csv.writer(_Echo())
+    # A row of the name and an empty field comes back as "<field>,\r\n"; the
+    # empty field keeps an empty name from being quoted as a row of its own.
+    return [writer.writerow((name, ""))[:-3] for name in names]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

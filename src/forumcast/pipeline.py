@@ -3,17 +3,20 @@ analysis battery, and report/manifest emission.
 
 Stage outputs land in ``config.output_dir``:
 
-    features.csv            one row per week
-    rejections.csv          unparseable input rows (line, reason)
-    graphs/week_NNN_*.csv   edge lists (when export_graphs)
-    graphs/week_NNN_*.json  graph summaries
+    features.csv                    one row per week
+    diagnostics.csv                 graph sizes and reply tallies, one row per week
+    rejections.csv                  unparseable input rows (line, reason)
+    graphs/interaction_edges.csv    week,source,target,weight (when export_graphs)
+    graphs/words_edges.csv          the same for the word graphs
     correlations.csv, granger.csv, regressions.csv, regression_models.csv
-    summary.md              Markdown digest
-    manifest.json           config hash, input checksums, tool version
+    summary.md                      Markdown digest
+    manifest.json                   config hash, input checksums, tool version
 
 Everything is deterministic for a fixed config: reruns are byte-identical.
-Windows can be processed by a worker pool; results are assembled in window
-order, so the worker count never changes the output.
+Windows can be processed by a worker pool; each window's edge rows are
+rendered where the window is computed, and the results are appended in window
+order, so the worker count never changes the output. Every file appears only
+once it is complete.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 from . import __version__
 from .centrality import (
@@ -58,6 +61,7 @@ from .econometrics import (
 )
 from .errors import ConfigError, DataError, ForumcastError
 from .graphs import (
+    EDGE_TABLE_COLUMNS,
     activity,
     activity_words,
     build_interaction_network,
@@ -74,7 +78,7 @@ from .semantics import (
     score_message,
     window_sentiment,
 )
-from .tables import format_cell, open_input, write_csv, write_json
+from .tables import format_cell, open_input, replacing, write_csv, write_json
 from .textproc import (
     StopwordList,
     Vocabulary,
@@ -88,7 +92,12 @@ from .textproc import (
 
 logger = logging.getLogger(__name__)
 
-_EXPORT_NAME = re.compile(r"week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)")
+# The edge tables, and the per-week files that older versions wrote instead;
+# nothing else in graphs/ is ever removed.
+_EXPORT_NAME = re.compile(
+    r"(?:interaction|words)_edges\.csv"
+    r"|week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)"
+)
 
 FEATURE_CSV_COLUMNS = (
     "week",
@@ -118,6 +127,33 @@ class WindowFeatures:
     sentiment: float | None
     emotionality: float | None
     complexity: float | None
+
+
+DIAGNOSTIC_CSV_COLUMNS = (
+    "week",
+    "messages",
+    "word_n",
+    "word_m",
+    "word_total_weight",
+    "word_self_loop_events",
+    "interaction_n",
+    "interaction_m",
+    "interaction_total_weight",
+    "comments",
+    "self_replies",
+    "dangling_parents",
+)
+
+
+@dataclass(frozen=True)
+class _WindowResult:
+    """What one window sends back: its feature row, its diagnostics.csv row
+    and, when graphs are exported, the rendered rows of its
+    (interaction, words) edge tables."""
+
+    features: WindowFeatures
+    diagnostics: tuple[int, ...]
+    edge_rows: tuple[list[bytes], list[bytes]] | None
 
 
 @dataclass(frozen=True)
@@ -168,14 +204,14 @@ def normalize_focal_word(config: PipelineConfig, stop: StopwordList,
     return tokens[0]
 
 
-def _compute_window_features(task: _WindowTask, state: _SharedState) -> WindowFeatures:
+def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
     config = state.config
     index = task.index
     messages = task.messages
     streams = task.streams
     try:
         word_graph = build_word_network(streams, config.window_size)
-        interaction, _tallies = build_interaction_network(messages, state.author_by_id)
+        interaction, tallies = build_interaction_network(messages, state.author_by_id)
 
         if interaction.n >= 3:
             group_degree = centralization(degree_centrality(interaction)).value
@@ -216,26 +252,39 @@ def _compute_window_features(task: _WindowTask, state: _SharedState) -> WindowFe
             emotionality=emotionality(scores),
             complexity=complexity(streams, state.vocab),
         )
-        if config.export_graphs:
-            _export_graphs(config.output_dir, index, interaction, word_graph)
-        return features
+        diagnostics = (
+            index,
+            len(messages),
+            word_graph.n,
+            word_graph.m,
+            word_graph.total_weight,
+            word_graph.self_loop_events,
+            interaction.n,
+            interaction.m,
+            interaction.total_weight,
+            tallies.comments,
+            tallies.self_replies,
+            tallies.dangling_parents,
+        )
+        edge_rows = (
+            _export_graphs(index, interaction, word_graph) if config.export_graphs else None
+        )
+        return _WindowResult(features, diagnostics, edge_rows)
     except ForumcastError as exc:
         raise type(exc)(f"window {index}: {exc}") from exc
 
 
-def _compute_window_in_worker(task: _WindowTask) -> WindowFeatures:
+def _compute_window_in_worker(task: _WindowTask) -> _WindowResult:
     assert _worker_state is not None
-    return _compute_window_features(task, _worker_state)
+    return _compute_window(task, _worker_state)
 
 
-def _export_graphs(output_dir: str, index: int, interaction, word_graph) -> None:
-    graphs_dir = os.path.join(output_dir, "graphs")
-    os.makedirs(graphs_dir, exist_ok=True)
-    stem = f"week_{index:03d}"
-    interaction.write_edge_list(os.path.join(graphs_dir, f"{stem}_interaction_edges.csv"))
-    interaction.write_summary(os.path.join(graphs_dir, f"{stem}_interaction_summary.json"))
-    word_graph.write_edge_list(os.path.join(graphs_dir, f"{stem}_words_edges.csv"))
-    word_graph.write_summary(os.path.join(graphs_dir, f"{stem}_words_summary.json"))
+def _export_graphs(index: int, interaction, word_graph) -> tuple[list[bytes], list[bytes]]:
+    """The window's rows of the interaction and the word edge table."""
+    return (
+        list(interaction.edge_table_rows(index)),
+        list(word_graph.edge_table_rows(index)),
+    )
 
 
 def _remove_stale_exports(output_dir: str) -> None:
@@ -246,6 +295,23 @@ def _remove_stale_exports(output_dir: str) -> None:
         for name in os.listdir(graphs_dir):
             if _EXPORT_NAME.fullmatch(name):
                 os.remove(os.path.join(graphs_dir, name))
+
+
+def _edge_tables(output_dir: str, stack: contextlib.ExitStack) -> tuple[BinaryIO, ...]:
+    """One open edge table per graph kind, header written. Each replaces its
+    file when ``stack`` closes cleanly and is removed when it unwinds on an
+    error, so a table exists only once its last window is in."""
+    graphs_dir = os.path.join(output_dir, "graphs")
+    os.makedirs(graphs_dir, exist_ok=True)
+    header = (",".join(EDGE_TABLE_COLUMNS) + "\r\n").encode("ascii")
+    tables = []
+    for kind in ("interaction", "words"):
+        handle = stack.enter_context(
+            replacing(os.path.join(graphs_dir, f"{kind}_edges.csv"), "wb")
+        )
+        handle.write(header)
+        tables.append(handle)
+    return tuple(tables)
 
 
 def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, list[_WindowTask], list]:
@@ -337,7 +403,8 @@ def read_features_csv(path: str) -> dict[str, list[float | None]]:
 
 
 def run_features(config: PipelineConfig) -> list[WindowFeatures]:
-    """Extract the weekly feature table and (optionally) export graphs."""
+    """Extract the weekly feature and diagnostics tables and (optionally)
+    export the edge tables."""
     validate(config)
     validate_paths(config)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -346,14 +413,32 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
 
     _remove_stale_exports(config.output_dir)
-    if config.workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=config.workers, initializer=_init_worker, initargs=(state,)
-        ) as pool:
-            rows = list(pool.map(_compute_window_in_worker, tasks, chunksize=4))
-    else:
-        rows = [_compute_window_features(task, state) for task in tasks]
+    rows: list[WindowFeatures] = []
+    diagnostics: list[tuple[int, ...]] = []
+    with contextlib.ExitStack() as stack:
+        tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
+        if config.workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=config.workers, initializer=_init_worker, initargs=(state,)
+            ))
+            # chunksize=1: a worker sends a chunk's results in one piece, so
+            # the parent holds every window of it at once; 4-window chunks
+            # raised peak RSS by 5-7 MB on the forum_sampled workload.
+            results = pool.map(_compute_window_in_worker, tasks, chunksize=1)
+        else:
+            results = (_compute_window(task, state) for task in tasks)
+        for result in results:
+            rows.append(result.features)
+            diagnostics.append(result.diagnostics)
+            for i, table in enumerate(tables):
+                table.writelines(result.edge_rows[i])
+            # Let the written rows go now, not when the next window arrives:
+            # holding two windows' rows at once showed in peak RSS.
+            del result
 
+    write_csv(
+        os.path.join(config.output_dir, "diagnostics.csv"), DIAGNOSTIC_CSV_COLUMNS, diagnostics
+    )
     write_features_csv(rows, os.path.join(config.output_dir, "features.csv"))
     return rows
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 
 import numpy as np
@@ -96,32 +95,28 @@ class TestGraphType:
             with pytest.raises(KeyError):
                 g.predecessors(node)
 
-    @given(arc_maps())
-    def test_edge_list_bytes_match_sorted_rendering(self, tmp_path_factory, drawn):
+    @given(arc_maps(), st.integers(min_value=0, max_value=1100), st.integers(1, 4))
+    def test_edge_list_bytes_match_sorted_rendering(self, drawn, week, block_rows):
         arcs, isolated = drawn
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
-        writer.writerow(("source", "target", "weight"))
-        writer.writerows(sorted((a, b, w) for (a, b), w in arcs.items()))
-        out = tmp_path_factory.mktemp("edges") / "edges.csv"
-        DirectedWeightedGraph(arcs, nodes=isolated).write_edge_list(str(out))
-        assert out.read_bytes() == expected.getvalue().encode("utf-8")
+        writer.writerows(sorted((week, a, b, w) for (a, b), w in arcs.items()))
+        blocks = list(
+            DirectedWeightedGraph(arcs, nodes=isolated).edge_table_rows(week, block_rows)
+        )
+        assert b"".join(blocks) == expected.getvalue().encode("utf-8")
+        assert all(block.count(b"\r\n") <= block_rows for block in blocks)
 
-    def test_edge_list_export_sorted(self, tmp_path):
+    def test_edge_list_export_sorted(self):
         g = DirectedWeightedGraph({("b", "a"): 2, ("a", "b"): 1})
-        out = tmp_path / "edges.csv"
-        g.write_edge_list(str(out))
-        assert out.read_text().splitlines() == [
-            "source,target,weight",
-            "a,b,1",
-            "b,a,2",
+        assert b"".join(g.edge_table_rows(7)).decode().splitlines() == [
+            "7,a,b,1",
+            "7,b,a,2",
         ]
 
-    def test_summary_json(self, tmp_path):
+    def test_summary_json(self):
         g = DirectedWeightedGraph({("a", "b"): 3}, self_loop_events=2)
-        out = tmp_path / "summary.json"
-        g.write_summary(str(out))
-        assert json.loads(out.read_text()) == {
+        assert g.summary() == {
             "n": 2,
             "m": 1,
             "total_weight": 3,

@@ -18,10 +18,12 @@ import sys
 
 import pytest
 
+from forumcast import pipeline
 from forumcast.cli import main
-from forumcast.config import PipelineConfig, save_config
+from forumcast.config import PipelineConfig, load_config, save_config
 from forumcast.errors import ConfigError, DataError, ForumcastError, MissingScoreError
 from forumcast.pipeline import (
+    DIAGNOSTIC_CSV_COLUMNS,
     FEATURE_CSV_COLUMNS,
     config_hash,
     ingest_check,
@@ -31,6 +33,7 @@ from forumcast.pipeline import (
     run_features,
     write_features_csv,
 )
+from forumcast.synth import generate_demo
 
 HORIZON = "2020-01-06T00:00:00Z"
 
@@ -201,47 +204,65 @@ class TestFeatureCsv:
 
 
 class TestGraphExports:
+    def _table(self, config, kind) -> list[dict[str, str]]:
+        return read_rows(os.path.join(config.output_dir, "graphs", f"{kind}_edges.csv"))
+
     def test_exports_match_feature_cells(self, config):
         rows = run_features(config)
-        summary_path = os.path.join(config.output_dir, "graphs", "week_000_words_summary.json")
-        with open(summary_path) as handle:
-            summary = json.load(handle)
-        assert summary["total_weight"] == rows[0].activity_words == 14
-        assert summary["self_loop_events"] == 1
-        assert summary["n"] == 6
+        week0 = read_rows(os.path.join(config.output_dir, "diagnostics.csv"))[0]
+        assert int(week0["word_total_weight"]) == rows[0].activity_words == 14
+        assert week0["word_self_loop_events"] == "1"
+        assert week0["word_n"] == "6"
 
-        interaction_path = os.path.join(
-            config.output_dir, "graphs", "week_000_interaction_edges.csv"
-        )
-        arcs = read_rows(interaction_path)
+        arcs = [a for a in self._table(config, "interaction") if a["week"] == "0"]
         assert [(a["source"], a["target"], a["weight"]) for a in arcs] == [
             ("bob", "alice", "1"),
             ("carol", "alice", "1"),
         ]
 
+    def test_edge_table_layout(self, config):
+        run_features(config)
+        path = os.path.join(config.output_dir, "graphs", "interaction_edges.csv")
+        with open(path, "rb") as handle:
+            assert handle.read() == (
+                b"week,source,target,weight\r\n"
+                b"0,bob,alice,1\r\n0,carol,alice,1\r\n2,alice,bob,1\r\n"
+            )
+        words = self._table(config, "words")
+        keys = [(int(r["week"]), r["source"], r["target"]) for r in words]
+        assert keys == sorted(keys)
+        assert {r["week"] for r in words} == {"0", "2"}
+
     def test_export_opt_out(self, config):
         config.export_graphs = False
         run_features(config)
         assert not os.path.isdir(os.path.join(config.output_dir, "graphs"))
+        assert os.path.isfile(os.path.join(config.output_dir, "diagnostics.csv"))
 
     def _exports(self, config) -> list[str]:
         return sorted(os.listdir(os.path.join(config.output_dir, "graphs")))
 
     def test_rerun_with_fewer_weeks_removes_stale_exports(self, config):
         run_features(config)
-        assert len(self._exports(config)) == 12
-        keep = os.path.join(config.output_dir, "graphs", "week_notes.txt")
-        with open(keep, "w") as handle:
-            handle.write("not an export")
+        assert self._exports(config) == ["interaction_edges.csv", "words_edges.csv"]
+        assert "2" in {r["week"] for r in self._table(config, "words")}
+        graphs_dir = os.path.join(config.output_dir, "graphs")
+        # week_notes.txt is no export; the others are names of the older
+        # one-file-per-week layout
+        for name in ("week_notes.txt", "week_002_interaction_edges.csv",
+                     "week_002_interaction_summary.json", "week_002_words_edges.csv",
+                     "week_002_words_summary.json"):
+            with open(os.path.join(graphs_dir, name), "w") as handle:
+                handle.write("not an export")
         config.horizon_weeks = 1
         run_features(config)
         assert self._exports(config) == [
-            "week_000_interaction_edges.csv",
-            "week_000_interaction_summary.json",
-            "week_000_words_edges.csv",
-            "week_000_words_summary.json",
+            "interaction_edges.csv",
             "week_notes.txt",
+            "words_edges.csv",
         ]
+        for kind in ("interaction", "words"):
+            assert {r["week"] for r in self._table(config, kind)} == {"0"}
 
     def test_rerun_without_exports_removes_stale_exports(self, config):
         run_features(config)
@@ -249,11 +270,74 @@ class TestGraphExports:
         run_features(config)
         assert self._exports(config) == []
 
+    def test_failed_window_leaves_no_table_or_temp_file(self, config, monkeypatch):
+        run_features(config)
+        assert self._exports(config) == ["interaction_edges.csv", "words_edges.csv"]
+        export = pipeline._export_graphs
+
+        def failing(index, *graphs):
+            if index == 2:
+                raise DataError("disk on fire")
+            return export(index, *graphs)
+
+        monkeypatch.setattr(pipeline, "_export_graphs", failing)
+        with pytest.raises(DataError, match="window 2: disk on fire"):
+            run_features(config)
+        # the earlier run's tables went as stale exports; the failed run's
+        # tables never appear, and their temp files are gone
+        assert self._exports(config) == []
+
     def test_rejections_file_always_written(self, config):
         run_features(config)
         path = os.path.join(config.output_dir, "rejections.csv")
         assert os.path.isfile(path)
         assert read_rows(path) == []
+
+
+class TestDiagnostics:
+    def _rows(self, config) -> list[dict[str, str]]:
+        return read_rows(os.path.join(config.output_dir, "diagnostics.csv"))
+
+    def test_rows_by_hand(self, config):
+        run_features(config)
+        path = os.path.join(config.output_dir, "diagnostics.csv")
+        with open(path, newline="") as handle:
+            assert tuple(next(csv.reader(handle))) == DIAGNOSTIC_CSV_COLUMNS
+        rows = [{k: int(v) for k, v in r.items()} for r in self._rows(config)]
+        # 14 events on 11 arcs: launch->good and demo->good occur twice in m3
+        assert [r["week"] for r in rows] == [0, 1, 2]
+        assert [r["messages"] for r in rows] == [3, 0, 2]
+        assert rows[0] == {
+            "week": 0, "messages": 3, "word_n": 6, "word_m": 11, "word_total_weight": 14,
+            "word_self_loop_events": 1, "interaction_n": 3, "interaction_m": 2,
+            "interaction_total_weight": 2, "comments": 2, "self_replies": 0,
+            "dangling_parents": 0,
+        }
+        # the cross-week reply makes an arc; the reply to "ghost" dangles
+        assert (rows[2]["interaction_m"], rows[2]["comments"], rows[2]["dangling_parents"]) \
+            == (1, 2, 1)
+
+    def _demo(self, tmp_path, weeks=12):
+        paths = generate_demo(str(tmp_path / "demo"), seed=7, weeks=weeks)
+        config = load_config(paths["config"])
+        config.output_dir = str(tmp_path / "out")
+        return config
+
+    def test_reply_tallies_add_up(self, config, tmp_path):
+        for cfg in (config, self._demo(tmp_path)):
+            run_features(cfg)
+            rows = self._rows(cfg)
+            assert rows
+            for r in rows:
+                assert (int(r["interaction_total_weight"]) + int(r["self_replies"])
+                        + int(r["dangling_parents"])) == int(r["comments"])
+
+    def test_word_total_weight_is_activity_words(self, config, tmp_path):
+        for cfg in (config, self._demo(tmp_path)):
+            run_features(cfg)
+            features = read_rows(os.path.join(cfg.output_dir, "features.csv"))
+            assert [r["word_total_weight"] for r in self._rows(cfg)] \
+                == [r["activity_words"] for r in features]
 
 
 class TestDeterminism:
@@ -284,6 +368,22 @@ class TestDeterminism:
         features_a = open(os.path.join(config_a.output_dir, "features.csv"), "rb").read()
         features_b = open(os.path.join(config_b.output_dir, "features.csv"), "rb").read()
         assert features_a == features_b
+
+    def test_worker_count_does_not_change_diagnostics_or_edge_tables(self, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            paths = generate_demo(str(tmp_path / f"demo{workers}"), seed=7, weeks=12)
+            config = load_config(paths["config"])
+            config.output_dir = str(tmp_path / f"out{workers}")
+            config.workers = workers
+            run_features(config)
+            outputs.append({
+                name: (tmp_path / f"out{workers}" / name).read_bytes()
+                for name in ("diagnostics.csv", "graphs/interaction_edges.csv",
+                             "graphs/words_edges.csv")
+            })
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["graphs/words_edges.csv"].count(b"\r\n") > 12
 
 
 class TestAnalyze:

@@ -45,6 +45,26 @@ class TestWriters:
         write_csv(str(path), ("a", "b"), [("x,y", 1), ("é", "")])
         assert path.read_bytes() == 'a,b\r\n"x,y",1\r\né,\r\n'.encode("utf-8")
 
+    def test_failed_write_keeps_earlier_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ("a",), [(1,), (2,)])
+        earlier = path.read_bytes()
+
+        def rows():
+            yield (3,)
+            raise RuntimeError("crash midway")
+
+        with pytest.raises(RuntimeError, match="crash midway"):
+            write_csv(str(path), ("a",), rows())
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_json_failure_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.json"
+        with pytest.raises(TypeError):
+            write_json(str(path), {"a": object()})
+        assert list(tmp_path.iterdir()) == []
+
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "t.json"
         write_json(str(path), {"b": 1, "a": [2]})
