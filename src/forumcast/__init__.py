@@ -3,142 +3,3 @@ weekly structural/semantic features, and a lagged correlation / Granger /
 regression battery against a weekly price series."""
 
 __version__ = "0.1.0"
-
-from .centrality import (
-    CentralityVector,
-    CentralizationScore,
-    approx_betweenness,
-    betweenness_centrality,
-    centralization,
-    degree_centrality,
-)
-from .config import PipelineConfig, load_config, save_config
-from .corpus import (
-    MarketSeries,
-    Message,
-    TimeWindow,
-    WindowedCorpus,
-    load_market_series,
-    load_messages,
-    partition_weeks,
-)
-from .econometrics import (
-    AnalysisReport,
-    BatteryConfig,
-    FeaturePanel,
-    GrangerResult,
-    ModelSpec,
-    ModelTerm,
-    OlsResult,
-    Series,
-    build_panel,
-    durbin_watson,
-    first_difference,
-    granger_test,
-    lag,
-    ols,
-    pearson,
-    run_battery,
-)
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    DataError,
-    ForumcastError,
-    InsufficientDataError,
-    RankDeficiencyError,
-)
-from .graphs import (
-    DirectedWeightedGraph,
-    InteractionTallies,
-    activity,
-    activity_words,
-    build_interaction_network,
-    build_word_network,
-)
-from .pipeline import run_all, run_analyze, run_features
-from .semantics import (
-    LexiconScorer,
-    PrecomputedScorer,
-    SentimentScore,
-    complexity,
-    emotionality,
-    score_message,
-    window_sentiment,
-)
-from .synth import generate_demo
-from .textproc import (
-    StopwordList,
-    Vocabulary,
-    build_vocabulary,
-    filter_tokens,
-    load_stopwords,
-    stem_tokens,
-    tokenize,
-)
-
-__all__ = [
-    "__version__",
-    "AnalysisError",
-    "AnalysisReport",
-    "BatteryConfig",
-    "CentralityVector",
-    "CentralizationScore",
-    "ConfigError",
-    "DataError",
-    "DirectedWeightedGraph",
-    "FeaturePanel",
-    "ForumcastError",
-    "GrangerResult",
-    "InsufficientDataError",
-    "InteractionTallies",
-    "LexiconScorer",
-    "MarketSeries",
-    "Message",
-    "ModelSpec",
-    "ModelTerm",
-    "OlsResult",
-    "PipelineConfig",
-    "PrecomputedScorer",
-    "RankDeficiencyError",
-    "SentimentScore",
-    "Series",
-    "StopwordList",
-    "TimeWindow",
-    "Vocabulary",
-    "WindowedCorpus",
-    "activity",
-    "activity_words",
-    "approx_betweenness",
-    "betweenness_centrality",
-    "build_interaction_network",
-    "build_panel",
-    "build_vocabulary",
-    "build_word_network",
-    "centralization",
-    "complexity",
-    "degree_centrality",
-    "durbin_watson",
-    "emotionality",
-    "filter_tokens",
-    "first_difference",
-    "generate_demo",
-    "granger_test",
-    "lag",
-    "load_config",
-    "load_market_series",
-    "load_messages",
-    "load_stopwords",
-    "ols",
-    "partition_weeks",
-    "pearson",
-    "run_all",
-    "run_analyze",
-    "run_features",
-    "run_battery",
-    "save_config",
-    "score_message",
-    "stem_tokens",
-    "tokenize",
-    "window_sentiment",
-]

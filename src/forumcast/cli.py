@@ -9,6 +9,10 @@ Subcommands:
 
 Flags override the corresponding config-file fields. Exit codes: 0 success,
 1 config error, 2 data error, 3 analysis error.
+
+The config is loaded and checked before the pipeline is imported, so
+``--help``, ``--version``, ``run --dry-run`` and a config error never load
+NumPy or SciPy.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import sys
 from . import __version__
 from .config import PipelineConfig, load_config, validate, validate_paths
 from .errors import AnalysisError, ConfigError, DataError, ForumcastError
-from .pipeline import ingest_check, run_all, run_analyze, run_features
-from .selftest import run_selftest
 
 _OVERRIDE_FLAGS = (
     ("output_dir", "--output-dir", str, "directory for all outputs"),
@@ -90,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
+            from .selftest import run_selftest
+
             checks = run_selftest()
             failed = 0
             for name, passed, detail in checks:
@@ -102,6 +106,13 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if failed == 0 else 3
 
         config = _load_with_overrides(args)
+        if args.command == "run" and args.dry_run:
+            validate_paths(config)
+            print("config and inputs valid; dry run, nothing written")
+            return 0
+
+        from .pipeline import ingest_check, run_all, run_analyze, run_features
+
         if args.command == "ingest-check":
             print(json.dumps(ingest_check(config), indent=2, sort_keys=True))
         elif args.command == "features":
@@ -111,10 +122,6 @@ def main(argv: list[str] | None = None) -> int:
             run_analyze(config, features_path=args.features)
             print(f"analysis reports written to {config.output_dir}")
         elif args.command == "run":
-            if args.dry_run:
-                validate_paths(config)
-                print("config and inputs valid; dry run, nothing written")
-                return 0
             run_all(config)
             print(f"pipeline complete; outputs in {config.output_dir}")
         return 0

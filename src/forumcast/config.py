@@ -1,9 +1,13 @@
-"""Pipeline configuration: a YAML file mirroring one dataclass.
+"""Pipeline configuration: a YAML file mirroring one dataclass, and the
+analysis battery's settings types (``ModelSpec``, ``BatteryConfig``) it parses.
 
 The file round-trips: load -> save -> load yields an equal config. Unknown
 keys are rejected so typos fail fast. Paths are checked separately
 (``validate_paths``, ``validate_output_dir``) right before a run, not at
 parse time, so configs can be written before their inputs exist.
+
+Nothing here loads NumPy or SciPy: a dry run or a config error exits before
+the numeric stack is imported.
 """
 
 from __future__ import annotations
@@ -15,12 +19,79 @@ from typing import Any
 import yaml
 
 from .corpus import WEEK, parse_timestamp
-from .econometrics import DEFAULT_MODELS, BatteryConfig, ModelSpec, ModelTerm, PREDICTOR_COLUMNS
 from .errors import ConfigError
 from .textproc import BUNDLED_LANGUAGES
 
 BETWEENNESS_MODES = ("exact", "sampled")
 MESSAGE_FORMATS = ("jsonl", "csv")
+
+# Predictor columns in Table-1 row order; "control" is the market index.
+PREDICTOR_COLUMNS = (
+    "activity_words",
+    "activity",
+    "group_betweenness",
+    "focal_betweenness",
+    "complexity",
+    "focal_degree",
+    "emotionality",
+    "sentiment",
+    "control",
+    "group_degree",
+)
+
+
+@dataclass(frozen=True)
+class ModelTerm:
+    column: str
+    lag: int = 0
+
+    @property
+    def label(self) -> str:
+        return f"{self.column}_lag{self.lag}" if self.lag else self.column
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    name: str
+    terms: tuple[ModelTerm, ...]
+
+
+# Default battery: a control-only baseline, single-block models 2..7 (group
+# degree and group betweenness kept apart), and the combined model 8 with
+# each variable at its best-performing lag.
+DEFAULT_MODELS: tuple[ModelSpec, ...] = (
+    ModelSpec("model_1", (ModelTerm("control", 0),)),
+    ModelSpec(
+        "model_2",
+        (ModelTerm("complexity", 0), ModelTerm("emotionality", 1), ModelTerm("sentiment", 2)),
+    ),
+    ModelSpec("model_3", (ModelTerm("activity_words", 1),)),
+    ModelSpec("model_4", (ModelTerm("activity", 0), ModelTerm("group_betweenness", 2))),
+    ModelSpec("model_5", (ModelTerm("group_degree", 0),)),
+    ModelSpec("model_6", (ModelTerm("focal_betweenness", 0),)),
+    ModelSpec("model_7", (ModelTerm("focal_degree", 0),)),
+    ModelSpec(
+        "model_8",
+        (
+            ModelTerm("control", 0),
+            ModelTerm("sentiment", 2),
+            ModelTerm("activity_words", 1),
+            ModelTerm("group_betweenness", 2),
+            ModelTerm("focal_betweenness", 0),
+        ),
+    ),
+)
+
+
+@dataclass(frozen=True)
+class BatteryConfig:
+    correlation_lags: tuple[int, ...] = (0, 1, 2)
+    granger_max_lag: int = 3
+    granger_difference_dependent: bool = True
+    granger_conditioning: tuple[str, ...] = ()
+    models: tuple[ModelSpec, ...] = DEFAULT_MODELS
+    baseline_model: str = "model_1"
+    combined_model: str = "model_8"
 
 
 @dataclass

@@ -16,6 +16,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy import special
 
+# The battery's settings types live in config, which parses them without
+# loading NumPy; they stay importable from here.
+from .config import (
+    DEFAULT_MODELS,
+    PREDICTOR_COLUMNS,
+    BatteryConfig,
+    ModelSpec,
+    ModelTerm,
+)
 from .corpus import MarketSeries
 from .errors import (
     AnalysisError,
@@ -27,20 +36,6 @@ from .errors import (
 from .tables import format_cell, replacing, write_csv
 
 DEPENDENT_COLUMN = "price"
-
-# Predictor columns in Table-1 row order; "control" is the market index.
-PREDICTOR_COLUMNS = (
-    "activity_words",
-    "activity",
-    "group_betweenness",
-    "focal_betweenness",
-    "complexity",
-    "focal_degree",
-    "emotionality",
-    "sentiment",
-    "control",
-    "group_degree",
-)
 
 CORPUS_FEATURE_COLUMNS = tuple(c for c in PREDICTOR_COLUMNS if c != "control")
 
@@ -335,60 +330,6 @@ def build_panel(
         DEPENDENT_COLUMN, np.array(price.to_array(week_count))
     )
     return FeaturePanel(week_count=week_count, columns=columns)
-
-
-@dataclass(frozen=True)
-class ModelTerm:
-    column: str
-    lag: int = 0
-
-    @property
-    def label(self) -> str:
-        return f"{self.column}_lag{self.lag}" if self.lag else self.column
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    name: str
-    terms: tuple[ModelTerm, ...]
-
-
-# Default battery: a control-only baseline, single-block models 2..7 (group
-# degree and group betweenness kept apart), and the combined model 8 with
-# each variable at its best-performing lag.
-DEFAULT_MODELS: tuple[ModelSpec, ...] = (
-    ModelSpec("model_1", (ModelTerm("control", 0),)),
-    ModelSpec(
-        "model_2",
-        (ModelTerm("complexity", 0), ModelTerm("emotionality", 1), ModelTerm("sentiment", 2)),
-    ),
-    ModelSpec("model_3", (ModelTerm("activity_words", 1),)),
-    ModelSpec("model_4", (ModelTerm("activity", 0), ModelTerm("group_betweenness", 2))),
-    ModelSpec("model_5", (ModelTerm("group_degree", 0),)),
-    ModelSpec("model_6", (ModelTerm("focal_betweenness", 0),)),
-    ModelSpec("model_7", (ModelTerm("focal_degree", 0),)),
-    ModelSpec(
-        "model_8",
-        (
-            ModelTerm("control", 0),
-            ModelTerm("sentiment", 2),
-            ModelTerm("activity_words", 1),
-            ModelTerm("group_betweenness", 2),
-            ModelTerm("focal_betweenness", 0),
-        ),
-    ),
-)
-
-
-@dataclass(frozen=True)
-class BatteryConfig:
-    correlation_lags: tuple[int, ...] = (0, 1, 2)
-    granger_max_lag: int = 3
-    granger_difference_dependent: bool = True
-    granger_conditioning: tuple[str, ...] = ()
-    models: tuple[ModelSpec, ...] = DEFAULT_MODELS
-    baseline_model: str = "model_1"
-    combined_model: str = "model_8"
 
 
 @dataclass(frozen=True)

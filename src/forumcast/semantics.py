@@ -99,13 +99,16 @@ def emotionality(scores: Sequence[SentimentScore]) -> float | None:
 def complexity(streams: Iterable[Sequence[str]], vocab: Vocabulary) -> float | None:
     """Mean -log2 relative corpus frequency of the window's tokens.
 
-    Tokens unseen in the reference vocabulary score as count 1.
+    Tokens unseen in the reference vocabulary score as count 1. A counted
+    word's surprisal comes from the vocabulary's table, computed once.
     """
+    table = vocab.surprisal
     total = 0.0
     count = 0
     for stream in streams:
         for token in stream:
-            total += token_surprisal(token, vocab)
+            bits = table.get(token)
+            total += token_surprisal(token, vocab) if bits is None else bits
             count += 1
     if count == 0:
         return None

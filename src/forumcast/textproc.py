@@ -15,6 +15,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Iterable
 
@@ -44,6 +45,12 @@ class Vocabulary:
 
     counts: dict[str, int] = field(default_factory=dict)
     total: int = 0
+
+    @cached_property
+    def surprisal(self) -> dict[str, float]:
+        """``token_surprisal`` of every counted word, computed on first use
+        (the counts must not change after that)."""
+        return {word: token_surprisal(word, self) for word in self.counts}
 
 
 def tokenize(body: str, keep_digits: bool = False) -> list[str]:

@@ -15,6 +15,8 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -365,8 +367,8 @@ class TestDeterminism:
         config_b.workers = 2
         run_features(config_a)
         run_features(config_b)
-        features_a = open(os.path.join(config_a.output_dir, "features.csv"), "rb").read()
-        features_b = open(os.path.join(config_b.output_dir, "features.csv"), "rb").read()
+        features_a = (Path(config_a.output_dir) / "features.csv").read_bytes()
+        features_b = (Path(config_b.output_dir) / "features.csv").read_bytes()
         assert features_a == features_b
 
     def test_worker_count_does_not_change_diagnostics_or_edge_tables(self, tmp_path):
@@ -441,9 +443,7 @@ class TestAnalyze:
     def test_explicit_features_path(self, config, tmp_path):
         run_features(config)
         moved = tmp_path / "elsewhere.csv"
-        moved.write_bytes(
-            open(os.path.join(config.output_dir, "features.csv"), "rb").read()
-        )
+        moved.write_bytes((Path(config.output_dir) / "features.csv").read_bytes())
         report = run_analyze(config, features_path=str(moved))
         assert report.models
 
@@ -692,7 +692,7 @@ class TestCli:
         def explode(_config):
             raise exc
 
-        monkeypatch.setattr("forumcast.cli.run_features", explode)
+        monkeypatch.setattr("forumcast.pipeline.run_features", explode)
         code = main(["features", "-c", self.write_config(config, tmp_path)])
         assert code == expected
         assert capsys.readouterr().err
@@ -703,19 +703,41 @@ class TestCli:
         def explode(_config):
             raise AnalysisError("boom")
 
-        monkeypatch.setattr("forumcast.cli.run_features", explode)
+        monkeypatch.setattr("forumcast.pipeline.run_features", explode)
         code = main(["features", "-c", self.write_config(config, tmp_path)])
         assert code == 3
         assert "analysis error" in capsys.readouterr().err
 
-    def test_import_leaves_out_scipy_stats(self):
+    def test_import_leaves_out_scipy_stats(self, config, tmp_path):
         # scipy.stats costs about a second of start-up; p-values use scipy.special.
-        code = "import sys, forumcast.cli; print('scipy.stats' in sys.modules)"
+        # Commands that do no numeric work load neither NumPy nor SciPy.
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("mesages_path: typo.jsonl\n")
+        code = textwrap.dedent("""
+            import json, sys
+
+            def numeric():
+                return sorted(m for m in sys.modules if m == "numpy" or m.startswith("scipy"))
+
+            from forumcast.cli import main
+            seen = [("import", None, numeric(), "scipy.stats" in sys.modules)]
+            exit_code = main(["run", "-c", sys.argv[1], "--dry-run"])
+            seen.append(("dry run", exit_code, numeric(), "scipy.stats" in sys.modules))
+            exit_code = main(["run", "-c", sys.argv[2]])
+            seen.append(("config error", exit_code, numeric(), "scipy.stats" in sys.modules))
+            print(json.dumps(seen))
+        """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            [sys.executable, "-c", code, self.write_config(config, tmp_path), str(bad)],
+            capture_output=True, text=True, check=True, env=env,
         ).stdout
-        assert out.strip() == "False"
+        seen = json.loads(out.strip().splitlines()[-1])
+        assert seen == [
+            ["import", None, [], False],
+            ["dry run", 0, [], False],
+            ["config error", 1, [], False],
+        ]
 
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0

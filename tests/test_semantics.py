@@ -19,7 +19,7 @@ from forumcast.semantics import (
     score_message,
     window_sentiment,
 )
-from forumcast.textproc import build_vocabulary
+from forumcast.textproc import build_vocabulary, token_surprisal
 
 from conftest import make_message
 
@@ -117,6 +117,15 @@ class TestComplexity:
         known_rare = complexity([["rare"]], vocab)
         unknown = complexity([["neverseen"]], vocab)
         assert known_rare == pytest.approx(unknown)
+
+    def test_matches_per_token_mean_exactly(self):
+        vocab = build_vocabulary([["alpha"] * 4, ["beta", "gamma", "beta"], ["gamma", "gamma"]])
+        window = [["unseen", "gamma"], [], ["neverseen"]]
+        total = 0.0
+        for token in (t for stream in window for t in stream):
+            total += token_surprisal(token, vocab)
+        assert complexity(window, vocab) == total / 3
+        assert complexity(window, vocab) == total / 3  # from the table built by the first call
 
     def test_rarer_replacement_increases_complexity(self):
         vocab = build_vocabulary([["common"] * 10, ["rare"] * 2])
