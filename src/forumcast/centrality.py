@@ -15,6 +15,18 @@ products over those arrays (Kepner & Gilbert, Graph Algorithms in the
 Language of Linear Algebra, 2011). Both add per-source dependencies into the score in sorted source
 order, and the batched kernel uses only CSR products, whose summation order
 is fixed by the graph, so results never depend on the batch width.
+
+``vertex_betweenness`` scores one node v without back-propagation: a single
+forward sweep from the sources, plus one BFS column from v, gives every
+d(s, t) and sigma_st, and v's score is the sum of sigma_sv sigma_vt /
+sigma_st over the pairs with d(s, v) + d(v, t) = d(s, t). Graphs of at most
+``DENSE_NODE_LIMIT`` nodes run that sweep as dense matrix products, larger
+ones as the CSR products above. Path counts are exact integers in floats
+(a graph of 64 nodes has far fewer than 2**53 geodesics between two nodes),
+so both forms give the same counts whatever their summation order, and the
+same score bit for bit. It sums the pairs in another order than Brandes'
+accumulation, so the two agree to a few units in the last place, not
+bitwise.
 """
 
 from __future__ import annotations
@@ -40,6 +52,11 @@ SCALAR_WORK_LIMIT = 1000
 # Cap on n x batch width: each (n x S) float array of the batched kernel stays
 # within 2 MiB whatever the graph size.
 BATCH_CELLS = 1 << 18
+# Largest graph whose forward sweep in vertex_betweenness runs as dense
+# products. On a 2-vCPU x86-64 VM, dense sweeps took the focal word's score
+# on 783 word graphs of 6-40 nodes from 63 to 44 ms; with the cap at 128,
+# 93 graphs of 66-122 nodes went dense and took 42 ms instead of 38.
+DENSE_NODE_LIMIT = 64
 
 _PATH_COUNT_OVERFLOW = (
     "shortest-path counts exceed the float range; betweenness cannot be computed"
@@ -60,16 +77,28 @@ class CentralizationScore:
     value: float
 
 
+def normalize(metric: str, raw: float, n: int) -> float:
+    """Freeman's normalized score of one node: degree over 2(n-1) for
+    n >= 2, betweenness over (n-1)(n-2) for n >= 3, and 0.0 on graphs too
+    small for the denominator."""
+    if metric == DEGREE:
+        return raw / (2.0 * (n - 1)) if n >= 2 else 0.0
+    return raw / float((n - 1) * (n - 2)) if n >= 3 else 0.0
+
+
 def degree_centrality(g: DirectedWeightedGraph) -> CentralityVector:
     """raw(v) = distinct in-arcs + distinct out-arcs; normalized by 2(n-1)."""
     n = g.n
     degree = (np.diff(g.indptr) + np.bincount(g.indices, minlength=n)).astype(float)
     raw = dict(zip(g.nodes, degree.tolist()))
-    if n >= 2:
-        normalized = dict(zip(g.nodes, (degree / (2.0 * (n - 1))).tolist()))
-    else:
-        normalized = {v: 0.0 for v in raw}
+    normalized = {v: normalize(DEGREE, d, n) for v, d in raw.items()}
     return CentralityVector(metric=DEGREE, raw=raw, normalized=normalized, graph_n=n)
+
+
+def vertex_degree(g: DirectedWeightedGraph, node: str) -> int:
+    """``degree_centrality(g).raw[node]``, read off the CSR arrays alone."""
+    i = g.node_id(node)
+    return int(g.indptr[i + 1] - g.indptr[i]) + int(np.count_nonzero(g.indices == i))
 
 
 def _scalar_betweenness(
@@ -117,6 +146,43 @@ def _scalar_betweenness(
     return dict(zip(g.nodes, score))
 
 
+def _source_ids(g: DirectedWeightedGraph, sources: Sequence[str]) -> np.ndarray:
+    if sources is g.nodes:  # every node, the exact computation: no lookups
+        return np.arange(g.n)
+    return np.fromiter(map(g.node_id, sources), dtype=np.int64, count=len(sources))
+
+
+def _path_counts(pred, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Level-synchronous BFS from each node of ``columns`` at once.
+
+    ``pred`` is the predecessor matrix (dense or sparse, n x n). Returns
+    sigma and dist, (n x S) arrays whose column j holds the shortest-path
+    counts and hop distances from ``columns[j]`` (dist 0: the source itself,
+    or unreached, where sigma is 0), and the depth of the deepest level.
+    Each level is one product pred @ frontier, which sums the path counts of
+    a node's predecessors on the previous level.
+    """
+    n = pred.shape[0]
+    sigma = np.zeros((n, len(columns)))
+    sigma[columns, np.arange(len(columns))] = 1.0
+    dist = np.zeros((n, len(columns)), dtype=np.int32)
+    frontier = sigma
+    depth = 0
+    while True:
+        paths = pred @ frontier
+        paths[sigma > 0.0] = 0.0
+        reached = paths > 0.0
+        if not reached.any():
+            break
+        depth += 1
+        dist[reached] = depth
+        sigma += paths
+        frontier = paths
+    if not np.isfinite(sigma).all():
+        raise AnalysisError(_PATH_COUNT_OVERFLOW)
+    return sigma, dist, depth
+
+
 def _batched_betweenness(
     g: DirectedWeightedGraph,
     sources: Sequence[str],
@@ -125,34 +191,17 @@ def _batched_betweenness(
 ) -> dict[str, float]:
     # Brandes (2001) over a batch of S sources at once. Node i is g.nodes[i];
     # sigma, dist and delta are (n x S) arrays, column j for source batch[j].
-    # Forward, each BFS level is one product pred @ frontier, which sums the
-    # path counts of a node's predecessors on the previous level. Backward,
-    # each level is one product succ @ coef with coef = (1 + delta) / sigma on
-    # that level, which hands every parent its children's dependency.
+    # Backward, each level is one product succ @ coef with coef =
+    # (1 + delta) / sigma on that level, which hands every parent its
+    # children's dependency.
     n = g.n
-    succ, pred = g.adjacency_matrices()
-    rows = np.fromiter(map(g.node_id, sources), dtype=np.int64, count=len(sources))
+    succ = g.adjacency_matrix()
+    pred = succ.T
+    rows = _source_ids(g, sources)
     score = np.zeros(n)
     width = max(1, batch_cells // n)
     for start in range(0, len(rows), width):
-        batch = rows[start:start + width]
-        sigma = np.zeros((n, len(batch)))
-        sigma[batch, np.arange(len(batch))] = 1.0
-        dist = np.zeros((n, len(batch)), dtype=np.int32)  # 0: source or unreached
-        frontier = sigma
-        depth = 0
-        while True:
-            paths = pred @ frontier
-            paths[sigma > 0.0] = 0.0
-            reached = paths > 0.0
-            if not reached.any():
-                break
-            depth += 1
-            dist[reached] = depth
-            sigma += paths
-            frontier = paths
-        if np.isinf(sigma).any():
-            raise AnalysisError(_PATH_COUNT_OVERFLOW)
+        sigma, dist, depth = _path_counts(pred, rows[start:start + width])
         # Level 1 hands its dependency only to the sources, whose dependency
         # on themselves is not a pair, so the sweep stops above it.
         delta = np.zeros_like(sigma)
@@ -174,13 +223,8 @@ def _accumulate_betweenness(
 
 
 def _betweenness_vector(g: DirectedWeightedGraph, raw: dict[str, float]) -> CentralityVector:
-    n = g.n
-    if n >= 3:
-        denom = float((n - 1) * (n - 2))
-        normalized = {v: score / denom for v, score in raw.items()}
-    else:
-        normalized = {v: 0.0 for v in raw}
-    return CentralityVector(metric=BETWEENNESS, raw=raw, normalized=normalized, graph_n=n)
+    normalized = {v: normalize(BETWEENNESS, score, g.n) for v, score in raw.items()}
+    return CentralityVector(metric=BETWEENNESS, raw=raw, normalized=normalized, graph_n=g.n)
 
 
 def betweenness_centrality(g: DirectedWeightedGraph) -> CentralityVector:
@@ -191,6 +235,21 @@ def betweenness_centrality(g: DirectedWeightedGraph) -> CentralityVector:
     return _betweenness_vector(g, raw)
 
 
+def sample_sources(
+    g: DirectedWeightedGraph, sample_count: int, seed: int
+) -> tuple[Sequence[str], float]:
+    """The sorted uniform source sample of sampled betweenness and its
+    n / sample_count scale. A full sample is ``g.nodes`` at scale 1.0, the
+    sources and scale of the exact computation."""
+    n = g.n
+    if not 1 <= sample_count <= n:
+        raise AnalysisError(f"sample_count must be in [1, {n}], got {sample_count}")
+    if sample_count == n:
+        return g.nodes, 1.0
+    rng = random.Random(seed)
+    return sorted(rng.sample(g.nodes, sample_count)), n / sample_count
+
+
 def approx_betweenness(
     g: DirectedWeightedGraph, sample_count: int, seed: int
 ) -> CentralityVector:
@@ -198,16 +257,54 @@ def approx_betweenness(
 
     sample_count = n degenerates to the exact computation, bit for bit.
     """
-    n = g.n
-    if not 1 <= sample_count <= n:
-        raise AnalysisError(f"sample_count must be in [1, {n}], got {sample_count}")
-    if sample_count == n:
-        sources: Sequence[str] = g.nodes
-    else:
-        rng = random.Random(seed)
-        sources = sorted(rng.sample(g.nodes, sample_count))
-    raw = _accumulate_betweenness(g, sources, n / sample_count)
+    sources, scale = sample_sources(g, sample_count, seed)
+    raw = _accumulate_betweenness(g, sources, scale)
     return _betweenness_vector(g, raw)
+
+
+def vertex_betweenness(
+    g: DirectedWeightedGraph,
+    node: str,
+    sources: Sequence[str],
+    scale: float,
+    batch_cells: int = BATCH_CELLS,
+) -> float:
+    """Raw betweenness of ``node`` alone: ``scale`` times the sum over s in
+    ``sources`` (sorted) and every target t, both other than ``node`` and
+    each other, of sigma_st(node) / sigma_st.
+
+    It equals the Brandes score of ``node`` for the same sources and scale
+    to a few units in the last place. With ``sources = g.nodes`` and scale
+    1.0 it is the exact score; with ``sample_sources`` it is the sampled one.
+    """
+    n = g.n
+    v = g.node_id(node)
+    if n <= DENSE_NODE_LIMIT:
+        pred = np.zeros((n, n))
+        pred[g.indices, g.arc_sources()] = 1.0
+    else:
+        pred = g.adjacency_matrix().T
+    rows = _source_ids(g, sources)
+    score = 0.0
+    # Each batch carries one more column, the BFS from v.
+    width = max(1, batch_cells // n)
+    for start in range(0, len(rows), width):
+        batch = rows[start:start + width]
+        sigma, dist, _depth = _path_counts(pred, np.append(batch, v))
+        sigma_v = sigma[:, -1]
+        # Hops v -> t, and -n where t is v or unreached from v: no d(s, t)
+        # matches d(s, v) plus that.
+        after = np.where(sigma_v > 0.0, dist[:, -1], -n)
+        after[v] = -n
+        sigma_sv = np.where(batch == v, 0.0, sigma[v, :-1])
+        on_path = dist[:, :-1] == dist[v, :-1] + after[:, None]
+        # Sources as rows: each row's sum runs over the targets in one fixed
+        # order, whatever the batch width.
+        ratios = np.zeros((len(batch), n))
+        np.divide(sigma_v, sigma[:, :-1].T, out=ratios, where=on_path.T)
+        for dependency in (ratios.sum(axis=1) * sigma_sv).tolist():
+            score += dependency * scale
+    return score
 
 
 def centralization(cv: CentralityVector) -> CentralizationScore:

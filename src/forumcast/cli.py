@@ -11,8 +11,8 @@ Flags override the corresponding config-file fields. Exit codes: 0 success,
 1 config error, 2 data error, 3 analysis error.
 
 The config is loaded and checked before the pipeline is imported, so
-``--help``, ``--version``, ``run --dry-run`` and a config error never load
-NumPy or SciPy.
+``--help``, ``--version``, ``run --dry-run``, ``ingest-check`` and a config
+error never load NumPy or SciPy.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import sys
 
 from . import __version__
 from .config import PipelineConfig, load_config, validate, validate_paths
+from .corpus import ingest_check
 from .errors import AnalysisError, ConfigError, DataError, ForumcastError
 
 _OVERRIDE_FLAGS = (
@@ -111,11 +112,13 @@ def main(argv: list[str] | None = None) -> int:
             print("config and inputs valid; dry run, nothing written")
             return 0
 
-        from .pipeline import ingest_check, run_all, run_analyze, run_features
-
         if args.command == "ingest-check":
             print(json.dumps(ingest_check(config), indent=2, sort_keys=True))
-        elif args.command == "features":
+            return 0
+
+        from .pipeline import run_all, run_analyze, run_features
+
+        if args.command == "features":
             rows = run_features(config)
             print(f"wrote {len(rows)} weekly feature rows to {config.output_dir}")
         elif args.command == "analyze":

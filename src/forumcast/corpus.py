@@ -24,9 +24,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from typing import TYPE_CHECKING
 
 from .errors import DataError
 from .tables import open_input, write_csv
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 WEEK = timedelta(days=7)
 
@@ -238,6 +242,27 @@ def partition_weeks(
         bucket.sort(key=lambda m: (m.timestamp, m.id))
     dropped.sort(key=lambda m: (m.timestamp, m.id))
     return WindowedCorpus(windows=windows, messages_by_window=buckets, dropped=dropped)
+
+
+def ingest_check(config: PipelineConfig) -> dict:
+    """Parse the messages and report counts without computing features."""
+    from .config import validate, validate_paths  # config imports this module
+
+    validate(config)
+    validate_paths(config)
+    messages, rejections = load_messages(config.messages_path, config.messages_format)
+    corpus = partition_weeks(
+        messages, parse_timestamp(config.horizon_start), config.horizon_weeks
+    )
+    nonempty = sum(1 for window in corpus.messages_by_window if window)
+    return {
+        "messages": len(messages),
+        "rejected_rows": len(rejections),
+        "weeks": corpus.week_count,
+        "nonempty_weeks": nonempty,
+        "outside_horizon": len(corpus.dropped),
+        "rejection_reasons": sorted({r.reason for r in rejections}),
+    }
 
 
 def load_market_series(

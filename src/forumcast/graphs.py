@@ -44,7 +44,7 @@ class DirectedWeightedGraph:
 
     __slots__ = (
         "_nodes", "_indptr", "_indices", "_weights", "_self_loop_events", "_total_weight",
-        "_matrices",
+        "_matrix",
     )
 
     def __init__(
@@ -104,7 +104,7 @@ class DirectedWeightedGraph:
         self._weights = _frozen(np.array(weights, dtype=np.int64))
         self._self_loop_events = self_loop_events
         self._total_weight = int(self._weights.sum())
-        self._matrices: tuple[csr_matrix, csr_matrix] | None = None
+        self._matrix: csr_matrix | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -141,26 +141,25 @@ class DirectedWeightedGraph:
             raise KeyError(node)
         return i
 
-    def _arc_sources(self) -> np.ndarray:
+    def arc_sources(self) -> np.ndarray:
+        """Source id of each arc, parallel to ``indices``."""
         return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
 
-    def adjacency_matrices(self) -> tuple[csr_matrix, csr_matrix]:
-        """0/1 successor and predecessor matrices, the first over the graph's
-        own CSR arrays, built once per graph. Both keep each row's column
-        indices ascending."""
-        if self._matrices is None:
-            succ = csr_matrix(
+    def adjacency_matrix(self) -> csr_matrix:
+        """0/1 successor matrix over the graph's own CSR arrays, built once
+        per graph. Its transpose view (CSC) is the predecessor matrix."""
+        if self._matrix is None:
+            self._matrix = csr_matrix(
                 (np.ones(self.m), self._indices, self._indptr), shape=(self.n, self.n)
             )
-            self._matrices = (succ, succ.T.tocsr())
-        return self._matrices
+        return self._matrix
 
     @property
     def arcs(self) -> Mapping[tuple[str, str], int]:
         """{(source, target): weight}, in (source, target) order."""
         names = self._nodes
         return dict(zip(
-            zip(map(names.__getitem__, self._arc_sources().tolist()),
+            zip(map(names.__getitem__, self.arc_sources().tolist()),
                 map(names.__getitem__, self._indices.tolist())),
             self._weights.tolist(),
         ))
@@ -171,7 +170,7 @@ class DirectedWeightedGraph:
         return tuple(self._nodes[j] for j in row.tolist())
 
     def predecessors(self, node: str) -> tuple[str, ...]:
-        sources = self._arc_sources()[self._indices == self.node_id(node)]
+        sources = self.arc_sources()[self._indices == self.node_id(node)]
         return tuple(self._nodes[j] for j in sources.tolist())
 
     def summary(self) -> dict[str, int]:
@@ -193,7 +192,7 @@ class DirectedWeightedGraph:
         """
         fields = _csv_fields(self._nodes)
         heads = [f"{week},{field}," for field in fields]
-        sources = self._arc_sources()
+        sources = self.arc_sources()
         for start in range(0, self.m, block_rows):
             stop = start + block_rows
             yield "".join([

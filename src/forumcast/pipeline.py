@@ -29,16 +29,21 @@ import logging
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import BinaryIO, Mapping, Sequence
 
 from . import __version__
 from .centrality import (
-    approx_betweenness,
+    BETWEENNESS,
+    DEGREE,
+    approx_betweenness,  # noqa: F401  (bench/tracing.py wraps it by this name)
     betweenness_centrality,
     centralization,
     degree_centrality,
+    normalize,
+    sample_sources,
+    vertex_betweenness,
+    vertex_degree,
 )
 from .config import PipelineConfig, to_dict, validate, validate_output_dir, validate_paths
 from .corpus import (
@@ -158,19 +163,21 @@ class _WindowResult:
 
 @dataclass(frozen=True)
 class _WindowTask:
-    """Everything one worker needs to process one window: its messages and,
-    in the same order, their filtered token streams."""
+    """Everything one worker needs to process one window: its messages,
+    their filtered token streams in the same order, and the window's
+    sentiment and emotionality, scored while the messages were tokenized."""
 
     index: int
     messages: tuple[Message, ...]
     streams: tuple[list[str], ...]
+    sentiment: float | None
+    emotionality: float | None
 
 
 @dataclass
 class _SharedState:
     config: PipelineConfig
     author_by_id: Mapping[str, str]
-    scorer: SentimentScorer
     vocab: Vocabulary
     focal_token: str
 
@@ -183,9 +190,9 @@ def _init_worker(state: _SharedState) -> None:
     _worker_state = state
 
 
-def _tokenize_message(body: str, config: PipelineConfig, stop: StopwordList,
-                      dictionary: frozenset[str] | None) -> list[str]:
-    tokens = filter_tokens(tokenize(body, keep_digits=config.keep_digits), stop, dictionary)
+def _filter_stream(tokens: list[str], config: PipelineConfig, stop: StopwordList,
+                   dictionary: frozenset[str] | None) -> list[str]:
+    tokens = filter_tokens(tokens, stop, dictionary)
     if config.stemming:
         tokens = stem_tokens(tokens, config.language)
     return tokens
@@ -195,7 +202,9 @@ def normalize_focal_word(config: PipelineConfig, stop: StopwordList,
                          dictionary: frozenset[str] | None) -> str:
     """The focal word goes through the corpus token filter; it must survive
     as exactly one token or the config is unusable."""
-    tokens = _tokenize_message(config.focal_word, config, stop, dictionary)
+    tokens = _filter_stream(
+        tokenize(config.focal_word, keep_digits=config.keep_digits), config, stop, dictionary
+    )
     if len(tokens) != 1:
         raise ConfigError(
             f"focal_word {config.focal_word!r} normalizes to {len(tokens)} tokens"
@@ -204,12 +213,21 @@ def normalize_focal_word(config: PipelineConfig, stop: StopwordList,
     return tokens[0]
 
 
+@contextlib.contextmanager
+def _naming_window(index: int):
+    """Prefix a failure inside window ``index`` with the window's number."""
+    try:
+        yield
+    except ForumcastError as exc:
+        raise type(exc)(f"window {index}: {exc}") from exc
+
+
 def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
     config = state.config
     index = task.index
     messages = task.messages
     streams = task.streams
-    try:
+    with _naming_window(index):
         word_graph = build_word_network(streams, config.window_size)
         interaction, tallies = build_interaction_network(messages, state.author_by_id)
 
@@ -220,25 +238,29 @@ def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
             group_degree = None
             group_betweenness = None
 
+        # The word graph yields one number per metric, the focal word's, so
+        # it gets the single-node kernels rather than whole vectors.
         focal = state.focal_token
+        n = word_graph.n
         try:
             word_graph.node_id(focal)
             present = True
         except KeyError:
             present = False
         if present:
-            focal_degree = degree_centrality(word_graph).normalized[focal]
-            if config.betweenness_mode == "sampled" and word_graph.n > 1:
-                samples = min(config.betweenness_samples, word_graph.n)
-                betw = approx_betweenness(word_graph, samples, config.seed + index)
+            focal_degree = normalize(DEGREE, vertex_degree(word_graph, focal), n)
+            if config.betweenness_mode == "sampled" and n > 1:
+                samples = min(config.betweenness_samples, n)
+                sources, scale = sample_sources(word_graph, samples, config.seed + index)
             else:
-                betw = betweenness_centrality(word_graph)
-            focal_betweenness = betw.normalized[focal]
+                sources, scale = word_graph.nodes, 1.0
+            focal_betweenness = normalize(
+                BETWEENNESS, vertex_betweenness(word_graph, focal, sources, scale), n
+            )
         else:
             focal_degree = 0.0
             focal_betweenness = 0.0
 
-        scores = [score_message(m, state.scorer) for m in messages]
         features = WindowFeatures(
             week=index,
             activity=activity(messages),
@@ -248,8 +270,8 @@ def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
             focal_degree=focal_degree,
             focal_betweenness=focal_betweenness,
             focal_present=present,
-            sentiment=window_sentiment(scores),
-            emotionality=emotionality(scores),
+            sentiment=task.sentiment,
+            emotionality=task.emotionality,
             complexity=complexity(streams, state.vocab),
         )
         diagnostics = (
@@ -270,8 +292,6 @@ def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
             _export_graphs(index, interaction, word_graph) if config.export_graphs else None
         )
         return _WindowResult(features, diagnostics, edge_rows)
-    except ForumcastError as exc:
-        raise type(exc)(f"window {index}: {exc}") from exc
 
 
 def _compute_window_in_worker(task: _WindowTask) -> _WindowResult:
@@ -333,25 +353,28 @@ def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, list[_Wind
     if corpus.dropped:
         logger.info("%d messages fall outside the horizon", len(corpus.dropped))
 
-    # The one text pass: each in-horizon message is tokenized here and its
-    # stream rides with its window. The streams live until the windows are
-    # done, so equal tokens are interned to one string object; a fresh string
-    # per occurrence would take about five times the memory on a busy forum.
-    tasks = [
-        _WindowTask(
-            index=i,
-            messages=tuple(window),
-            streams=tuple(
-                list(map(sys.intern, _tokenize_message(m.body, config, stop, dictionary)))
-                for m in window
-            ),
-        )
-        for i, window in enumerate(corpus.messages_by_window)
-    ]
+    # The one text pass: each in-horizon message is tokenized here; its
+    # sentiment is scored from those tokens, and its filtered stream rides
+    # with its window. The streams live until the windows are done, so equal
+    # tokens are interned to one string object; a fresh string per
+    # occurrence would take about five times the memory on a busy forum.
+    tasks = []
+    for i, window in enumerate(corpus.messages_by_window):
+        streams = []
+        scores = []
+        with _naming_window(i):
+            for m in window:
+                tokens = tokenize(m.body, keep_digits=config.keep_digits)
+                scores.append(score_message(m, tokens, scorer))
+                streams.append(
+                    list(map(sys.intern, _filter_stream(tokens, config, stop, dictionary)))
+                )
+        tasks.append(_WindowTask(
+            i, tuple(window), tuple(streams), window_sentiment(scores), emotionality(scores)
+        ))
     state = _SharedState(
         config=config,
         author_by_id={m.id: m.author_id for m in messages},
-        scorer=scorer,
         vocab=build_vocabulary(stream for task in tasks for stream in task.streams),
         focal_token=normalize_focal_word(config, stop, dictionary),
     )
@@ -418,6 +441,8 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     with contextlib.ExitStack() as stack:
         tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers, initializer=_init_worker, initargs=(state,)
             ))
@@ -520,22 +545,3 @@ def run_all(config: PipelineConfig):
         os.makedirs(config.output_dir, exist_ok=True)
         write_json(error_path, {"stage": stage, "type": type(exc).__name__, "error": str(exc)})
         raise
-
-
-def ingest_check(config: PipelineConfig) -> dict:
-    """Parse inputs and report counts without computing features."""
-    validate(config)
-    validate_paths(config)
-    messages, rejections = load_messages(config.messages_path, config.messages_format)
-    corpus = partition_weeks(
-        messages, parse_timestamp(config.horizon_start), config.horizon_weeks
-    )
-    nonempty = sum(1 for window in corpus.messages_by_window if window)
-    return {
-        "messages": len(messages),
-        "rejected_rows": len(rejections),
-        "weeks": corpus.week_count,
-        "nonempty_weeks": nonempty,
-        "outside_horizon": len(corpus.dropped),
-        "rejection_reasons": sorted({r.reason for r in rejections}),
-    }

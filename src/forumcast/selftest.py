@@ -99,7 +99,7 @@ def run_selftest() -> list[Check]:
         timestamp=parse_timestamp("2020-01-01T00:00:00Z"),
         body="platform deadline agenda",
     )
-    neutral = score_message(msg, LexiconScorer({"gain": 0.8}))
+    neutral = score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 0.8}))
     check("no lexicon match scores neutral", neutral.value == 0.5, f"value={neutral.value}")
 
     emo = emotionality([SentimentScore(0.7), SentimentScore(0.7), SentimentScore(0.7)])

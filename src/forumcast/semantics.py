@@ -1,7 +1,8 @@
 """Sentiment, emotionality, and complexity measures.
 
 Message sentiment lives in [0,1] with 0.5 neutral. The default backend
-averages lexicon polarities over the message's tokens; a precomputed backend
+averages lexicon polarities over the message's tokens (from ``tokenize``,
+before stopword filtering; all-digit tokens never count); a precomputed backend
 accepts per-message scores from any external classifier. Weekly sentiment is
 the mean of message scores, emotionality their population standard deviation,
 and complexity the mean surprisal of the week's tokens against a reference
@@ -20,7 +21,8 @@ from typing import Iterable, Mapping, Protocol, Sequence
 from .corpus import Message
 from .errors import DataError, MissingScoreError
 from .tables import open_input
-from .textproc import Vocabulary, token_surprisal, tokenize
+from .textproc import Vocabulary, token_surprisal
+from .textproc import tokenize  # noqa: F401  (bench/tracing.py wraps it by this name)
 
 LEXICON = "lexicon"
 PRECOMPUTED = "precomputed"
@@ -38,11 +40,15 @@ class SentimentScore:
 class SentimentScorer(Protocol):
     backend: str
 
-    def score(self, msg: Message) -> SentimentScore: ...
+    def score(self, msg: Message, tokens: Sequence[str]) -> SentimentScore: ...
 
 
 class LexiconScorer:
-    """Mean token polarity p, mapped into [0,1] via (p+1)/2."""
+    """Mean token polarity p, mapped into [0,1] via (p+1)/2.
+
+    All-digit words are left out of the lexicon, so such tokens never
+    count, whether or not the tokens kept digits.
+    """
 
     backend = LEXICON
 
@@ -50,12 +56,10 @@ class LexiconScorer:
         for word, polarity in lexicon.items():
             if not -1.0 <= polarity <= 1.0:
                 raise DataError(f"lexicon polarity for {word!r} outside [-1, 1]: {polarity}")
-        self._lexicon = dict(lexicon)
+        self._lexicon = {word: p for word, p in lexicon.items() if not word.isdecimal()}
 
-    def score(self, msg: Message) -> SentimentScore:
-        polarities = [
-            self._lexicon[token] for token in tokenize(msg.body) if token in self._lexicon
-        ]
+    def score(self, msg: Message, tokens: Sequence[str]) -> SentimentScore:
+        polarities = [self._lexicon[token] for token in tokens if token in self._lexicon]
         if not polarities:
             return SentimentScore(0.5)
         mean_polarity = sum(polarities) / len(polarities)
@@ -70,14 +74,18 @@ class PrecomputedScorer:
     def __init__(self, scores: Mapping[str, float]) -> None:
         self._scores = dict(scores)
 
-    def score(self, msg: Message) -> SentimentScore:
+    def score(self, msg: Message, tokens: Sequence[str]) -> SentimentScore:
         if msg.id not in self._scores:
             raise MissingScoreError(f"no precomputed sentiment for message id {msg.id!r}")
         return SentimentScore(self._scores[msg.id])
 
 
-def score_message(msg: Message, scorer: SentimentScorer) -> SentimentScore:
-    return scorer.score(msg)
+def score_message(
+    msg: Message, tokens: Sequence[str], scorer: SentimentScorer
+) -> SentimentScore:
+    """``msg``'s score; ``tokens`` is ``tokenize(msg.body)``, with or without
+    digits."""
+    return scorer.score(msg, tokens)
 
 
 def window_sentiment(scores: Sequence[SentimentScore]) -> float | None:

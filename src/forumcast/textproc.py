@@ -24,7 +24,6 @@ from .errors import DataError
 from .tables import open_input
 
 _TOKEN_RE = re.compile(r"\w+(?:-\w+)*", re.UNICODE)
-_ALL_DIGITS_RE = re.compile(r"\d+")
 
 BUNDLED_LANGUAGES = ("english", "italian")
 
@@ -58,7 +57,9 @@ def tokenize(body: str, keep_digits: bool = False) -> list[str]:
     tokens = _TOKEN_RE.findall(body.lower())
     if keep_digits:
         return tokens
-    return [t for t in tokens if not _ALL_DIGITS_RE.fullmatch(t)]
+    # isdecimal() is true exactly for the non-empty strings of Unicode Nd
+    # characters, the ones the regex \d+ matches in full.
+    return [t for t in tokens if not t.isdecimal()]
 
 
 def filter_tokens(

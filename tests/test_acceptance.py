@@ -32,7 +32,7 @@ from forumcast.semantics import (
     score_message,
 )
 from forumcast.synth import generate_demo
-from forumcast.textproc import build_vocabulary
+from forumcast.textproc import build_vocabulary, tokenize
 
 from conftest import (
     bidirectional_cycle,
@@ -173,10 +173,8 @@ def test_criterion_08_sampled_betweenness_exactness_and_error():
 
 
 def test_criterion_09_semantic_anchors():
-    neutral = score_message(
-        make_message("m", "u", body="nothing matches here"),
-        LexiconScorer({"gain": 1.0}),
-    )
+    msg = make_message("m", "u", body="nothing matches here")
+    neutral = score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0}))
     assert neutral.value == 0.5
 
     constant = [SentimentScore(0.7)] * 5

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forumcast import centrality
 from forumcast.centrality import (
+    BETWEENNESS,
+    DEGREE,
     SCALAR_WORK_LIMIT,
     _batched_betweenness,
     _scalar_betweenness,
@@ -14,6 +17,10 @@ from forumcast.centrality import (
     betweenness_centrality,
     centralization,
     degree_centrality,
+    normalize,
+    sample_sources,
+    vertex_betweenness,
+    vertex_degree,
 )
 from forumcast.errors import AnalysisError
 from forumcast.graphs import DirectedWeightedGraph
@@ -77,6 +84,13 @@ class TestDegree:
         light = degree_centrality(DirectedWeightedGraph({("a", "b"): 1}))
         heavy = degree_centrality(DirectedWeightedGraph({("a", "b"): 9}))
         assert light.raw == heavy.raw
+
+    @given(small_digraphs())
+    def test_vertex_degree_matches_vector(self, g):
+        cv = degree_centrality(g)
+        for v in g.nodes:
+            assert vertex_degree(g, v) == cv.raw[v]
+            assert normalize(DEGREE, vertex_degree(g, v), g.n) == cv.normalized[v]
 
 
 class TestBetweennessExact:
@@ -154,6 +168,78 @@ class TestKernels:
         batched = _batched_betweenness(g, ["a0000"], 1.0)
         for v in g.nodes:
             assert batched[v] == pytest.approx(scalar[v], rel=1e-12)
+
+
+class TestVertexBetweenness:
+    """The one-node kernel against the path-enumeration oracle and against
+    the Brandes vector of both kernels, for the same sources and scale."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_digraphs())
+    def test_matches_path_enumeration_oracle(self, g):
+        oracle = brute_force_betweenness(g.nodes, g.arcs)
+        for v in g.nodes:
+            assert vertex_betweenness(g, v, g.nodes, 1.0) == pytest.approx(
+                float(oracle[v]), rel=1e-12, abs=0.0
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_jobs())
+    def test_matches_both_brandes_kernels(self, job):
+        g, sources, scale = job
+        scalar = _scalar_betweenness(g, sources, scale)
+        batched = _batched_betweenness(g, sources, scale)
+        for v in g.nodes:
+            score = vertex_betweenness(g, v, sources, scale)
+            for brandes in (scalar[v], batched[v]):
+                assert (score == 0.0) == (brandes == 0.0)
+                assert abs(score - brandes) <= 1e-12 * abs(brandes)
+            # one source per batch: the same score, bit for bit
+            assert vertex_betweenness(g, v, sources, scale, batch_cells=g.n) == score
+
+    def test_full_sample_bit_identical(self):
+        rng = random.Random(8)
+        for _ in range(10):
+            g = random_digraph(rng, 30, 0.15)
+            sources, scale = sample_sources(g, g.n, seed=rng.randrange(1 << 30))
+            for v in g.nodes:
+                assert vertex_betweenness(g, v, sources, scale) == vertex_betweenness(
+                    g, v, g.nodes, 1.0
+                )
+
+    def test_sampled_matches_approx_betweenness(self):
+        g = random_digraph(random.Random(12), 50, 0.08)
+        sources, scale = sample_sources(g, 15, seed=99)
+        approx = approx_betweenness(g, 15, seed=99)
+        for v in g.nodes:
+            score = vertex_betweenness(g, v, sources, scale)
+            assert score == pytest.approx(approx.raw[v], rel=1e-12, abs=0.0)
+            assert normalize(BETWEENNESS, score, g.n) == pytest.approx(
+                approx.normalized[v], rel=1e-12, abs=0.0
+            )
+
+    @pytest.mark.parametrize("n,p", [(20, 0.15), (64, 0.05), (65, 0.05), (120, 0.03)])
+    def test_dense_and_sparse_sweeps_bit_identical(self, monkeypatch, n, p):
+        g = random_digraph(random.Random(n), n, p)
+        scores = []
+        for limit in (0, 1000):
+            monkeypatch.setattr(centrality, "DENSE_NODE_LIMIT", limit)
+            scores.append([vertex_betweenness(g, v, g.nodes, 1.0) for v in g.nodes])
+        assert scores[0] == scores[1]
+        assert any(scores[0])
+
+    def test_path_count_overflow_is_analysis_error(self):
+        g = layered_dag(1100)
+        with pytest.raises(AnalysisError, match="float range"):
+            vertex_betweenness(g, "a0500", ["a0000"], 1.0)
+
+    def test_path_counts_near_float_max_agree(self):
+        g = layered_dag(1000)
+        scalar = _scalar_betweenness(g, ["a0000"], 1.0)
+        for v in ("a0000", "b0001", "a0500", "b0998", "a0999"):
+            assert vertex_betweenness(g, v, ["a0000"], 1.0) == pytest.approx(
+                scalar[v], rel=1e-12
+            )
 
 
 class TestApproxBetweenness:

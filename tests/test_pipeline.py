@@ -23,12 +23,12 @@ import pytest
 from forumcast import pipeline
 from forumcast.cli import main
 from forumcast.config import PipelineConfig, load_config, save_config
+from forumcast.corpus import ingest_check
 from forumcast.errors import ConfigError, DataError, ForumcastError, MissingScoreError
 from forumcast.pipeline import (
     DIAGNOSTIC_CSV_COLUMNS,
     FEATURE_CSV_COLUMNS,
     config_hash,
-    ingest_check,
     read_features_csv,
     run_all,
     run_analyze,
@@ -723,6 +723,8 @@ class TestCli:
             seen = [("import", None, numeric(), "scipy.stats" in sys.modules)]
             exit_code = main(["run", "-c", sys.argv[1], "--dry-run"])
             seen.append(("dry run", exit_code, numeric(), "scipy.stats" in sys.modules))
+            exit_code = main(["ingest-check", "-c", sys.argv[1]])
+            seen.append(("ingest-check", exit_code, numeric(), "scipy.stats" in sys.modules))
             exit_code = main(["run", "-c", sys.argv[2]])
             seen.append(("config error", exit_code, numeric(), "scipy.stats" in sys.modules))
             print(json.dumps(seen))
@@ -736,6 +738,7 @@ class TestCli:
         assert seen == [
             ["import", None, [], False],
             ["dry run", 0, [], False],
+            ["ingest-check", 0, [], False],
             ["config error", 1, [], False],
         ]
 

@@ -19,7 +19,7 @@ from forumcast.semantics import (
     score_message,
     window_sentiment,
 )
-from forumcast.textproc import build_vocabulary, token_surprisal
+from forumcast.textproc import build_vocabulary, token_surprisal, tokenize
 
 from conftest import make_message
 
@@ -33,22 +33,28 @@ scores_strategy = st.lists(
 class TestMessageScoring:
     def test_no_lexicon_match_is_neutral(self):
         msg = make_message("m", "u", body="completely unknown words")
-        assert score_message(msg, LexiconScorer({"gain": 1.0})).value == 0.5
+        assert score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0})).value == 0.5
 
     def test_all_positive_tokens_hit_ceiling(self):
         msg = make_message("m", "u", body="gain gain gain")
-        assert score_message(msg, LexiconScorer({"gain": 1.0})).value == 1.0
+        assert score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0})).value == 1.0
 
     def test_opposite_polarities_cancel(self):
         msg = make_message("m", "u", body="gain loss")
         scorer = LexiconScorer({"gain": 1.0, "loss": -1.0})
-        assert score_message(msg, scorer).value == 0.5
+        assert score_message(msg, tokenize(msg.body), scorer).value == 0.5
 
     def test_matching_is_token_based(self):
         msg = make_message("m", "u", body="Gains? GAIN!")
         scorer = LexiconScorer({"gain": 0.5})
         # "gains" is a different token; only "gain" matches
-        assert score_message(msg, scorer).value == 0.75
+        assert score_message(msg, tokenize(msg.body), scorer).value == 0.75
+
+    def test_all_digit_tokens_never_count(self):
+        msg = make_message("m", "u", body="gain 42 ٤٢")
+        scorer = LexiconScorer({"gain": 1.0, "42": -1.0, "٤٢": -1.0})
+        for keep_digits in (False, True):
+            assert score_message(msg, tokenize(msg.body, keep_digits), scorer).value == 1.0
 
     def test_lexicon_polarity_range_enforced(self):
         with pytest.raises(DataError):
@@ -57,12 +63,12 @@ class TestMessageScoring:
     def test_precomputed_lookup(self):
         msg = make_message("m7", "u")
         scorer = PrecomputedScorer({"m7": 0.25})
-        assert score_message(msg, scorer).value == 0.25
+        assert score_message(msg, tokenize(msg.body), scorer).value == 0.25
 
     def test_precomputed_missing_id_named(self):
         scorer = PrecomputedScorer({"other": 0.5})
         with pytest.raises(MissingScoreError, match="m9"):
-            score_message(make_message("m9", "u"), scorer)
+            score_message(make_message("m9", "u"), [], scorer)
 
     def test_score_bounds_enforced(self):
         with pytest.raises(DataError):

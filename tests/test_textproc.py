@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -32,6 +33,16 @@ class TestTokenize:
 
     def test_keep_digits_flag(self):
         assert tokenize("2019 wins", keep_digits=True) == ["2019", "wins"]
+
+    @given(st.text(st.one_of(
+        st.characters(),
+        st.characters(whitelist_categories=("Nd", "Nl", "No")),
+        st.sampled_from(" -_"),
+    )))
+    def test_digit_rule_is_the_regex_rule(self, text):
+        # A token is dropped when \d+ matches all of it.
+        every = tokenize(text, keep_digits=True)
+        assert tokenize(text) == [t for t in every if not re.fullmatch(r"\d+", t)]
 
     def test_accented_words_survive(self):
         assert tokenize("città è bella") == ["città", "è", "bella"]
