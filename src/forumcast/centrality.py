@@ -7,32 +7,32 @@ dependency accumulation; ``approx_betweenness`` runs the same accumulation
 over a uniform sample of sources, scaled by n / sample_count, so a full
 sample is bit-identical to the exact computation.
 
-Two kernels compute the accumulation. Small jobs (sources x arcs below
-``SCALAR_WORK_LIMIT``) run a per-source BFS over integer lists taken from
-the graph's CSR arrays; larger ones run the same algorithm
-level-synchronously over a batch of sources at once, as sparse-matrix
-products over those arrays (Kepner & Gilbert, Graph Algorithms in the
-Language of Linear Algebra, 2011). Both add per-source dependencies into the score in sorted source
-order, and the batched kernel uses only CSR products, whose summation order
-is fixed by the graph, so results never depend on the batch width.
+The accumulation runs level-synchronously over a batch of sources at once,
+as matrix products (Kepner & Gilbert, Graph Algorithms in the Language of
+Linear Algebra, 2011). It adds per-source dependencies into the score in
+sorted source order, and its backward step uses only products with the
+graph's CSR successor matrix, whose summation order the graph fixes, so
+results never depend on the batch width.
 
 ``vertex_betweenness`` scores one node v without back-propagation: a single
 forward sweep from the sources, plus one BFS column from v, gives every
 d(s, t) and sigma_st, and v's score is the sum of sigma_sv sigma_vt /
-sigma_st over the pairs with d(s, v) + d(v, t) = d(s, t). Graphs of at most
-``DENSE_NODE_LIMIT`` nodes run that sweep as dense matrix products, larger
-ones as the CSR products above. Path counts are exact integers in floats
-(a graph of 64 nodes has far fewer than 2**53 geodesics between two nodes),
-so both forms give the same counts whatever their summation order, and the
-same score bit for bit. It sums the pairs in another order than Brandes'
-accumulation, so the two agree to a few units in the last place, not
-bitwise.
+sigma_st over the pairs with d(s, v) + d(v, t) = d(s, t). It sums the pairs
+in another order than Brandes' accumulation, so the two agree to a few
+units in the last place, not bitwise.
+
+The Brandes accumulation and ``vertex_betweenness`` share one forward
+sweep, ``_path_counts``, and one choice of predecessor matrix,
+``_predecessor_matrix``: dense products for graphs of at most
+``DENSE_NODE_LIMIT`` nodes, CSR products above. Path counts are exact
+integers in floats (a graph of 64 nodes has far fewer than 2**53 geodesics
+between two nodes), so both forms give the same counts whatever their
+summation order, and the same scores bit for bit.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -44,18 +44,13 @@ from .graphs import DirectedWeightedGraph
 DEGREE = "degree"
 BETWEENNESS = "betweenness"
 
-# Below this many source x arc scans the batched kernel's fixed cost per call
-# (two CSR matrices, a few array passes per BFS level; ~0.2 ms) exceeds the
-# scalar loop's whole run; the two broke even near 1000 on forum interaction
-# and word graphs.
-SCALAR_WORK_LIMIT = 1000
 # Cap on n x batch width: each (n x S) float array of the batched kernel stays
 # within 2 MiB whatever the graph size.
 BATCH_CELLS = 1 << 18
-# Largest graph whose forward sweep in vertex_betweenness runs as dense
-# products. On a 2-vCPU x86-64 VM, dense sweeps took the focal word's score
-# on 783 word graphs of 6-40 nodes from 63 to 44 ms; with the cap at 128,
-# 93 graphs of 66-122 nodes went dense and took 42 ms instead of 38.
+# Largest graph whose forward sweep runs as dense products. On a 2-vCPU
+# x86-64 VM, dense sweeps took the focal word's score on 783 word graphs of
+# 6-40 nodes from 63 to 44 ms; with the cap at 128, 93 graphs of 66-122
+# nodes went dense and took 42 ms instead of 38.
 DENSE_NODE_LIMIT = 64
 
 _PATH_COUNT_OVERFLOW = (
@@ -101,55 +96,22 @@ def vertex_degree(g: DirectedWeightedGraph, node: str) -> int:
     return int(g.indptr[i + 1] - g.indptr[i]) + int(np.count_nonzero(g.indices == i))
 
 
-def _scalar_betweenness(
-    g: DirectedWeightedGraph, sources: Sequence[str], scale: float
-) -> dict[str, float]:
-    # Brandes (2001): one BFS + dependency back-propagation per source, over
-    # node ids. Sources must arrive sorted; accumulation order is then fixed,
-    # which makes exact and full-sample runs bit-identical.
-    n = g.n
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    score = [0.0] * n
-    for s in map(g.node_id, sources):
-        order: list[int] = []
-        preds: dict[int, list[int]] = {}
-        sigma = [0] * n
-        dist = [-1] * n
-        sigma[s] = 1
-        dist[s] = 0
-        queue: deque[int] = deque((s,))
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            next_dist = dist[v] + 1
-            sigma_v = sigma[v]
-            for w in indices[indptr[v]:indptr[v + 1]]:
-                if dist[w] < 0:
-                    dist[w] = next_dist
-                    preds[w] = []
-                    queue.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma_v
-                    preds[w].append(v)
-        delta = [0.0] * n
-        try:
-            while order:
-                w = order.pop()
-                coefficient = (1.0 + delta[w]) / sigma[w]
-                for v in preds.get(w, ()):
-                    delta[v] += sigma[v] * coefficient
-                if w != s:
-                    score[w] += delta[w] * scale
-        except OverflowError:
-            raise AnalysisError(_PATH_COUNT_OVERFLOW) from None
-    return dict(zip(g.nodes, score))
-
-
 def _source_ids(g: DirectedWeightedGraph, sources: Sequence[str]) -> np.ndarray:
     if sources is g.nodes:  # every node, the exact computation: no lookups
         return np.arange(g.n)
     return np.fromiter(map(g.node_id, sources), dtype=np.int64, count=len(sources))
+
+
+def _predecessor_matrix(g: DirectedWeightedGraph):
+    """The n x n predecessor matrix that ``_path_counts`` sweeps: a dense
+    array for graphs of at most ``DENSE_NODE_LIMIT`` nodes, else the CSC
+    transpose view of the adjacency matrix."""
+    n = g.n
+    if n <= DENSE_NODE_LIMIT:
+        pred = np.zeros((n, n))
+        pred[g.indices, g.arc_sources()] = 1.0
+        return pred
+    return g.adjacency_matrix().T
 
 
 def _path_counts(pred, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -196,7 +158,7 @@ def _batched_betweenness(
     # children's dependency.
     n = g.n
     succ = g.adjacency_matrix()
-    pred = succ.T
+    pred = _predecessor_matrix(g)
     rows = _source_ids(g, sources)
     score = np.zeros(n)
     width = max(1, batch_cells // n)
@@ -209,17 +171,9 @@ def _batched_betweenness(
             coef = np.zeros_like(sigma)
             np.divide(1.0 + delta, sigma, out=coef, where=dist == level)
             np.multiply(sigma, succ @ coef, out=delta, where=dist == level - 1)
-        # Sequential sum over the columns: the scalar loop's source order.
+        # Sequential sum over the columns, in sorted source order.
         score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
     return dict(zip(g.nodes, score.tolist()))
-
-
-def _accumulate_betweenness(
-    g: DirectedWeightedGraph, sources: Sequence[str], scale: float
-) -> dict[str, float]:
-    if len(sources) * g.m < SCALAR_WORK_LIMIT:
-        return _scalar_betweenness(g, sources, scale)
-    return _batched_betweenness(g, sources, scale)
 
 
 def _betweenness_vector(g: DirectedWeightedGraph, raw: dict[str, float]) -> CentralityVector:
@@ -231,7 +185,7 @@ def betweenness_centrality(g: DirectedWeightedGraph) -> CentralityVector:
     """Exact directed betweenness: raw(v) = sum over ordered pairs s != t != v
     of sigma_st(v) / sigma_st on hop-count shortest paths. Unreachable pairs
     contribute zero. Normalized by (n-1)(n-2) for n >= 3."""
-    raw = _accumulate_betweenness(g, g.nodes, 1.0)
+    raw = _batched_betweenness(g, g.nodes, 1.0)
     return _betweenness_vector(g, raw)
 
 
@@ -258,7 +212,7 @@ def approx_betweenness(
     sample_count = n degenerates to the exact computation, bit for bit.
     """
     sources, scale = sample_sources(g, sample_count, seed)
-    raw = _accumulate_betweenness(g, sources, scale)
+    raw = _batched_betweenness(g, sources, scale)
     return _betweenness_vector(g, raw)
 
 
@@ -279,11 +233,7 @@ def vertex_betweenness(
     """
     n = g.n
     v = g.node_id(node)
-    if n <= DENSE_NODE_LIMIT:
-        pred = np.zeros((n, n))
-        pred[g.indices, g.arc_sources()] = 1.0
-    else:
-        pred = g.adjacency_matrix().T
+    pred = _predecessor_matrix(g)
     rows = _source_ids(g, sources)
     score = 0.0
     # Each batch carries one more column, the BFS from v.

@@ -38,8 +38,7 @@ class DirectedWeightedGraph:
     are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order, and an
     int64 weight array runs parallel to ``indices``. Arc weights count events:
     repeated replies or repeated co-occurrences accumulate on one arc.
-    ``arcs``, ``successors`` and ``predecessors`` are views derived from the
-    arrays, so traversal order is deterministic.
+    ``arcs`` is a view derived from the arrays, in (source, target) order.
     """
 
     __slots__ = (
@@ -163,15 +162,6 @@ class DirectedWeightedGraph:
                 map(names.__getitem__, self._indices.tolist())),
             self._weights.tolist(),
         ))
-
-    def successors(self, node: str) -> tuple[str, ...]:
-        i = self.node_id(node)
-        row = self._indices[self._indptr[i]:self._indptr[i + 1]]
-        return tuple(self._nodes[j] for j in row.tolist())
-
-    def predecessors(self, node: str) -> tuple[str, ...]:
-        sources = self.arc_sources()[self._indices == self.node_id(node)]
-        return tuple(self._nodes[j] for j in sources.tolist())
 
     def summary(self) -> dict[str, int]:
         return {

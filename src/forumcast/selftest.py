@@ -11,10 +11,11 @@ import math
 import numpy as np
 
 from .centrality import (
-    approx_betweenness,
     betweenness_centrality,
     centralization,
     degree_centrality,
+    sample_sources,
+    vertex_betweenness,
 )
 from .corpus import Message, parse_timestamp
 from .econometrics import Series, durbin_watson, ols, pearson
@@ -68,12 +69,13 @@ def run_selftest() -> list[Check]:
     cc = centralization(betweenness_centrality(cycle)).value
     check("cycle betweenness centralization is 0", abs(cc) <= 1e-12, f"value={cc}")
 
-    exact = betweenness_centrality(cycle)
-    sampled = approx_betweenness(cycle, cycle.n, seed=1)
+    sources, scale = sample_sources(cycle, cycle.n, seed=1)
+    exact = [vertex_betweenness(cycle, v, cycle.nodes, 1.0) for v in cycle.nodes]
+    sampled = [vertex_betweenness(cycle, v, sources, scale) for v in cycle.nodes]
     check(
         "full-sample betweenness equals exact",
-        exact.raw == sampled.raw,
-        f"exact={dict(exact.raw)} sampled={dict(sampled.raw)}",
+        exact == sampled,
+        f"exact={exact} sampled={sampled}",
     )
 
     x = Series("x", np.arange(10.0))

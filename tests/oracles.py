@@ -52,12 +52,15 @@ def enumerate_shortest_paths(
 
 
 def brute_force_betweenness(
-    nodes: Sequence[str], arcs: Mapping[tuple[str, str], int]
+    nodes: Sequence[str],
+    arcs: Mapping[tuple[str, str], int],
+    sources: Sequence[str] | None = None,
 ) -> dict[str, Fraction]:
     """raw(v) = sum over ordered s != t != v of (geodesics through v) / (all
-    geodesics), with exact rational arithmetic."""
+    geodesics), with exact rational arithmetic; s runs over ``sources`` when
+    given, else over every node."""
     score: dict[str, Fraction] = {v: Fraction(0) for v in nodes}
-    for s in nodes:
+    for s in nodes if sources is None else sources:
         for t in nodes:
             if s == t:
                 continue

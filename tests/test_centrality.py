@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,7 @@ from forumcast import centrality
 from forumcast.centrality import (
     BETWEENNESS,
     DEGREE,
-    SCALAR_WORK_LIMIT,
     _batched_betweenness,
-    _scalar_betweenness,
     approx_betweenness,
     betweenness_centrality,
     centralization,
@@ -53,7 +52,9 @@ def kernel_jobs(draw):
 
 def layered_dag(layers: int) -> DirectedWeightedGraph:
     """Two nodes per layer, every arc from one layer to the next: a0000 has
-    2**(k-1) geodesics to each node of layer k."""
+    2**(k-1) geodesics to each node of layer k, and each node of layer k
+    lies on half of those to any later node. So from a0000 alone a node on
+    layer k >= 1 scores layers - 1 - k, and layer 0 scores 0."""
     arcs = {}
     for k in range(layers - 1):
         for a in "ab":
@@ -127,19 +128,25 @@ class TestBetweennessExact:
         assert betweenness_centrality(g).raw == betweenness_centrality(unweighted).raw
 
 
+def sampled_oracle(g: DirectedWeightedGraph, sources, scale: float) -> dict[str, float]:
+    """The path-enumeration oracle over ``sources``, times ``scale``."""
+    oracle = brute_force_betweenness(g.nodes, g.arcs, sources)
+    return {v: float(score * Fraction(scale)) for v, score in oracle.items()}
+
+
 class TestKernels:
-    """The batched sparse-matrix kernel against the scalar loop it replaces
-    on large jobs; both are called directly, whatever the job size."""
+    """The Brandes kernel, called directly with a source sample, against the
+    path-enumeration oracle, networkx and a closed form."""
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_jobs())
-    def test_batched_matches_scalar(self, job):
+    def test_batched_matches_oracle(self, job):
         g, sources, scale = job
-        scalar = _scalar_betweenness(g, sources, scale)
+        expected = sampled_oracle(g, sources, scale)
         batched = _batched_betweenness(g, sources, scale)
         for v in g.nodes:
-            assert (scalar[v] == 0.0) == (batched[v] == 0.0)
-            assert abs(scalar[v] - batched[v]) <= 1e-12 * abs(scalar[v])
+            assert (expected[v] == 0.0) == (batched[v] == 0.0)
+            assert abs(expected[v] - batched[v]) <= 1e-12 * abs(expected[v])
         # three sources per batch: several batches, same summation order
         assert _batched_betweenness(g, sources, scale, batch_cells=3 * g.n) == batched
 
@@ -147,7 +154,6 @@ class TestKernels:
     def test_batched_matches_networkx(self, n, p):
         nx = pytest.importorskip("networkx")
         g = random_digraph(random.Random(n), n, p)
-        assert g.n * g.m >= SCALAR_WORK_LIMIT
         reference = nx.DiGraph()
         reference.add_nodes_from(g.nodes)
         reference.add_edges_from(g.arcs)
@@ -156,23 +162,23 @@ class TestKernels:
         for v in g.nodes:
             assert raw[v] == pytest.approx(expected[v], rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("kernel", [_scalar_betweenness, _batched_betweenness])
-    def test_path_count_overflow_is_analysis_error(self, kernel):
+    def test_path_count_overflow_is_analysis_error(self):
         g = layered_dag(1100)
         with pytest.raises(AnalysisError, match="float range"):
-            kernel(g, ["a0000"], 1.0)
+            _batched_betweenness(g, ["a0000"], 1.0)
 
     def test_path_counts_near_float_max_agree(self):
-        g = layered_dag(1000)
-        scalar = _scalar_betweenness(g, ["a0000"], 1.0)
-        batched = _batched_betweenness(g, ["a0000"], 1.0)
-        for v in g.nodes:
-            assert batched[v] == pytest.approx(scalar[v], rel=1e-12)
+        # up to 2**998 geodesics per pair, and the closed form bit for bit
+        layers = 1000
+        batched = _batched_betweenness(layered_dag(layers), ["a0000"], 1.0)
+        for v, score in batched.items():
+            k = int(v[1:])
+            assert score == (layers - 1 - k if k >= 1 else 0)
 
 
 class TestVertexBetweenness:
     """The one-node kernel against the path-enumeration oracle and against
-    the Brandes vector of both kernels, for the same sources and scale."""
+    the Brandes vector, for the same sources and scale."""
 
     @settings(max_examples=60, deadline=None)
     @given(small_digraphs())
@@ -185,15 +191,15 @@ class TestVertexBetweenness:
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_jobs())
-    def test_matches_both_brandes_kernels(self, job):
+    def test_matches_oracle_and_brandes(self, job):
         g, sources, scale = job
-        scalar = _scalar_betweenness(g, sources, scale)
+        expected = sampled_oracle(g, sources, scale)
         batched = _batched_betweenness(g, sources, scale)
         for v in g.nodes:
             score = vertex_betweenness(g, v, sources, scale)
-            for brandes in (scalar[v], batched[v]):
-                assert (score == 0.0) == (brandes == 0.0)
-                assert abs(score - brandes) <= 1e-12 * abs(brandes)
+            for reference in (expected[v], batched[v]):
+                assert (score == 0.0) == (reference == 0.0)
+                assert abs(score - reference) <= 1e-12 * abs(reference)
             # one source per batch: the same score, bit for bit
             assert vertex_betweenness(g, v, sources, scale, batch_cells=g.n) == score
 
@@ -224,9 +230,12 @@ class TestVertexBetweenness:
         scores = []
         for limit in (0, 1000):
             monkeypatch.setattr(centrality, "DENSE_NODE_LIMIT", limit)
-            scores.append([vertex_betweenness(g, v, g.nodes, 1.0) for v in g.nodes])
+            scores.append((
+                [vertex_betweenness(g, v, g.nodes, 1.0) for v in g.nodes],
+                betweenness_centrality(g).raw,
+            ))
         assert scores[0] == scores[1]
-        assert any(scores[0])
+        assert any(scores[0][0])
 
     def test_path_count_overflow_is_analysis_error(self):
         g = layered_dag(1100)
@@ -234,12 +243,13 @@ class TestVertexBetweenness:
             vertex_betweenness(g, "a0500", ["a0000"], 1.0)
 
     def test_path_counts_near_float_max_agree(self):
-        g = layered_dag(1000)
-        scalar = _scalar_betweenness(g, ["a0000"], 1.0)
-        for v in ("a0000", "b0001", "a0500", "b0998", "a0999"):
-            assert vertex_betweenness(g, v, ["a0000"], 1.0) == pytest.approx(
-                scalar[v], rel=1e-12
-            )
+        # up to 2**998 geodesics per pair, and the closed form bit for bit
+        layers = 1000
+        g = layered_dag(layers)
+        for v in ("a0000", "b0000", "b0001", "a0500", "b0998", "a0999"):
+            k = int(v[1:])
+            expected = layers - 1 - k if k >= 1 else 0
+            assert vertex_betweenness(g, v, ["a0000"], 1.0) == expected
 
 
 class TestApproxBetweenness:
