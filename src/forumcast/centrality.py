@@ -8,11 +8,13 @@ over a uniform sample of sources, scaled by n / sample_count, so a full
 sample is bit-identical to the exact computation.
 
 The accumulation runs level-synchronously over a batch of sources at once,
-as matrix products (Kepner & Gilbert, Graph Algorithms in the Language of
-Linear Algebra, 2011). It adds per-source dependencies into the score in
-sorted source order, and its backward step uses only products with the
-graph's CSR successor matrix, whose summation order the graph fixes, so
-results never depend on the batch width.
+in the matrix form of Kepner & Gilbert (Graph Algorithms in the Language of
+Linear Algebra, 2011): the forward sweep is one matrix product per BFS level.
+The backward step pulls: each (node, source) cell on a level sums its
+successors' coefficients in CSR order, starting from 0.0, the order of a
+product with the CSR successor matrix, with NumPy alone. Per-source
+dependencies are added into the score in sorted source order, so results
+never depend on the batch width.
 
 ``vertex_betweenness`` scores one node v without back-propagation: a single
 forward sweep from the sources, plus one BFS column from v, gives every
@@ -24,10 +26,12 @@ units in the last place, not bitwise.
 The Brandes accumulation and ``vertex_betweenness`` share one forward
 sweep, ``_path_counts``, and one choice of predecessor matrix,
 ``_predecessor_matrix``: dense products for graphs of at most
-``DENSE_NODE_LIMIT`` nodes, CSR products above. Path counts are exact
-integers in floats (a graph of 64 nodes has far fewer than 2**53 geodesics
-between two nodes), so both forms give the same counts whatever their
-summation order, and the same scores bit for bit.
+``DENSE_NODE_LIMIT`` nodes, sparse CSC products (``scipy.sparse``, loaded
+only then) above. Path counts are integers in floats, so the two forms give
+the same counts whatever their summation order, and the same scores bit for
+bit, as long as every count and partial sum stays below 2**53. That holds on
+every graph of at most 102 nodes: two nodes of an n-node graph have at most
+3**((n - 2) / 3) geodesics, which is below 2**53 for n <= 102.
 """
 
 from __future__ import annotations
@@ -47,11 +51,12 @@ BETWEENNESS = "betweenness"
 # Cap on n x batch width: each (n x S) float array of the batched kernel stays
 # within 2 MiB whatever the graph size.
 BATCH_CELLS = 1 << 18
-# Largest graph whose forward sweep runs as dense products. On a 2-vCPU
-# x86-64 VM, dense sweeps took the focal word's score on 783 word graphs of
-# 6-40 nodes from 63 to 44 ms; with the cap at 128, 93 graphs of 66-122
-# nodes went dense and took 42 ms instead of 38.
-DENSE_NODE_LIMIT = 64
+# Largest graph whose forward sweep runs as dense products, with no SciPy.
+# On a 2-vCPU x86-64 VM, dense sweeps took the focal word's score on 783
+# word graphs of 6-40 nodes from 63 to 44 ms, and on 93 graphs of 66-122
+# nodes cost 42 ms against the sparse sweep's 38; a run whose graphs all stay
+# within the cap never imports scipy.sparse.
+DENSE_NODE_LIMIT = 128
 
 _PATH_COUNT_OVERFLOW = (
     "shortest-path counts exceed the float range; betweenness cannot be computed"
@@ -104,14 +109,18 @@ def _source_ids(g: DirectedWeightedGraph, sources: Sequence[str]) -> np.ndarray:
 
 def _predecessor_matrix(g: DirectedWeightedGraph):
     """The n x n predecessor matrix that ``_path_counts`` sweeps: a dense
-    array for graphs of at most ``DENSE_NODE_LIMIT`` nodes, else the CSC
-    transpose view of the adjacency matrix."""
+    array for graphs of at most ``DENSE_NODE_LIMIT`` nodes, else a sparse
+    matrix in CSC form over the graph's own CSR arrays (the transpose of the
+    0/1 successor matrix), which sums each node's predecessors in ascending
+    order."""
     n = g.n
     if n <= DENSE_NODE_LIMIT:
         pred = np.zeros((n, n))
         pred[g.indices, g.arc_sources()] = 1.0
         return pred
-    return g.adjacency_matrix().T
+    from scipy.sparse import csc_matrix
+
+    return csc_matrix((np.ones(g.m), g.indices, g.indptr), shape=(n, n))
 
 
 def _path_counts(pred, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -153,11 +162,10 @@ def _batched_betweenness(
 ) -> dict[str, float]:
     # Brandes (2001) over a batch of S sources at once. Node i is g.nodes[i];
     # sigma, dist and delta are (n x S) arrays, column j for source batch[j].
-    # Backward, each level is one product succ @ coef with coef =
-    # (1 + delta) / sigma on that level, which hands every parent its
-    # children's dependency.
+    # Backward, each cell (i, j) on a level pulls sum_k coef[k, j] over i's
+    # successors k, with coef = (1 + delta) / sigma on the next level out,
+    # which hands every parent its children's dependency.
     n = g.n
-    succ = g.adjacency_matrix()
     pred = _predecessor_matrix(g)
     rows = _source_ids(g, sources)
     score = np.zeros(n)
@@ -170,10 +178,33 @@ def _batched_betweenness(
         for level in range(depth, 1, -1):
             coef = np.zeros_like(sigma)
             np.divide(1.0 + delta, sigma, out=coef, where=dist == level)
-            np.multiply(sigma, succ @ coef, out=delta, where=dist == level - 1)
+            parents = dist == level - 1
+            sums = _successor_sums(g, np.flatnonzero(parents), coef)
+            np.multiply(sigma, sums, out=delta, where=parents)
         # Sequential sum over the columns, in sorted source order.
         score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
     return dict(zip(g.nodes, score.tolist()))
+
+
+def _successor_sums(g: DirectedWeightedGraph, cells: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """An (n x S) array that holds, at each flat index c = i * S + j of
+    ``cells``, the sum of coef[k, j] over the successors k of node i, taken
+    in CSR order and starting from 0.0, and 0.0 elsewhere. At ``cells`` it
+    equals ``succ @ coef`` for the 0/1 successor matrix succ, bit for bit:
+    ``np.bincount`` adds its weights in input order, as a CSR row product
+    does. ``np.add.reduceat`` would not (it adds runs of eight or more with
+    unrolled partial sums)."""
+    width = coef.shape[1]
+    parent = cells // width
+    counts = np.diff(g.indptr)[parent]
+    first = np.cumsum(counts) - counts
+    # Each (cell, successor) pair: its arc's position in g.indices, and the
+    # cell it adds into. coef[k, j] lies (k - i) * S after the cell (i, j).
+    arc = np.arange(counts.sum()) + np.repeat(g.indptr[parent] - first, counts)
+    target = np.repeat(cells, counts)
+    shift = (g.indices - g.arc_sources()) * width
+    sums = np.bincount(target, weights=coef.ravel()[target + shift[arc]], minlength=coef.size)
+    return sums.reshape(coef.shape)
 
 
 def _betweenness_vector(g: DirectedWeightedGraph, raw: dict[str, float]) -> CentralityVector:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .corpus import Message
 from .errors import DataError
@@ -43,7 +42,6 @@ class DirectedWeightedGraph:
 
     __slots__ = (
         "_nodes", "_indptr", "_indices", "_weights", "_self_loop_events", "_total_weight",
-        "_matrix",
     )
 
     def __init__(
@@ -98,12 +96,12 @@ class DirectedWeightedGraph:
         np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
         self._nodes = nodes
         self._indptr = _frozen(indptr)
-        # int32: scipy's native index width, so its matrices share these arrays.
+        # int32: scipy.sparse's native index width, so a matrix built over
+        # these arrays shares them.
         self._indices = _frozen(targets.astype(np.int32))
         self._weights = _frozen(np.array(weights, dtype=np.int64))
         self._self_loop_events = self_loop_events
         self._total_weight = int(self._weights.sum())
-        self._matrix: csr_matrix | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -143,15 +141,6 @@ class DirectedWeightedGraph:
     def arc_sources(self) -> np.ndarray:
         """Source id of each arc, parallel to ``indices``."""
         return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
-
-    def adjacency_matrix(self) -> csr_matrix:
-        """0/1 successor matrix over the graph's own CSR arrays, built once
-        per graph. Its transpose view (CSC) is the predecessor matrix."""
-        if self._matrix is None:
-            self._matrix = csr_matrix(
-                (np.ones(self.m), self._indices, self._indptr), shape=(self.n, self.n)
-            )
-        return self._matrix
 
     @property
     def arcs(self) -> Mapping[tuple[str, str], int]:

@@ -18,7 +18,7 @@ from .centrality import (
     vertex_betweenness,
 )
 from .corpus import Message, parse_timestamp
-from .econometrics import Series, durbin_watson, ols, pearson
+from .econometrics import Series, _chi2_tail, _t_tail, durbin_watson, ols, pearson
 from .graphs import DirectedWeightedGraph, build_word_network
 from .semantics import LexiconScorer, SentimentScore, emotionality, score_message
 from .semantics import complexity as window_complexity
@@ -94,6 +94,21 @@ def run_selftest() -> list[Check]:
 
     corr = pearson(x, y)
     check("perfect correlation", corr.r == 1.0 and corr.p == 0.0, f"r={corr.r} p={corr.p}")
+
+    # Closed forms: t(1) is the Cauchy law, P(T > t) = atan(1/t) / pi, and
+    # chi-square(2) is the exponential law with mean 2.
+    t_tails = [(_t_tail(1, t), math.atan2(1.0, t) / math.pi) for t in (0.5, 3.0, 40.0)]
+    check(
+        "Cauchy tail is atan(1/t)/pi",
+        all(abs(got - want) <= 1e-13 * want for got, want in t_tails),
+        f"(got, want)={t_tails}",
+    )
+    chi2_tails = [(_chi2_tail(2, x), math.exp(-x / 2)) for x in (0.5, 3.0, 40.0)]
+    check(
+        "chi-square(2) tail is exp(-x/2)",
+        all(abs(got - want) <= 1e-13 * want for got, want in chi2_tails),
+        f"(got, want)={chi2_tails}",
+    )
 
     msg = Message(
         id="s1",

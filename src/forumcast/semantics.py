@@ -14,6 +14,7 @@ Windows with nothing to score yield ``None`` (missing), never zero.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -101,7 +102,37 @@ def emotionality(scores: Sequence[SentimentScore]) -> float | None:
         return None
     if len(scores) == 1:
         return 0.0
-    return statistics.pstdev(s.value for s in scores)
+    return _pstdev([s.value for s in scores])
+
+
+def _pstdev(values: Sequence[float]) -> float:
+    """``statistics.pstdev`` of finite floats, as Python 3.11 computes it:
+    the exact population variance, then its correctly rounded square root.
+
+    Every finite float is an integer over a power of two, so over their
+    largest denominator 2**e the values are integers x_i, and the variance
+    is (n sum x_i^2 - (sum x_i)^2) / (n 2**e)^2, exactly, in integers.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max(den for _, den in ratios).bit_length() - 1
+    scaled = [num << (shift - den.bit_length() + 1) for num, den in ratios]
+    total = sum(scaled)
+    n = len(scaled)
+    return _sqrt_of_fraction(n * sum(x * x for x in scaled) - total * total, (n << shift) ** 2)
+
+
+def _sqrt_of_fraction(num: int, den: int) -> float:
+    """sqrt(num / den) for 0 <= num / den < 2**108, correctly rounded.
+
+    The integer square root of num * 4**k / den, with k large enough to
+    give it two bits beyond a float's 53, is rounded to odd; rounding that
+    once more to the nearest float has no double-rounding error (Boldo &
+    Melquiond, "When double rounding is odd", 2005).
+    """
+    k = (den.bit_length() - num.bit_length() + 110) // 2
+    scaled = num << 2 * k
+    root = math.isqrt(scaled // den)
+    return (root | (root * root * den != scaled)) / (1 << k)
 
 
 def complexity(streams: Iterable[Sequence[str]], vocab: Vocabulary) -> float | None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from forumcast.centrality import (
     BETWEENNESS,
     DEGREE,
     _batched_betweenness,
+    _successor_sums,
     approx_betweenness,
     betweenness_centrality,
     centralization,
@@ -48,6 +50,31 @@ def kernel_jobs(draw):
     g = random_digraph(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n, p)
     sources = sorted(draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True)))
     return g, sources, n / len(sources)
+
+
+@st.composite
+def backward_steps(draw):
+    """A digraph in which node v00 has at least 8 successors and the last
+    node none, a coefficient array over it with some zero cells and values
+    of mixed magnitude, and the flat indices of one backward step's cells."""
+    n = draw(st.integers(min_value=10, max_value=40))
+    width = draw(st.integers(min_value=1, max_value=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    nodes = [f"v{i:02d}" for i in range(n)]
+    arcs = {(nodes[0], nodes[k]): 1 for k in rng.sample(range(1, n), 8)}
+    for a in nodes[:-1]:
+        for b in nodes:
+            if a != b and rng.random() < 0.3:
+                arcs[(a, b)] = 1
+    g = DirectedWeightedGraph(arcs, nodes=nodes)
+    coef = np.array([
+        [rng.random() * 2.0 ** rng.randint(-30, 30) if rng.random() < 0.8 else 0.0
+         for _ in range(width)]
+        for _ in range(n)
+    ])
+    on_level = np.array([[rng.random() < 0.5 for _ in range(width)] for _ in range(n)])
+    on_level[[0, -1], :] = True
+    return g, np.flatnonzero(on_level), coef
 
 
 def layered_dag(layers: int) -> DirectedWeightedGraph:
@@ -149,6 +176,20 @@ class TestKernels:
             assert abs(expected[v] - batched[v]) <= 1e-12 * abs(expected[v])
         # three sources per batch: several batches, same summation order
         assert _batched_betweenness(g, sources, scale, batch_cells=3 * g.n) == batched
+
+    @settings(max_examples=80, deadline=None)
+    @given(backward_steps())
+    def test_successor_sums_match_csr_product(self, step):
+        # The backward step must sum in the CSR product's order, bit for bit.
+        from scipy.sparse import csr_matrix
+
+        g, cells, coef = step
+        succ = csr_matrix((np.ones(g.m), g.indices, g.indptr), shape=(g.n, g.n))
+        expected = np.zeros(coef.size)
+        expected[cells] = (succ @ coef).ravel()[cells]
+        got = _successor_sums(g, cells, coef)
+        assert got.shape == coef.shape
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n,p", [(200, 0.02), (300, 0.01)])
     def test_batched_matches_networkx(self, n, p):

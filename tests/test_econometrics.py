@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from forumcast.econometrics import (
     write_regression_terms_csv,
     write_summary_md,
 )
+from forumcast.econometrics import _chi2_tail, _t_tail
 from forumcast.errors import (
     AnalysisError,
     DataError,
@@ -304,24 +306,105 @@ class TestOls:
         assert fit.params == pytest.approx(beta, rel=1e-9)
 
 
+def _mp_t_tail(df: int, t: float):
+    """P(T > t) at 40 digits: I_x(df/2, 1/2) / 2 with x = df / (df + t^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        df, t = mpmath.mpf(df), mpmath.mpf(t)
+        return mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True) / 2
+
+
+def _mp_chi2_tail(df: int, x: float):
+    """P(X > x) for chi-square(df) at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, regularized=True)
+
+
+def _assert_close(got: float, want, rel: float) -> None:
+    # A reference below the smallest normal float may underflow to 0.0 or
+    # to a subnormal, whose relative precision is lost.
+    if want < sys.float_info.min:
+        assert got <= sys.float_info.min
+    else:
+        assert abs(got - want) <= rel * want, (got, want)
+
+
+# P(T > x) and P(X > x) as _mp_t_tail and _mp_chi2_tail give them (mpmath
+# 1.3.0), kept here so that these cases run where mpmath is not installed.
+T_TAIL_REFERENCE = {
+    (1, 0.7): 0.30559988778578522,
+    (1, 40.0): 0.0079560899120258133183,
+    (7, 0.7): 0.25325877609779990085,
+    (7, 40.0): 7.9510899924251852343e-10,
+    (90, 0.7): 0.24286640520238133449,
+    (90, 40.0): 2.0903157918353797507e-59,
+}
+CHI2_TAIL_REFERENCE = {
+    (1, 0.7): 0.40278369424647569665,
+    (1, 40.0): 2.5396285894708649707e-10,
+    (3, 0.7): 0.87320394906395413235,
+    (3, 40.0): 1.0655090334255860815e-8,
+    (12, 0.7): 0.99999810677504869667,
+    (12, 40.0): 0.000071908840528428925983,
+}
+T_TAIL_DFS = [*range(1, 41), 58, 90, 92, 200, 500, 1035, 1038]
+T_TAIL_TS = [1e-8, 1e-4, 0.01, 0.1, *(k / 2 for k in range(1, 121))]
+
+
 class TestPValues:
-    """Tail probabilities come from scipy.special; they must equal the
-    scipy.stats distributions they replace, edge values included."""
+    """The two tail probabilities are computed with ``math`` alone. They
+    must match 40-digit references (1e-11 relative at the fixed points,
+    1e-12 over the grids), the closed forms, and the edge values exactly."""
 
     @pytest.mark.parametrize("x", [0.0, math.inf, -math.inf, math.nan, 0.7, 40.0])
     @pytest.mark.parametrize("df", [1, 7, 90])
     def test_t_tail(self, x, df):
-        from scipy import special, stats
-
-        np.testing.assert_array_equal(special.stdtr(df, -x), stats.t.sf(x, df))
+        got = _t_tail(df, -x)
+        if x == 0.0:
+            assert got == 0.5
+        elif math.isinf(x):
+            assert got == 0.0
+        elif math.isnan(x):
+            assert math.isnan(got)
+        else:
+            _assert_close(got, T_TAIL_REFERENCE[df, x], 1e-11)
+            assert _t_tail(df, x) == got
 
     # The Granger statistic is clamped at zero, so -inf is outside its domain.
     @pytest.mark.parametrize("x", [0.0, math.inf, math.nan, 0.7, 40.0])
     @pytest.mark.parametrize("df", [1, 3, 12])
     def test_chi2_tail(self, x, df):
-        from scipy import special, stats
+        got = _chi2_tail(df, x)
+        if x == 0.0:
+            assert got == 1.0
+        elif math.isinf(x):
+            assert got == 0.0
+        elif math.isnan(x):
+            assert math.isnan(got)
+        else:
+            _assert_close(got, CHI2_TAIL_REFERENCE[df, x], 1e-11)
 
-        np.testing.assert_array_equal(special.chdtrc(df, x), stats.chi2.sf(x, df))
+    @pytest.mark.parametrize("df", T_TAIL_DFS)
+    def test_t_tail_matches_mpmath(self, df):
+        for t in T_TAIL_TS:
+            _assert_close(_t_tail(df, t), _mp_t_tail(df, t), 1e-12)
+
+    @pytest.mark.parametrize("df", range(1, 13))
+    def test_chi2_tail_matches_mpmath(self, df):
+        for x in (1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 700.0, 1400.0):
+            _assert_close(_chi2_tail(df, x), _mp_chi2_tail(df, x), 1e-12)
+
+    def test_closed_forms(self):
+        for t in (1e-8, 1e-3, 0.3, 1.0, 2.5, 7.0, 60.0, 1e6):
+            # 1/2 - atan(t)/pi, written as atan(1/t)/pi to keep its digits in
+            # the far tail.
+            assert _t_tail(1, t) == pytest.approx(math.atan2(1.0, t) / math.pi, rel=1e-13)
+        for x in (1e-8, 0.3, 1.0, 2.5, 7.0, 60.0, 700.0):
+            assert _chi2_tail(2, x) == math.exp(-x / 2)
+
+    def test_negative_chi2_is_nan(self):
+        assert math.isnan(_chi2_tail(2, -1.0))
 
     def test_reported_p_values_match_scipy_stats(self):
         from scipy import stats
@@ -332,11 +415,13 @@ class TestPValues:
         y = Series("y", 0.3 * x.values + rng.normal(size=n))
         corr = pearson(x, y)
         t = corr.r * math.sqrt((n - 2) / (1.0 - corr.r ** 2))
-        assert corr.p == 2.0 * stats.t.sf(abs(t), n - 2)
+        assert corr.p == pytest.approx(2.0 * stats.t.sf(abs(t), n - 2), rel=1e-11)
         fit = ols(y, [x])
-        assert np.array_equal(fit.pvalues, 2.0 * stats.t.sf(np.abs(fit.tvalues), fit.df_resid))
+        assert fit.pvalues == pytest.approx(
+            2.0 * stats.t.sf(np.abs(fit.tvalues), fit.df_resid), rel=1e-11
+        )
         granger = granger_test(y, x, 2)
-        assert granger.p == stats.chi2.sf(granger.chi2, 2)
+        assert granger.p == pytest.approx(stats.chi2.sf(granger.chi2, 2), rel=1e-11)
 
 
 class TestGranger:

@@ -709,8 +709,9 @@ class TestCli:
         assert "analysis error" in capsys.readouterr().err
 
     def test_import_leaves_out_scipy_stats(self, config, tmp_path):
-        # scipy.stats costs about a second of start-up; p-values use scipy.special.
-        # Commands that do no numeric work load neither NumPy nor SciPy.
+        # scipy.stats costs about a second of start-up. Commands that do no
+        # numeric work load neither NumPy nor SciPy, and a run whose graphs
+        # all fit the dense sweep loads NumPy but no SciPy module at all.
         bad = tmp_path / "bad.yaml"
         bad.write_text("mesages_path: typo.jsonl\n")
         code = textwrap.dedent("""
@@ -727,6 +728,8 @@ class TestCli:
             seen.append(("ingest-check", exit_code, numeric(), "scipy.stats" in sys.modules))
             exit_code = main(["run", "-c", sys.argv[2]])
             seen.append(("config error", exit_code, numeric(), "scipy.stats" in sys.modules))
+            exit_code = main(["run", "-c", sys.argv[1]])
+            seen.append(("run", exit_code, numeric(), "scipy.stats" in sys.modules))
             print(json.dumps(seen))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -740,6 +743,7 @@ class TestCli:
             ["dry run", 0, [], False],
             ["ingest-check", 0, [], False],
             ["config error", 1, [], False],
+            ["run", 0, ["numpy"], False],
         ]
 
     def test_selftest_command(self, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 
 import pytest
 from hypothesis import given
@@ -98,6 +99,23 @@ class TestWindowAggregates:
         mean_sq = statistics.fmean(s.value * s.value for s in scores)
         assert emo is not None and mean is not None
         assert emo * emo + mean * mean == pytest.approx(mean_sq, rel=1e-12, abs=1e-12)
+
+    # Python 3.10's pstdev rounds twice: a float square root of a rounded
+    # variance. From 3.11 on it rounds the exact root once, as emotionality does.
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="pstdev rounds twice before 3.11")
+    @given(st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.7, 1.0]),
+            st.floats(min_value=0.0, max_value=1e-300),
+        ),
+        min_size=1,
+        max_size=30,
+    ))
+    def test_emotionality_is_pstdev_bitwise(self, values):
+        emo = emotionality([SentimentScore(v) for v in values])
+        assert emo == statistics.pstdev(values)
+        assert math.copysign(1.0, emo) == 1.0
 
     @given(scores_strategy, st.randoms(use_true_random=False))
     def test_permutation_invariance(self, scores, rnd):
