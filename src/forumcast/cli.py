@@ -8,7 +8,7 @@ Subcommands:
     selftest       run built-in fixture checks
 
 Flags override the corresponding config-file fields. Exit codes: 0 success,
-1 config error, 2 data error, 3 analysis error.
+1 config error, 2 data error, 3 analysis error, 4 a window worker died.
 
 The config is loaded and checked before the pipeline is imported, so
 ``--help``, ``--version``, ``run --dry-run``, ``ingest-check`` and a config
@@ -24,7 +24,7 @@ import sys
 from . import __version__
 from .config import PipelineConfig, load_config, validate, validate_paths
 from .corpus import ingest_check
-from .errors import AnalysisError, ConfigError, DataError, ForumcastError
+from .errors import AnalysisError, ConfigError, DataError, ForumcastError, WorkerError
 
 _OVERRIDE_FLAGS = (
     ("output_dir", "--output-dir", str, "directory for all outputs"),
@@ -137,6 +137,9 @@ def main(argv: list[str] | None = None) -> int:
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 3
+    except WorkerError as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
+        return 4
     except ForumcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

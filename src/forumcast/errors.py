@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-AnalysisError -> 3.
+AnalysisError -> 3, WorkerError -> 4.
 """
 
 
@@ -35,3 +35,7 @@ class RankDeficiencyError(AnalysisError):
 
 class UndefinedCorrelationError(AnalysisError):
     """Correlation undefined because one series has zero variance."""
+
+
+class WorkerError(ForumcastError):
+    """A window worker process died before it returned its window."""

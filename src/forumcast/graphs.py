@@ -41,7 +41,8 @@ class DirectedWeightedGraph:
     """
 
     __slots__ = (
-        "_nodes", "_indptr", "_indices", "_weights", "_self_loop_events", "_total_weight",
+        "_nodes", "_indptr", "_indices", "_sources", "_weights", "_self_loop_events",
+        "_total_weight",
     )
 
     def __init__(
@@ -99,6 +100,7 @@ class DirectedWeightedGraph:
         # int32: scipy.sparse's native index width, so a matrix built over
         # these arrays shares them.
         self._indices = _frozen(targets.astype(np.int32))
+        self._sources = _frozen(sources.astype(np.int32))
         self._weights = _frozen(np.array(weights, dtype=np.int64))
         self._self_loop_events = self_loop_events
         self._total_weight = int(self._weights.sum())
@@ -140,7 +142,7 @@ class DirectedWeightedGraph:
 
     def arc_sources(self) -> np.ndarray:
         """Source id of each arc, parallel to ``indices``."""
-        return np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self._indptr))
+        return self._sources
 
     @property
     def arcs(self) -> Mapping[tuple[str, str], int]:

@@ -13,9 +13,10 @@ Stage outputs land in ``config.output_dir``:
     manifest.json                   config hash, input checksums, tool version
 
 Everything is deterministic for a fixed config: reruns are byte-identical.
-Windows can be processed by a worker pool; each window's edge rows are
-rendered where the window is computed, and the results are appended in window
-order, so the worker count never changes the output. Every file appears only
+Windows can be processed by a worker pool, started before the corpus loads;
+each window's edge rows are rendered where the window is computed, and the
+results are appended in window order, so the worker count never changes the
+output. Every file appears only
 once it is complete.
 """
 
@@ -30,7 +31,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Iterator, Mapping, Sequence
 
 from . import __version__
 from .centrality import (
@@ -64,7 +65,7 @@ from .econometrics import (
     write_regression_terms_csv,
     write_summary_md,
 )
-from .errors import ConfigError, DataError, ForumcastError
+from .errors import ConfigError, DataError, ForumcastError, WorkerError
 from .graphs import (
     EDGE_TABLE_COLUMNS,
     activity,
@@ -152,42 +153,59 @@ DIAGNOSTIC_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class _WindowResult:
-    """What one window sends back: its feature row, its diagnostics.csv row
-    and, when graphs are exported, the rendered rows of its
-    (interaction, words) edge tables."""
+    """What one window's graph work sends back: the feature cells it
+    computes (the ``WindowFeatures`` fields from ``activity`` to
+    ``focal_present``, in that order), its diagnostics.csv row and, when
+    graphs are exported, the rendered rows of its (interaction, words) edge
+    tables."""
 
-    features: WindowFeatures
+    graph_features: tuple
     diagnostics: tuple[int, ...]
     edge_rows: tuple[list[bytes], list[bytes]] | None
 
 
 @dataclass(frozen=True)
 class _WindowTask:
-    """Everything one worker needs to process one window: its messages,
-    their filtered token streams in the same order, and the window's
-    sentiment and emotionality, scored while the messages were tokenized."""
+    """One window: its messages, their filtered token streams in the same
+    order, a map from message id to author that covers every parent its
+    replies point to, the focal token, and the window's sentiment and
+    emotionality, scored while the messages were tokenized.
+
+    In the main process every task shares the corpus-wide ``author_by_id``.
+    A task sent to a worker pickles its messages without their bodies, which
+    workers never read, and only the authors of the parents that this
+    window's replies point to, so its size follows the window, not the
+    corpus.
+    """
 
     index: int
     messages: tuple[Message, ...]
     streams: tuple[list[str], ...]
+    author_by_id: Mapping[str, str]
+    focal_token: str
     sentiment: float | None
     emotionality: float | None
 
+    def __reduce__(self):
+        authors = self.author_by_id
+        parents = {
+            m.parent_id: authors[m.parent_id] for m in self.messages if m.parent_id in authors
+        }
+        messages = tuple(
+            Message(m.id, m.author_id, m.timestamp, "", m.parent_id) for m in self.messages
+        )
+        return _WindowTask, (
+            self.index, messages, self.streams, parents, self.focal_token,
+            self.sentiment, self.emotionality,
+        )
 
-@dataclass
-class _SharedState:
-    config: PipelineConfig
-    author_by_id: Mapping[str, str]
-    vocab: Vocabulary
-    focal_token: str
+
+_worker_config: PipelineConfig | None = None
 
 
-_worker_state: _SharedState | None = None
-
-
-def _init_worker(state: _SharedState) -> None:
-    global _worker_state
-    _worker_state = state
+def _init_worker(config: PipelineConfig) -> None:
+    global _worker_config
+    _worker_config = config
 
 
 def _filter_stream(tokens: list[str], config: PipelineConfig, stop: StopwordList,
@@ -222,14 +240,13 @@ def _naming_window(index: int):
         raise type(exc)(f"window {index}: {exc}") from exc
 
 
-def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
-    config = state.config
+def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
     index = task.index
     messages = task.messages
     streams = task.streams
     with _naming_window(index):
         word_graph = build_word_network(streams, config.window_size)
-        interaction, tallies = build_interaction_network(messages, state.author_by_id)
+        interaction, tallies = build_interaction_network(messages, task.author_by_id)
 
         if interaction.n >= 3:
             group_degree = centralization(degree_centrality(interaction)).value
@@ -240,7 +257,7 @@ def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
 
         # The word graph yields one number per metric, the focal word's, so
         # it gets the single-node kernels rather than whole vectors.
-        focal = state.focal_token
+        focal = task.focal_token
         n = word_graph.n
         try:
             word_graph.node_id(focal)
@@ -261,18 +278,14 @@ def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
             focal_degree = 0.0
             focal_betweenness = 0.0
 
-        features = WindowFeatures(
-            week=index,
-            activity=activity(messages),
-            activity_words=activity_words(word_graph),
-            group_degree=group_degree,
-            group_betweenness=group_betweenness,
-            focal_degree=focal_degree,
-            focal_betweenness=focal_betweenness,
-            focal_present=present,
-            sentiment=task.sentiment,
-            emotionality=task.emotionality,
-            complexity=complexity(streams, state.vocab),
+        graph_features = (
+            activity(messages),
+            activity_words(word_graph),
+            group_degree,
+            group_betweenness,
+            focal_degree,
+            focal_betweenness,
+            present,
         )
         diagnostics = (
             index,
@@ -291,12 +304,27 @@ def _compute_window(task: _WindowTask, state: _SharedState) -> _WindowResult:
         edge_rows = (
             _export_graphs(index, interaction, word_graph) if config.export_graphs else None
         )
-        return _WindowResult(features, diagnostics, edge_rows)
+        return _WindowResult(graph_features, diagnostics, edge_rows)
 
 
 def _compute_window_in_worker(task: _WindowTask) -> _WindowResult:
-    assert _worker_state is not None
-    return _compute_window(task, _worker_state)
+    assert _worker_config is not None
+    return _compute_window(task, _worker_config)
+
+
+def _computed_in_workers(pool, tasks: list[_WindowTask]) -> Iterator[_WindowResult]:
+    """The windows' results from ``pool``, in window order. A worker that
+    dies (killed, or out of memory) breaks the pool; that ends the run in a
+    WorkerError."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        # chunksize=1: a worker sends a chunk's results in one piece, so the
+        # parent holds every window of it at once; 4-window chunks raised
+        # peak RSS by 5-7 MB on the forum_sampled workload.
+        yield from pool.map(_compute_window_in_worker, tasks, chunksize=1)
+    except BrokenProcessPool as exc:
+        raise WorkerError(f"a window worker ended abruptly: {exc}") from exc
 
 
 def _export_graphs(index: int, interaction, word_graph) -> tuple[list[bytes], list[bytes]]:
@@ -334,11 +362,14 @@ def _edge_tables(output_dir: str, stack: contextlib.ExitStack) -> tuple[BinaryIO
     return tuple(tables)
 
 
-def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, list[_WindowTask], list]:
+def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary, list]:
+    """Load and tokenize the corpus: one task per window, the vocabulary
+    and the rejected rows."""
     stop = load_stopwords(config.language, config.stopwords_path)
     dictionary = (
         frozenset(load_wordlist(config.dictionary_path)) if config.dictionary_path else None
     )
+    focal_token = normalize_focal_word(config, stop, dictionary)
     scorer: SentimentScorer
     if config.precomputed_sentiment_path:
         scorer = PrecomputedScorer(load_precomputed(config.precomputed_sentiment_path))
@@ -352,6 +383,7 @@ def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, list[_Wind
     )
     if corpus.dropped:
         logger.info("%d messages fall outside the horizon", len(corpus.dropped))
+    author_by_id = {m.id: m.author_id for m in messages}
 
     # The one text pass: each in-horizon message is tokenized here; its
     # sentiment is scored from those tokens, and its filtered stream rides
@@ -370,15 +402,11 @@ def _load_shared_state(config: PipelineConfig) -> tuple[_SharedState, list[_Wind
                     list(map(sys.intern, _filter_stream(tokens, config, stop, dictionary)))
                 )
         tasks.append(_WindowTask(
-            i, tuple(window), tuple(streams), window_sentiment(scores), emotionality(scores)
+            i, tuple(window), tuple(streams), author_by_id, focal_token,
+            window_sentiment(scores), emotionality(scores),
         ))
-    state = _SharedState(
-        config=config,
-        author_by_id={m.id: m.author_id for m in messages},
-        vocab=build_vocabulary(stream for task in tasks for stream in task.streams),
-        focal_token=normalize_focal_word(config, stop, dictionary),
-    )
-    return state, tasks, rejections
+    vocab = build_vocabulary(stream for task in tasks for stream in task.streams)
+    return tasks, vocab, rejections
 
 
 def write_features_csv(rows: Sequence[WindowFeatures], path: str) -> None:
@@ -432,28 +460,40 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     validate_paths(config)
     os.makedirs(config.output_dir, exist_ok=True)
 
-    state, tasks, rejections = _load_shared_state(config)
-    write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
-
-    _remove_stale_exports(config.output_dir)
     rows: list[WindowFeatures] = []
     diagnostics: list[tuple[int, ...]] = []
     with contextlib.ExitStack() as stack:
-        tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_init_worker, initargs=(state,)
+                max_workers=config.workers, initializer=_init_worker, initargs=(config,)
             ))
-            # chunksize=1: a worker sends a chunk's results in one piece, so
-            # the parent holds every window of it at once; 4-window chunks
-            # raised peak RSS by 5-7 MB on the forum_sampled workload.
-            results = pool.map(_compute_window_in_worker, tasks, chunksize=1)
+            # The pool forks its workers on its first submit. Submit a no-op
+            # now, before the corpus loads, so that each worker starts as a
+            # copy of this small process and then holds only the windows it
+            # is sent; forked after the load, every worker began with a copy
+            # of the whole corpus.
+            pool.submit(int)
+        tasks, vocab, rejections = _load_windows(config)
+        write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
+
+        _remove_stale_exports(config.output_dir)
+        tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
+        if config.workers > 1:
+            results = _computed_in_workers(pool, tasks)
         else:
-            results = (_compute_window(task, state) for task in tasks)
-        for result in results:
-            rows.append(result.features)
+            results = (_compute_window(task, config) for task in tasks)
+        # Complexity reads the corpus-wide vocabulary, so it is scored here,
+        # in the main process, while the workers build the graphs. The
+        # results are not zipped with the tasks: zip would hold each
+        # window's edge rows until the next window's arrive.
+        for task in tasks:
+            result = next(results)
+            rows.append(WindowFeatures(
+                task.index, *result.graph_features, task.sentiment, task.emotionality,
+                complexity(task.streams, vocab),
+            ))
             diagnostics.append(result.diagnostics)
             for i, table in enumerate(tables):
                 table.writelines(result.edge_rows[i])

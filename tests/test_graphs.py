@@ -83,6 +83,16 @@ class TestGraphType:
         g = DirectedWeightedGraph(arcs, nodes=isolated)
         assert list(g.arcs) == sorted(arcs)
 
+    @given(arc_maps())
+    def test_arc_sources_computed_once_and_frozen(self, drawn):
+        arcs, isolated = drawn
+        g = DirectedWeightedGraph(arcs, nodes=isolated)
+        sources = g.arc_sources()
+        assert sources is g.arc_sources()
+        assert sources.dtype == np.int32
+        assert not sources.flags.writeable
+        np.testing.assert_array_equal(sources, np.repeat(np.arange(g.n), np.diff(g.indptr)))
+
     def test_unknown_node_is_key_error(self):
         g = DirectedWeightedGraph({("a", "c"): 1})
         for node in ("b", "", "d"):

@@ -12,13 +12,16 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from conftest import make_message
 
 from forumcast import pipeline
 from forumcast.cli import main
@@ -272,7 +275,9 @@ class TestGraphExports:
         run_features(config)
         assert self._exports(config) == []
 
-    def test_failed_window_leaves_no_table_or_temp_file(self, config, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_window_leaves_no_table_or_temp_file(self, config, monkeypatch, workers):
+        config.workers = workers
         run_features(config)
         assert self._exports(config) == ["interaction_edges.csv", "words_edges.csv"]
         export = pipeline._export_graphs
@@ -486,7 +491,9 @@ class TestFailureHandling:
         with pytest.raises(ConfigError, match="exactly one token"):
             run_features(config)
 
-    def test_window_errors_name_the_window(self, config, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_window_errors_name_the_window(self, config, tmp_path, workers):
+        config.workers = workers
         scores = tmp_path / "scores.csv"
         scores.write_text(
             "message_id,score\nm1,0.9\nm2,0.1\nm3,0.9\nm4,0.5\n"
@@ -495,6 +502,116 @@ class TestFailureHandling:
         config.precomputed_sentiment_path = str(scores)
         with pytest.raises(MissingScoreError, match="window 2.*m5"):
             run_features(config)
+
+
+class TestWorkerPool:
+    """At ``workers`` > 1 the pool forks before the corpus loads, each window
+    is sent with only what it reads, and a failure with a live pool keeps the
+    error contract of a one-process run."""
+
+    def test_workers_start_before_the_corpus_loads(self, config, monkeypatch):
+        children_at_load = []
+        load = pipeline.load_messages
+
+        def recording(*args, **kwargs):
+            children_at_load.append(len(multiprocessing.active_children()))
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_messages", recording)
+        config.workers = 2
+        run_features(config)
+        assert children_at_load == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_state_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        state_sizes = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        class Recording(pool_class):
+            def __init__(self, *args, initargs=(), **kwargs):
+                state_sizes.append(len(pickle.dumps(initargs)))
+                super().__init__(*args, initargs=initargs, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        for weeks in (12, 94):
+            # equal-length paths, so the configs pickle to the same size
+            paths = generate_demo(str(tmp_path / f"demo{weeks:03d}"), seed=7, weeks=weeks)
+            config = load_config(paths["config"])
+            config.output_dir = str(tmp_path / f"out{weeks:03d}")
+            config.workers = 2
+            config.export_graphs = False
+            assert len(run_features(config)) == weeks
+        assert len(state_sizes) == 2
+        assert state_sizes[0] == state_sizes[1]
+
+    def test_task_pickles_only_what_the_window_reads(self):
+        messages = [
+            make_message("p1", "alice", body="far away " * 50),
+            make_message("r1", "bob", parent="p1"),
+            make_message("r2", "carol", parent="ghost"),
+        ]
+        authors = {m.id: m.author_id for m in messages}
+        authors.update({f"x{i}": "zed" for i in range(100)})
+        task = pipeline._WindowTask(3, tuple(messages[1:]), ([], []), authors, "acme", 0.5, None)
+        sent = pickle.loads(pickle.dumps(task))
+        assert sent.author_by_id == {"p1": "alice"}
+        assert [m.body for m in sent.messages] == ["", ""]
+        assert [(m.id, m.author_id, m.parent_id) for m in sent.messages] == [
+            ("r1", "bob", "p1"), ("r2", "carol", "ghost"),
+        ]
+        assert (sent.index, sent.streams, sent.focal_token) == (3, ([], []), "acme")
+        assert (sent.sentiment, sent.emotionality) == (0.5, None)
+
+    def test_dead_worker_is_a_typed_error(self, config, tmp_path, capfd, monkeypatch):
+        compute = pipeline._compute_window
+
+        def dying(task, window_config):
+            if task.index == 1:
+                os._exit(1)
+            return compute(task, window_config)
+
+        monkeypatch.setattr(pipeline, "_compute_window", dying)
+        config.workers = 2
+        path = tmp_path / "config.yaml"
+        save_config(config, str(path))
+        code = main(["run", "-c", str(path)])
+        assert code == 4
+        err = capfd.readouterr().err
+        assert "worker error:" in err
+        assert "Traceback" not in err
+        with open(os.path.join(config.output_dir, "errors.json")) as handle:
+            record = json.load(handle)
+        assert record["stage"] == "features"
+        assert record["type"] == "WorkerError"
+        graphs_dir = os.path.join(config.output_dir, "graphs")
+        assert os.listdir(graphs_dir) == []
+        assert not os.path.exists(os.path.join(config.output_dir, "features.csv"))
+        assert multiprocessing.active_children() == []
+
+    def test_data_error_while_loading_leaves_no_worker(self, config, tmp_path, capsys,
+                                                       monkeypatch):
+        children_at_load = []
+        load = pipeline.load_messages
+
+        def recording(*args, **kwargs):
+            children_at_load.append(len(multiprocessing.active_children()))
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_messages", recording)
+        with open(config.messages_path, "ab") as handle:
+            handle.write(b"caf\xe9\n")
+        config.workers = 2
+        path = tmp_path / "config.yaml"
+        save_config(config, str(path))
+        code = main(["run", "-c", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "data error: cannot read" in err
+        assert "Traceback" not in err
+        assert children_at_load == [2]
+        assert multiprocessing.active_children() == []
 
 
 class TestPrecomputedBackend:
