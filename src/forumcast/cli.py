@@ -8,7 +8,8 @@ Subcommands:
     selftest       run built-in fixture checks
 
 Flags override the corresponding config-file fields. Exit codes: 0 success,
-1 config error, 2 data error, 3 analysis error, 4 a window worker died.
+1 config error, 2 data error, 3 analysis error, 4 a window worker died,
+5 an output could not be written.
 
 The config is loaded and checked before the pipeline is imported, so
 ``--help``, ``--version``, ``run --dry-run``, ``ingest-check`` and a config
@@ -24,7 +25,14 @@ import sys
 from . import __version__
 from .config import PipelineConfig, load_config, validate, validate_paths
 from .corpus import ingest_check
-from .errors import AnalysisError, ConfigError, DataError, ForumcastError, WorkerError
+from .errors import (
+    AnalysisError,
+    ConfigError,
+    DataError,
+    ForumcastError,
+    OutputError,
+    WorkerError,
+)
 
 _OVERRIDE_FLAGS = (
     ("output_dir", "--output-dir", str, "directory for all outputs"),
@@ -140,6 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return 4
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
     except ForumcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-AnalysisError -> 3, WorkerError -> 4.
+AnalysisError -> 3, WorkerError -> 4, OutputError -> 5.
 """
 
 
@@ -39,3 +39,8 @@ class UndefinedCorrelationError(AnalysisError):
 
 class WorkerError(ForumcastError):
     """A window worker process died before it returned its window."""
+
+
+class OutputError(ForumcastError):
+    """An output file or directory could not be written (a full disk, or an
+    unwritable or read-only directory)."""

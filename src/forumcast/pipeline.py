@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import json
 import logging
 import os
@@ -65,7 +64,7 @@ from .econometrics import (
     write_regression_terms_csv,
     write_summary_md,
 )
-from .errors import ConfigError, DataError, ForumcastError, WorkerError
+from .errors import ConfigError, DataError, ForumcastError, OutputError, WorkerError
 from .graphs import (
     EDGE_TABLE_COLUMNS,
     activity,
@@ -84,7 +83,7 @@ from .semantics import (
     score_message,
     window_sentiment,
 )
-from .tables import format_cell, open_input, replacing, write_csv, write_json
+from .tables import format_cell, open_input, replacing, sha256, write_csv, write_json, writing
 from .textproc import (
     StopwordList,
     Vocabulary,
@@ -335,11 +334,16 @@ def _export_graphs(index: int, interaction, word_graph) -> tuple[list[bytes], li
     )
 
 
+def _make_dir(path: str) -> None:
+    with writing(path):
+        os.makedirs(path, exist_ok=True)
+
+
 def _remove_stale_exports(output_dir: str) -> None:
     """Delete the graph exports of an earlier run, and nothing else, so a
     rerun with fewer weeks or without exports leaves none behind."""
     graphs_dir = os.path.join(output_dir, "graphs")
-    with contextlib.suppress(FileNotFoundError):
+    with writing(graphs_dir), contextlib.suppress(FileNotFoundError):
         for name in os.listdir(graphs_dir):
             if _EXPORT_NAME.fullmatch(name):
                 os.remove(os.path.join(graphs_dir, name))
@@ -350,7 +354,7 @@ def _edge_tables(output_dir: str, stack: contextlib.ExitStack) -> tuple[BinaryIO
     file when ``stack`` closes cleanly and is removed when it unwinds on an
     error, so a table exists only once its last window is in."""
     graphs_dir = os.path.join(output_dir, "graphs")
-    os.makedirs(graphs_dir, exist_ok=True)
+    _make_dir(graphs_dir)
     header = (",".join(EDGE_TABLE_COLUMNS) + "\r\n").encode("ascii")
     tables = []
     for kind in ("interaction", "words"):
@@ -458,13 +462,20 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     export the edge tables."""
     validate(config)
     validate_paths(config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_dir(config.output_dir)
 
     rows: list[WindowFeatures] = []
     diagnostics: list[tuple[int, ...]] = []
     with contextlib.ExitStack() as stack:
         if config.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
+
+            # Load OpenSSL here, once, for the workers to inherit: a worker
+            # whose graphs need SciPy imports hashlib with it (through
+            # numpy.random, secrets and hmac), and a worker that loads
+            # OpenSSL itself peaks about 3 MB higher. A one-worker run never
+            # needs it; the manifest is hashed with tables.sha256.
+            import hashlib  # noqa: F401
 
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=config.workers, initializer=_init_worker, initargs=(config,)
@@ -509,7 +520,7 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
 
 
 def _sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             digest.update(chunk)
@@ -518,7 +529,7 @@ def _sha256_file(path: str) -> str:
 
 def config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(to_dict(config), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def write_manifest(config: PipelineConfig, features_path: str, path: str) -> None:
@@ -548,7 +559,7 @@ def run_analyze(config: PipelineConfig, features_path: str | None = None):
     """Panel assembly and the full battery from an existing feature table."""
     validate(config)
     validate_output_dir(config)
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_dir(config.output_dir)
     if features_path is None:
         features_path = os.path.join(config.output_dir, "features.csv")
     columns = read_features_csv(features_path)
@@ -574,14 +585,20 @@ def run_all(config: PipelineConfig):
     by an earlier run is removed first, so it never outlives a success."""
     validate_output_dir(config)
     error_path = os.path.join(config.output_dir, "errors.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(error_path)
     stage = "features"
     try:
+        with writing(error_path), contextlib.suppress(FileNotFoundError):
+            os.remove(error_path)
         run_features(config)
         stage = "analyze"
         return run_analyze(config)
     except ForumcastError as exc:
-        os.makedirs(config.output_dir, exist_ok=True)
-        write_json(error_path, {"stage": stage, "type": type(exc).__name__, "error": str(exc)})
+        # Best effort: when the outputs cannot be written, errors.json may
+        # not be writable either, and the error that stopped the run is the
+        # one to report.
+        with contextlib.suppress(OutputError):
+            _make_dir(config.output_dir)
+            write_json(
+                error_path, {"stage": stage, "type": type(exc).__name__, "error": str(exc)}
+            )
         raise

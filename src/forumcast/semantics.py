@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -93,7 +92,10 @@ def window_sentiment(scores: Sequence[SentimentScore]) -> float | None:
     """Mean message score for the window; None when nothing was scored."""
     if not scores:
         return None
-    return statistics.fmean(s.value for s in scores)
+    # statistics.fmean computes exactly this; importing statistics would
+    # load fractions and decimal with it.
+    values = [s.value for s in scores]
+    return math.fsum(values) / len(values)
 
 
 def emotionality(scores: Sequence[SentimentScore]) -> float | None:

@@ -6,7 +6,11 @@ missing values (None, NaN) become empty cells. Writers take cells as given,
 so callers format only the cells that need it. Every output goes through
 ``replacing``: it is written to a temp file and moved over its target only
 when complete, so a crash never leaves a cut-off file that a later stage
-would read.
+would read. A failure to write an output (a full disk, an unwritable
+directory) is an OutputError naming the path.
+
+``sha256`` is CPython's built-in SHA-256 constructor. ``hashlib`` would load
+OpenSSL for it, about 3.4 MB resident, to hash the few files of a manifest.
 """
 
 from __future__ import annotations
@@ -18,7 +22,15 @@ import math
 import os
 from typing import IO, Any, Iterable, Iterator, Sequence, TextIO
 
-from .errors import DataError
+from .errors import DataError, OutputError
+
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:  # an interpreter built without its own hashes
+        from hashlib import sha256
 
 
 def format_cell(value: Any) -> str:
@@ -35,22 +47,33 @@ def format_cell(value: Any) -> str:
 
 
 @contextlib.contextmanager
+def writing(path: str) -> Iterator[None]:
+    """Raise an OSError inside the block as an OutputError naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+@contextlib.contextmanager
 def replacing(path: str, mode: str = "w", **open_args: Any) -> Iterator[IO]:
     """Open a temp file next to ``path`` for writing. When the block ends
     normally, the temp file replaces ``path`` in one step; when it raises,
-    the temp file is removed and ``path`` keeps its earlier contents."""
+    the temp file is removed and ``path`` keeps its earlier contents. An
+    OSError inside the block is taken as a failure to write ``path``."""
     directory, name = os.path.split(path)
     # Named after the process, not made by tempfile: a plain open() gives the
     # output the usual umask permissions, where mkstemp would give 0600.
     temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(temp, mode, **open_args) as handle:
-            yield handle
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(temp)
-        raise
+    with writing(path):
+        try:
+            with open(temp, mode, **open_args) as handle:
+                yield handle
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+            raise
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:

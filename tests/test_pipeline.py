@@ -9,6 +9,7 @@ One extra message sits before the horizon and must not leak into anything.
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -25,9 +26,16 @@ from conftest import make_message
 
 from forumcast import pipeline
 from forumcast.cli import main
-from forumcast.config import PipelineConfig, load_config, save_config
+from forumcast.config import PipelineConfig, load_config, save_config, to_dict
 from forumcast.corpus import ingest_check
-from forumcast.errors import ConfigError, DataError, ForumcastError, MissingScoreError
+from forumcast.errors import (
+    ConfigError,
+    DataError,
+    ForumcastError,
+    InsufficientDataError,
+    MissingScoreError,
+    OutputError,
+)
 from forumcast.pipeline import (
     DIAGNOSTIC_CSV_COLUMNS,
     FEATURE_CSV_COLUMNS,
@@ -84,6 +92,10 @@ def config(tmp_path) -> PipelineConfig:
 def read_rows(path) -> list[dict[str, str]]:
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def disk_full(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestFeatureValues:
@@ -424,7 +436,9 @@ class TestAnalyze:
         with open(os.path.join(config.output_dir, "manifest.json")) as handle:
             manifest = json.load(handle)
         assert set(manifest) == {"tool", "version", "config_sha256", "inputs"}
+        canonical = json.dumps(to_dict(config), sort_keys=True).encode("utf-8")
         assert manifest["config_sha256"] == config_hash(config)
+        assert manifest["config_sha256"] == hashlib.sha256(canonical).hexdigest()
         assert config.messages_path in manifest["inputs"]
         for path, digest in manifest["inputs"].items():
             with open(path, "rb") as handle:
@@ -485,6 +499,32 @@ class TestFailureHandling:
         config.messages_path = messages_path
         run_all(config)
         assert not os.path.exists(error_path)
+
+    def test_full_disk_is_an_output_error(self, config, monkeypatch):
+        # errors.json cannot be written either; the error that stopped the
+        # run still comes through, and no temp file is left.
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(OutputError, match="rejections.csv.*No space left on device"):
+            run_all(config)
+        assert os.listdir(config.output_dir) == []
+
+    def test_output_error_is_recorded_in_errors_json(self, config, monkeypatch):
+        replace = os.replace
+
+        def full_at_features(src, dst):
+            if dst.endswith("features.csv"):
+                disk_full()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", full_at_features)
+        with pytest.raises(OutputError):
+            run_all(config)
+        with open(os.path.join(config.output_dir, "errors.json")) as handle:
+            record = json.load(handle)
+        assert record["stage"] == "features"
+        assert record["type"] == "OutputError"
+        assert "features.csv" in record["error"]
+        assert not os.path.exists(os.path.join(config.output_dir, "features.csv"))
 
     def test_focal_word_must_survive_filtering(self, config):
         config.focal_word = "the"
@@ -645,6 +685,38 @@ class TestIngestCheck:
         report = ingest_check(config)
         assert report["rejected_rows"] == 1
         assert report["rejection_reasons"] == ["missing required field 'id'"]
+
+
+def _focal_word_filtered_away(config, monkeypatch):
+    config.focal_word = "the"
+
+
+def _non_utf8_messages(config, monkeypatch):
+    with open(config.messages_path, "ab") as handle:
+        handle.write(b"caf\xe9\n")
+
+
+def _battery_lacks_data(config, monkeypatch):
+    def lacking(panel, battery_config):
+        raise InsufficientDataError("too few weeks")
+
+    monkeypatch.setattr(pipeline, "run_battery", lacking)
+
+
+def _worker_dies(config, monkeypatch):
+    compute = pipeline._compute_window
+
+    def dying(task, window_config):
+        if task.index == 1:
+            os._exit(1)
+        return compute(task, window_config)
+
+    monkeypatch.setattr(pipeline, "_compute_window", dying)
+    config.workers = 2
+
+
+def _disk_full(config, monkeypatch):
+    monkeypatch.setattr(os, "replace", disk_full)
 
 
 class TestCli:
@@ -825,33 +897,64 @@ class TestCli:
         assert code == 3
         assert "analysis error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fail,code,message",
+        [
+            (_focal_word_filtered_away, 1, "config error: focal_word"),
+            (_non_utf8_messages, 2, "data error: cannot read messages"),
+            (_battery_lacks_data, 3, "analysis error: too few weeks"),
+            (_worker_dies, 4, "worker error: a window worker ended abruptly"),
+            (_disk_full, 5, "output error: cannot write"),
+        ],
+        ids=["config", "data", "analysis", "worker", "output"],
+    )
+    def test_exit_code_matrix(self, config, tmp_path, capfd, monkeypatch, fail, code, message):
+        fail(config, monkeypatch)
+        path = self.write_config(config, tmp_path)
+        assert main(["run", "-c", path]) == code
+        err = capfd.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
     def test_import_leaves_out_scipy_stats(self, config, tmp_path):
         # scipy.stats costs about a second of start-up. Commands that do no
         # numeric work load neither NumPy nor SciPy, and a run whose graphs
-        # all fit the dense sweep loads NumPy but no SciPy module at all.
+        # all fit the dense sweep loads NumPy but no SciPy module at all. A
+        # one-worker run loads no OpenSSL (hashlib) and no statistics (with
+        # fractions and decimal) either.
         bad = tmp_path / "bad.yaml"
         bad.write_text("mesages_path: typo.jsonl\n")
+        demo = generate_demo(str(tmp_path / "demo"), seed=7)
         code = textwrap.dedent("""
             import json, sys
 
-            def numeric():
-                return sorted(m for m in sys.modules if m == "numpy" or m.startswith("scipy"))
+            def loaded():
+                return sorted(
+                    m for m in sys.modules
+                    if m in ("numpy", "hashlib", "_hashlib", "statistics")
+                    or m.startswith("scipy")
+                )
 
             from forumcast.cli import main
-            seen = [("import", None, numeric(), "scipy.stats" in sys.modules)]
+            seen = [("import", None, loaded(), "scipy.stats" in sys.modules)]
             exit_code = main(["run", "-c", sys.argv[1], "--dry-run"])
-            seen.append(("dry run", exit_code, numeric(), "scipy.stats" in sys.modules))
+            seen.append(("dry run", exit_code, loaded(), "scipy.stats" in sys.modules))
             exit_code = main(["ingest-check", "-c", sys.argv[1]])
-            seen.append(("ingest-check", exit_code, numeric(), "scipy.stats" in sys.modules))
+            seen.append(("ingest-check", exit_code, loaded(), "scipy.stats" in sys.modules))
             exit_code = main(["run", "-c", sys.argv[2]])
-            seen.append(("config error", exit_code, numeric(), "scipy.stats" in sys.modules))
+            seen.append(("config error", exit_code, loaded(), "scipy.stats" in sys.modules))
             exit_code = main(["run", "-c", sys.argv[1]])
-            seen.append(("run", exit_code, numeric(), "scipy.stats" in sys.modules))
+            seen.append(("run", exit_code, loaded(), "scipy.stats" in sys.modules))
+            exit_code = main(["run", "-c", sys.argv[3], "--workers", "1",
+                              "--output-dir", sys.argv[4]])
+            seen.append(("demo run", exit_code, loaded(), "scipy.stats" in sys.modules))
             print(json.dumps(seen))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
-            [sys.executable, "-c", code, self.write_config(config, tmp_path), str(bad)],
+            [sys.executable, "-c", code, self.write_config(config, tmp_path), str(bad),
+             demo["config"], str(tmp_path / "demo_out")],
             capture_output=True, text=True, check=True, env=env,
         ).stdout
         seen = json.loads(out.strip().splitlines()[-1])
@@ -861,6 +964,7 @@ class TestCli:
             ["ingest-check", 0, [], False],
             ["config error", 1, [], False],
             ["run", 0, ["numpy"], False],
+            ["demo run", 0, ["numpy"], False],
         ]
 
     def test_selftest_command(self, capsys):

@@ -100,6 +100,17 @@ class TestWindowAggregates:
         assert emo is not None and mean is not None
         assert emo * emo + mean * mean == pytest.approx(mean_sq, rel=1e-12, abs=1e-12)
 
+    @given(st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.7, 1.0]),
+        ),
+        min_size=1,
+        max_size=60,
+    ))
+    def test_sentiment_is_fmean_bitwise(self, values):
+        assert window_sentiment([SentimentScore(v) for v in values]) == statistics.fmean(values)
+
     # Python 3.10's pstdev rounds twice: a float square root of a rounded
     # variance. From 3.11 on it rounds the exact root once, as emotionality does.
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="pstdev rounds twice before 3.11")

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import errno
+import hashlib
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
 from forumcast.corpus import load_market_series, load_messages
-from forumcast.errors import DataError
+from forumcast.errors import DataError, OutputError
 from forumcast.pipeline import read_features_csv
 from forumcast.semantics import load_lexicon, load_precomputed
-from forumcast.tables import format_cell, open_input, write_csv, write_json
+from forumcast.tables import format_cell, open_input, replacing, sha256, write_csv, write_json
 from forumcast.textproc import load_wordlist
 
 
@@ -65,6 +68,32 @@ class TestWriters:
             write_json(str(path), {"a": object()})
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fails", ["write", "replace"])
+    def test_os_error_is_output_error_and_keeps_earlier_file(self, tmp_path, monkeypatch,
+                                                              fails):
+        path = tmp_path / "t.csv"
+        write_csv(str(path), ("a",), [(1,)])
+        earlier = path.read_bytes()
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with pytest.raises(OutputError, match=re.escape(str(path)) + ".*No space left"):
+            if fails == "write":
+                with replacing(str(path)) as handle:
+                    handle.write("x")
+                    full()
+            else:
+                monkeypatch.setattr(os, "replace", full)
+                write_csv(str(path), ("a",), [(2,)])
+        assert path.read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+    def test_missing_directory_is_output_error(self, tmp_path):
+        path = tmp_path / "absent" / "t.json"
+        with pytest.raises(OutputError, match=re.escape(str(path))):
+            write_json(str(path), {})
+
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "t.json"
         write_json(str(path), {"b": 1, "a": [2]})
@@ -118,3 +147,18 @@ class TestUnreadableInputs:
         with pytest.raises(DataError, match="^boom$"):
             with open_input(str(path), "thing"):
                 raise DataError("boom")
+
+
+class TestSha256:
+    def test_is_cpython_builtin_not_openssl(self):
+        assert sha256.__module__ in ("_sha2", "_sha256")
+        assert sha256 is not hashlib.sha256
+
+    @pytest.mark.parametrize("size", [0, 1, 55, 56, 64, 1000, (1 << 20) + 3])
+    def test_matches_hashlib(self, size):
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+        digest = sha256()
+        for start in range(0, size, 4099):
+            digest.update(data[start:start + 4099])
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
