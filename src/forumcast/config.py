@@ -259,6 +259,32 @@ def to_dict(config: PipelineConfig) -> dict[str, Any]:
     return out
 
 
+# What each field annotation asks of a YAML value (the annotations are
+# strings here); ``models`` is checked by ``_models_from``.
+_EXPECTED = {
+    "str": "a string", "str | None": "a string or null", "int": "an integer",
+    "bool": "true or false", "tuple[int, ...]": "a list of integers",
+    "tuple[str, ...]": "a list of strings",
+}
+
+
+def _has_type(value: Any, kind: str) -> bool:
+    if kind.startswith("tuple["):
+        item = kind.removeprefix("tuple[").removesuffix(", ...]")
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if kind == "str | None":
+        return value is None or isinstance(value, str)
+    # An exact type match: YAML's true and false are bools, which Python
+    # would also count as ints.
+    return type(value) is {"str": str, "int": int, "bool": bool}[kind]
+
+
+def _checked(what: str, value: Any, kind: str) -> Any:
+    if not _has_type(value, kind):
+        raise ConfigError(f"{what} must be {_EXPECTED[kind]}, got {value!r}")
+    return value
+
+
 def from_dict(raw: dict[str, Any]) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
@@ -273,16 +299,10 @@ def from_dict(raw: dict[str, Any]) -> PipelineConfig:
         value = raw[f.name]
         if f.name == "models":
             kwargs[f.name] = _models_from(value)
-        elif f.name in ("correlation_lags", "granger_conditioning"):
-            if not isinstance(value, list):
-                raise ConfigError(f"config key {f.name!r} must be a list")
-            kwargs[f.name] = tuple(value)
         else:
-            kwargs[f.name] = value
-    try:
-        return PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+            value = _checked(f"config key {f.name!r}", value, f.type)
+            kwargs[f.name] = tuple(value) if isinstance(value, list) else value
+    return PipelineConfig(**kwargs)
 
 
 def _models_from(value: Any) -> tuple[ModelSpec, ...]:
@@ -292,12 +312,18 @@ def _models_from(value: Any) -> tuple[ModelSpec, ...]:
     for entry in value:
         if not isinstance(entry, dict) or "name" not in entry or "terms" not in entry:
             raise ConfigError(f"each model needs 'name' and 'terms': {entry!r}")
+        name = _checked("a model's 'name'", entry["name"], "str")
+        if not isinstance(entry["terms"], list):
+            raise ConfigError(f"model {name!r}: 'terms' must be a list")
         terms: list[ModelTerm] = []
         for term in entry["terms"]:
             if not isinstance(term, dict) or "column" not in term:
-                raise ConfigError(f"model {entry['name']!r}: each term needs 'column'")
-            terms.append(ModelTerm(column=term["column"], lag=int(term.get("lag", 0))))
-        specs.append(ModelSpec(name=entry["name"], terms=tuple(terms)))
+                raise ConfigError(f"model {name!r}: each term needs 'column'")
+            terms.append(ModelTerm(
+                column=_checked(f"model {name!r}: a term's 'column'", term["column"], "str"),
+                lag=_checked(f"model {name!r}: a term's 'lag'", term.get("lag", 0), "int"),
+            ))
+        specs.append(ModelSpec(name=name, terms=tuple(terms)))
     return tuple(specs)
 
 

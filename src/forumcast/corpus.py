@@ -34,8 +34,6 @@ if TYPE_CHECKING:
 
 WEEK = timedelta(days=7)
 
-_MESSAGE_FIELDS = ("id", "author_id", "parent_id", "timestamp", "body")
-
 
 @dataclass(frozen=True)
 class Message:

@@ -38,7 +38,8 @@ class UndefinedCorrelationError(AnalysisError):
 
 
 class WorkerError(ForumcastError):
-    """A window worker process died before it returned its window."""
+    """A window worker process could not be started, or died before it
+    returned its window."""
 
 
 class OutputError(ForumcastError):

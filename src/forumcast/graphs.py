@@ -1,9 +1,11 @@
 """Directed weighted graphs: interaction (who replies to whom) and word
 co-occurrence networks, plus the weekly activity counts read off them.
 
-Both builders aggregate event counts into integer arc weights. Self-loops
-(self-replies; identical-word pairs) are tallied on the graph but never
-stored as arcs, so downstream centrality code sees loop-free digraphs.
+Both builders encode each event as a pair code ``source_id * n +
+target_id`` and hand the codes to ``graph_from_pairs``, which counts equal
+codes into integer arc weights. Self-loops (self-replies; identical-word
+pairs) are tallied on the graph but never stored as arcs, so downstream
+centrality code sees loop-free digraphs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import csv
 import logging
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -34,10 +35,9 @@ class DirectedWeightedGraph:
     Nodes are strings (actor ids or words), kept sorted in ``nodes``; a
     node's id is its position there, so ids follow string order. Arcs are
     stored once, as CSR arrays over those ids: the successors of node ``i``
-    are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order, and an
-    int64 weight array runs parallel to ``indices``. Arc weights count events:
+    are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order, and the
+    int64 array ``weights`` runs parallel to ``indices``. Arc weights count events:
     repeated replies or repeated co-occurrences accumulate on one arc.
-    ``arcs`` is a view derived from the arrays, in (source, target) order.
     """
 
     __slots__ = (
@@ -47,50 +47,17 @@ class DirectedWeightedGraph:
 
     def __init__(
         self,
-        arcs: Mapping[tuple[str, str], int],
-        nodes: Iterable[str] = (),
-        self_loop_events: int = 0,
-    ) -> None:
-        node_set = set(nodes)
-        for (source, target), weight in arcs.items():
-            if source == target:
-                raise DataError(f"self-loop arc {source!r} not allowed")
-            if weight < 1:
-                raise DataError(f"arc {source!r}->{target!r} has non-positive weight {weight}")
-            node_set.add(source)
-            node_set.add(target)
-        ordered = tuple(sorted(node_set))
-        index = {v: i for i, v in enumerate(ordered)}
-        n = len(ordered)
-        keyed = np.array(
-            sorted((index[source] * n + index[target], weight)
-                   for (source, target), weight in arcs.items()),
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        self._init_from_codes(ordered, keyed[:, 0], keyed[:, 1], self_loop_events)
-
-    @classmethod
-    def from_codes(
-        cls,
         nodes: tuple[str, ...],
         codes: np.ndarray,
         weights: np.ndarray,
         self_loop_events: int = 0,
-    ) -> DirectedWeightedGraph:
+    ) -> None:
         """Graph from arc codes ``source_id * n + target_id`` over ``nodes``.
 
-        The caller guarantees what ``__init__`` checks: ``nodes`` sorted and
-        distinct, ``codes`` ascending and distinct with no self-loop, every
-        weight at least 1.
+        The caller guarantees ``nodes`` sorted and distinct, ``codes``
+        ascending and distinct with no self-loop, and every weight at least
+        1; ``graph_from_pairs`` builds such arrays from raw pair events.
         """
-        graph = cls.__new__(cls)
-        graph._init_from_codes(nodes, codes, weights, self_loop_events)
-        return graph
-
-    def _init_from_codes(
-        self, nodes: tuple[str, ...], codes: np.ndarray, weights: np.ndarray,
-        self_loop_events: int,
-    ) -> None:
         n = len(nodes)
         sources, targets = np.divmod(codes, n)
         indptr = np.zeros(n + 1, dtype=np.int32)
@@ -118,6 +85,10 @@ class DirectedWeightedGraph:
         return self._indices
 
     @property
+    def weights(self) -> np.ndarray:
+        return self._weights
+
+    @property
     def n(self) -> int:
         return len(self._nodes)
 
@@ -143,24 +114,6 @@ class DirectedWeightedGraph:
     def arc_sources(self) -> np.ndarray:
         """Source id of each arc, parallel to ``indices``."""
         return self._sources
-
-    @property
-    def arcs(self) -> Mapping[tuple[str, str], int]:
-        """{(source, target): weight}, in (source, target) order."""
-        names = self._nodes
-        return dict(zip(
-            zip(map(names.__getitem__, self.arc_sources().tolist()),
-                map(names.__getitem__, self._indices.tolist())),
-            self._weights.tolist(),
-        ))
-
-    def summary(self) -> dict[str, int]:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "total_weight": self._total_weight,
-            "self_loop_events": self._self_loop_events,
-        }
 
     def edge_table_rows(self, week: int, block_rows: int = EDGE_BLOCK_ROWS) -> Iterator[bytes]:
         """The graph's rows of an edge table, ``week,source,target,weight`` in
@@ -236,6 +189,32 @@ class InteractionTallies:
     dangling_parents: int
 
 
+def graph_from_pairs(nodes: tuple[str, ...], codes: np.ndarray) -> DirectedWeightedGraph:
+    """Graph over ``nodes`` (sorted, distinct) from one int64 code
+    ``source_id * n + target_id`` per pair event.
+
+    ``codes`` is sorted in place, so counting its runs of equal codes needs no
+    second copy of the pairs. A run's length is its arc's weight; runs of
+    identical-node pairs are tallied as self-loop events, not stored.
+    """
+    n = len(nodes)
+    codes.sort()
+    count = len(codes)
+    # Interaction graphs are tiny, so this step sticks to the cheapest NumPy
+    # calls: empty rather than ones, ndarray.nonzero rather than flatnonzero.
+    run_start = np.empty(count + 1, dtype=bool)
+    run_start[0] = run_start[count] = True
+    np.not_equal(codes[1:], codes[:-1], out=run_start[1:count])
+    bounds = run_start.nonzero()[0]
+    arc_codes = codes[bounds[:-1]]
+    counts = bounds[1:] - bounds[:-1]
+    arc = arc_codes % (n + 1) != 0  # source != target
+    weights = counts[arc]
+    return DirectedWeightedGraph(
+        nodes, arc_codes[arc], weights, self_loop_events=count - int(weights.sum())
+    )
+
+
 def build_interaction_network(
     messages: Sequence[Message],
     author_by_id: Mapping[str, str] | None = None,
@@ -249,10 +228,8 @@ def build_interaction_network(
     """
     if author_by_id is None:
         author_by_id = {msg.id: msg.author_id for msg in messages}
-    arc_counts: Counter[tuple[str, str]] = Counter()
-    nodes = {msg.author_id for msg in messages}
+    replies: list[tuple[str, str]] = []
     comments = 0
-    self_replies = 0
     dangling: list[Message] = []
     for msg in messages:
         if msg.parent_id is None:
@@ -262,17 +239,22 @@ def build_interaction_network(
         if parent_author is None:
             dangling.append(msg)
             continue
-        if parent_author == msg.author_id:
-            self_replies += 1
-            continue
-        arc_counts[(msg.author_id, parent_author)] += 1
+        replies.append((msg.author_id, parent_author))
     if dangling:
         logger.warning(
             "%d replies point to unknown parents, arcs skipped (first: message %s"
             " replies to %s)", len(dangling), dangling[0].id, dangling[0].parent_id,
         )
-    graph = DirectedWeightedGraph(arc_counts, nodes=nodes, self_loop_events=self_replies)
-    return graph, InteractionTallies(comments, self_replies, len(dangling))
+    nodes = tuple(sorted({msg.author_id for msg in messages}.union(
+        parent for _, parent in replies
+    )))
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    codes = np.array(
+        [index[replier] * n + index[parent] for replier, parent in replies], dtype=np.int64
+    )
+    graph = graph_from_pairs(nodes, codes)
+    return graph, InteractionTallies(comments, graph.self_loop_events, len(dangling))
 
 
 def build_word_network(
@@ -300,8 +282,7 @@ def build_word_network(
     ids = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
     stream_of = np.repeat(np.arange(len(lengths)), lengths)
     # Codes of the pairs (i, i + offset) inside one stream go, offset by
-    # offset, into one buffer that is sorted in place: counting its runs of
-    # equal codes then needs no second copy of the pairs.
+    # offset, into one buffer, which graph_from_pairs then sorts in place.
     width = min(window_size, max(lengths, default=1) - 1)
     codes = np.empty(len(flat) * width, dtype=np.int64)
     filled = 0
@@ -311,17 +292,7 @@ def build_word_network(
         sources *= n
         np.add(sources, ids[offset:][same_stream], out=codes[filled:filled + len(sources)])
         filled += len(sources)
-    codes = codes[:filled]
-    codes.sort()
-    run_start = np.ones(filled + 1, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=run_start[1:filled])
-    bounds = np.flatnonzero(run_start)
-    arc_codes = codes[bounds[:-1]]
-    counts = bounds[1:] - bounds[:-1]
-    loop = arc_codes % (n + 1) == 0  # source == target: identical-word pairs
-    return DirectedWeightedGraph.from_codes(
-        nodes, arc_codes[~loop], counts[~loop], self_loop_events=int(counts[loop].sum())
-    )
+    return graph_from_pairs(nodes, codes[:filled])
 
 
 def activity(messages: Sequence[Message]) -> int:

@@ -485,7 +485,15 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
             # copy of this small process and then holds only the windows it
             # is sent; forked after the load, every worker began with a copy
             # of the whole corpus.
-            pool.submit(int)
+            try:
+                pool.submit(int)
+            except OSError as exc:
+                # The workers forked before the failing fork would wait for
+                # work for good, and the pool's shutdown does not end them.
+                for process in pool._processes.values():
+                    process.terminate()
+                    process.join()
+                raise WorkerError(f"cannot start the window workers: {exc}") from exc
         tasks, vocab, rejections = _load_windows(config)
         write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
 

@@ -19,24 +19,12 @@ from .centrality import (
 )
 from .corpus import Message, parse_timestamp
 from .econometrics import Series, _chi2_tail, _t_tail, durbin_watson, ols, pearson
-from .graphs import DirectedWeightedGraph, build_word_network
+from .graphs import build_word_network
 from .semantics import LexiconScorer, SentimentScore, emotionality, score_message
 from .semantics import complexity as window_complexity
 from .textproc import build_vocabulary, tokenize
 
 Check = tuple[str, bool, str]
-
-
-def _bidirectional_star(leaves: int) -> DirectedWeightedGraph:
-    arcs = {}
-    for i in range(1, leaves + 1):
-        arcs[("hub", f"v{i}")] = 1
-        arcs[(f"v{i}", "hub")] = 1
-    return DirectedWeightedGraph(arcs)
-
-
-def _directed_cycle(n: int) -> DirectedWeightedGraph:
-    return DirectedWeightedGraph({(f"v{i}", f"v{(i + 1) % n}"): 1 for i in range(n)})
 
 
 def run_selftest() -> list[Check]:
@@ -46,17 +34,22 @@ def run_selftest() -> list[Check]:
         checks.append((name, passed, detail))
 
     g = build_word_network([tokenize("Hello Dolly!")])
+    rows = b"".join(g.edge_table_rows(0))
     check(
         "two-word post yields one arc",
-        g.nodes == ("dolly", "hello") and g.arcs == {("hello", "dolly"): 1},
-        f"nodes={g.nodes} arcs={dict(g.arcs)}",
+        g.nodes == ("dolly", "hello") and rows == b"0,hello,dolly,1\r\n",
+        f"nodes={g.nodes} rows={rows!r}",
     )
 
     stream = [f"t{i}" for i in range(20)]
     total = build_word_network([stream], 7).total_weight
     check("co-occurrence closed form 7L-28", total == 7 * 20 - 28, f"total={total}")
 
-    star = _bidirectional_star(6)
+    # Each two-token stream at window_size 1 adds one arc.
+    spokes = [f"v{i}" for i in range(1, 7)]
+    star = build_word_network(
+        [["hub", v] for v in spokes] + [[v, "hub"] for v in spokes], window_size=1
+    )
     dc = centralization(degree_centrality(star)).value
     bc = centralization(betweenness_centrality(star)).value
     check(
@@ -65,7 +58,7 @@ def run_selftest() -> list[Check]:
         f"degree={dc} betweenness={bc}",
     )
 
-    cycle = _directed_cycle(4)
+    cycle = build_word_network([[f"v{i}", f"v{(i + 1) % 4}"] for i in range(4)], window_size=1)
     cc = centralization(betweenness_centrality(cycle)).value
     check("cycle betweenness centralization is 0", abs(cc) <= 1e-12, f"value={cc}")
 

@@ -35,6 +35,7 @@ from forumcast.synth import generate_demo
 from forumcast.textproc import build_vocabulary, tokenize
 
 from conftest import (
+    arcs,
     bidirectional_cycle,
     bidirectional_star,
     directed_cycle,
@@ -57,7 +58,7 @@ def test_criterion_01_exact_betweenness_matches_enumeration():
         n = rng.randint(1, 8)
         g = random_digraph(rng, n, rng.uniform(0.1, 0.9))
         got = betweenness_centrality(g).raw
-        want = brute_force_betweenness(g.nodes, g.arcs)
+        want = brute_force_betweenness(g.nodes, arcs(g))
         for v in g.nodes:
             assert abs(got[v] - float(want[v])) <= 1e-12
             checked += 1
@@ -79,7 +80,7 @@ def test_criterion_02_centralization_anchor_graphs():
 def test_criterion_03_two_word_message():
     g = build_word_network([["hello", "dolly"]])
     assert g.nodes == ("dolly", "hello")
-    assert g.arcs == {("hello", "dolly"): 1}
+    assert arcs(g) == {("hello", "dolly"): 1}
 
 
 def test_criterion_04_cooccurrence_closed_form():

@@ -26,7 +26,14 @@ from forumcast.centrality import (
 from forumcast.errors import AnalysisError
 from forumcast.graphs import DirectedWeightedGraph
 
-from conftest import bidirectional_cycle, bidirectional_star, directed_cycle, random_digraph
+from conftest import (
+    arcs,
+    bidirectional_cycle,
+    bidirectional_star,
+    directed_cycle,
+    graph_from_arcs,
+    random_digraph,
+)
 from oracles import brute_force_betweenness
 
 
@@ -34,12 +41,12 @@ from oracles import brute_force_betweenness
 def small_digraphs(draw):
     n = draw(st.integers(min_value=1, max_value=6))
     nodes = [f"v{i}" for i in range(n)]
-    arcs = {}
+    arc_weights = {}
     for a in nodes:
         for b in nodes:
             if a != b and draw(st.booleans()):
-                arcs[(a, b)] = draw(st.integers(min_value=1, max_value=3))
-    return DirectedWeightedGraph(arcs, nodes=nodes)
+                arc_weights[(a, b)] = draw(st.integers(min_value=1, max_value=3))
+    return graph_from_arcs(arc_weights, nodes=nodes)
 
 
 @st.composite
@@ -61,12 +68,12 @@ def backward_steps(draw):
     width = draw(st.integers(min_value=1, max_value=5))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     nodes = [f"v{i:02d}" for i in range(n)]
-    arcs = {(nodes[0], nodes[k]): 1 for k in rng.sample(range(1, n), 8)}
+    arc_weights = {(nodes[0], nodes[k]): 1 for k in rng.sample(range(1, n), 8)}
     for a in nodes[:-1]:
         for b in nodes:
             if a != b and rng.random() < 0.3:
-                arcs[(a, b)] = 1
-    g = DirectedWeightedGraph(arcs, nodes=nodes)
+                arc_weights[(a, b)] = 1
+    g = graph_from_arcs(arc_weights, nodes=nodes)
     coef = np.array([
         [rng.random() * 2.0 ** rng.randint(-30, 30) if rng.random() < 0.8 else 0.0
          for _ in range(width)]
@@ -82,12 +89,12 @@ def layered_dag(layers: int) -> DirectedWeightedGraph:
     2**(k-1) geodesics to each node of layer k, and each node of layer k
     lies on half of those to any later node. So from a0000 alone a node on
     layer k >= 1 scores layers - 1 - k, and layer 0 scores 0."""
-    arcs = {}
+    arc_weights = {}
     for k in range(layers - 1):
         for a in "ab":
             for b in "ab":
-                arcs[(f"{a}{k:04d}", f"{b}{k + 1:04d}")] = 1
-    return DirectedWeightedGraph(arcs)
+                arc_weights[(f"{a}{k:04d}", f"{b}{k + 1:04d}")] = 1
+    return graph_from_arcs(arc_weights)
 
 
 class TestDegree:
@@ -99,18 +106,18 @@ class TestDegree:
         assert cv.normalized["v1"] == pytest.approx(1 / 3)
 
     def test_single_node(self):
-        cv = degree_centrality(DirectedWeightedGraph({}, nodes={"x"}))
+        cv = degree_centrality(graph_from_arcs({}, nodes={"x"}))
         assert cv.raw == {"x": 0.0}
         assert cv.normalized == {"x": 0.0}
 
     def test_two_node_arc(self):
-        cv = degree_centrality(DirectedWeightedGraph({("hello", "dolly"): 1}))
+        cv = degree_centrality(graph_from_arcs({("hello", "dolly"): 1}))
         assert cv.raw == {"dolly": 1.0, "hello": 1.0}
         assert cv.normalized == {"dolly": 0.5, "hello": 0.5}
 
     def test_weights_ignored(self):
-        light = degree_centrality(DirectedWeightedGraph({("a", "b"): 1}))
-        heavy = degree_centrality(DirectedWeightedGraph({("a", "b"): 9}))
+        light = degree_centrality(graph_from_arcs({("a", "b"): 1}))
+        heavy = degree_centrality(graph_from_arcs({("a", "b"): 9}))
         assert light.raw == heavy.raw
 
     @given(small_digraphs())
@@ -133,11 +140,11 @@ class TestBetweennessExact:
         assert cv.raw["v1"] == 0.0
 
     def test_single_arc_no_interior(self):
-        cv = betweenness_centrality(DirectedWeightedGraph({("a", "b"): 1}))
+        cv = betweenness_centrality(graph_from_arcs({("a", "b"): 1}))
         assert cv.raw == {"a": 0.0, "b": 0.0}
 
     def test_disconnected_pairs_contribute_zero(self):
-        g = DirectedWeightedGraph({("a", "b"): 1}, nodes={"c"})
+        g = graph_from_arcs({("a", "b"): 1}, nodes={"c"})
         cv = betweenness_centrality(g)
         assert all(v == 0.0 for v in cv.raw.values())
 
@@ -145,19 +152,19 @@ class TestBetweennessExact:
     @given(small_digraphs())
     def test_matches_path_enumeration_oracle(self, g):
         cv = betweenness_centrality(g)
-        oracle = brute_force_betweenness(g.nodes, g.arcs)
+        oracle = brute_force_betweenness(g.nodes, arcs(g))
         for v in g.nodes:
             assert abs(cv.raw[v] - float(oracle[v])) <= 1e-12
 
     @given(small_digraphs())
     def test_weights_never_matter(self, g):
-        unweighted = DirectedWeightedGraph({arc: 1 for arc in g.arcs}, nodes=g.nodes)
+        unweighted = graph_from_arcs({arc: 1 for arc in arcs(g)}, nodes=g.nodes)
         assert betweenness_centrality(g).raw == betweenness_centrality(unweighted).raw
 
 
 def sampled_oracle(g: DirectedWeightedGraph, sources, scale: float) -> dict[str, float]:
     """The path-enumeration oracle over ``sources``, times ``scale``."""
-    oracle = brute_force_betweenness(g.nodes, g.arcs, sources)
+    oracle = brute_force_betweenness(g.nodes, arcs(g), sources)
     return {v: float(score * Fraction(scale)) for v, score in oracle.items()}
 
 
@@ -197,7 +204,7 @@ class TestKernels:
         g = random_digraph(random.Random(n), n, p)
         reference = nx.DiGraph()
         reference.add_nodes_from(g.nodes)
-        reference.add_edges_from(g.arcs)
+        reference.add_edges_from(arcs(g))
         expected = nx.betweenness_centrality(reference, normalized=False)
         raw = betweenness_centrality(g).raw
         for v in g.nodes:
@@ -224,7 +231,7 @@ class TestVertexBetweenness:
     @settings(max_examples=60, deadline=None)
     @given(small_digraphs())
     def test_matches_path_enumeration_oracle(self, g):
-        oracle = brute_force_betweenness(g.nodes, g.arcs)
+        oracle = brute_force_betweenness(g.nodes, arcs(g))
         for v in g.nodes:
             assert vertex_betweenness(g, v, g.nodes, 1.0) == pytest.approx(
                 float(oracle[v]), rel=1e-12, abs=0.0
@@ -350,7 +357,7 @@ class TestCentralization:
         )
 
     def test_small_graphs_undefined(self):
-        g = DirectedWeightedGraph({("a", "b"): 1})
+        g = graph_from_arcs({("a", "b"): 1})
         with pytest.raises(AnalysisError):
             centralization(degree_centrality(g))
 
@@ -366,8 +373,8 @@ class TestCentralization:
     def test_relabeling_invariance(self):
         g = random_digraph(random.Random(3), 12, 0.3)
         mapping = {v: f"node-{i:02d}" for i, v in enumerate(reversed(g.nodes))}
-        relabeled = DirectedWeightedGraph(
-            {(mapping[a], mapping[b]): w for (a, b), w in g.arcs.items()},
+        relabeled = graph_from_arcs(
+            {(mapping[a], mapping[b]): w for (a, b), w in arcs(g).items()},
             nodes=[mapping[v] for v in g.nodes],
         )
         for metric in (degree_centrality, betweenness_centrality):

@@ -16,9 +16,10 @@ from forumcast.graphs import (
     activity_words,
     build_interaction_network,
     build_word_network,
+    graph_from_pairs,
 )
 
-from conftest import make_message
+from conftest import arcs, graph_from_arcs, make_message
 from oracles import enumerate_cooccurrences
 
 token = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -33,60 +34,59 @@ wide_token = st.text(alphabet="aAzé日ß,\"\x00", min_size=1, max_size=3)
 def arc_maps(draw):
     """{(source, target): weight} over wide_token names, plus isolated nodes."""
     names = draw(st.lists(wide_token, min_size=1, max_size=8, unique=True))
-    arcs = {}
+    arc_weights = {}
     for a in names:
         for b in names:
             if a != b and draw(st.booleans()):
-                arcs[(a, b)] = draw(st.integers(min_value=1, max_value=5))
+                arc_weights[(a, b)] = draw(st.integers(min_value=1, max_value=5))
     isolated = draw(st.lists(wide_token, max_size=3))
-    return arcs, isolated
+    return arc_weights, isolated
 
 
 class TestGraphType:
     def test_counts_and_nodes(self):
-        g = DirectedWeightedGraph({("a", "b"): 2, ("b", "c"): 1}, nodes={"d"})
+        g = graph_from_arcs({("a", "b"): 2, ("b", "c"): 1}, nodes={"d"})
         assert g.n == 4
         assert g.m == 2
         assert g.total_weight == 3
         assert g.nodes == ("a", "b", "c", "d")
 
-    def test_self_loops_rejected(self):
-        with pytest.raises(DataError):
-            DirectedWeightedGraph({("a", "a"): 1})
-
-    def test_nonpositive_weight_rejected(self):
-        with pytest.raises(DataError):
-            DirectedWeightedGraph({("a", "b"): 0})
-
     def test_adjacency_sorted(self):
-        g = DirectedWeightedGraph({("a", "c"): 1, ("a", "b"): 1, ("d", "a"): 1})
-        assert list(g.arcs) == [("a", "b"), ("a", "c"), ("d", "a")]
+        g = graph_from_arcs({("a", "c"): 1, ("a", "b"): 1, ("d", "a"): 1})
+        assert list(arcs(g)) == [("a", "b"), ("a", "c"), ("d", "a")]
 
-    @given(arc_maps())
-    def test_array_built_equals_mapping_built(self, drawn):
-        arcs, isolated = drawn
-        nodes = tuple(sorted({*isolated, *(v for arc in arcs for v in arc)}))
-        index = {v: i for i, v in enumerate(nodes)}
-        keyed = sorted((index[a] * len(nodes) + index[b], w) for (a, b), w in arcs.items())
-        codes = np.array([code for code, _ in keyed], dtype=np.int64)
-        weights = np.array([w for _, w in keyed], dtype=np.int64)
-        built = DirectedWeightedGraph.from_codes(nodes, codes, weights, self_loop_events=4)
-        mapped = DirectedWeightedGraph(arcs, nodes=isolated, self_loop_events=4)
-        assert built == mapped
-        assert built.nodes == mapped.nodes == nodes
-        assert dict(built.arcs) == dict(mapped.arcs) == arcs
-        assert built.total_weight == sum(arcs.values())
+    @given(arc_maps(), st.integers(min_value=0, max_value=4), st.integers(0, 2**32 - 1))
+    def test_counted_pairs_equal_given_weights(self, drawn, loops, seed):
+        # Each arc as `weight` pair events plus `loops` identical-node events,
+        # shuffled: counting them gives back the arcs and the loop tally.
+        arc_weights, isolated = drawn
+        given = graph_from_arcs(arc_weights, nodes=isolated)
+        n = given.n
+        if n == 0:
+            loops = 0
+        codes = given.arc_sources().astype(np.int64) * n + given.indices
+        rng = np.random.default_rng(seed)
+        events = np.concatenate([
+            np.repeat(codes, given.weights), rng.integers(0, n, size=loops) * (n + 1)
+        ])
+        counted = graph_from_pairs(given.nodes, rng.permutation(events))
+        assert counted == DirectedWeightedGraph(
+            given.nodes, codes, given.weights, self_loop_events=loops
+        )
+        assert arcs(counted) == arc_weights
+        assert counted.self_loop_events == loops
+        assert counted.total_weight == sum(arc_weights.values())
 
     @given(arc_maps())
     def test_adjacency_views_sorted(self, drawn):
-        arcs, isolated = drawn
-        g = DirectedWeightedGraph(arcs, nodes=isolated)
-        assert list(g.arcs) == sorted(arcs)
+        arc_weights, isolated = drawn
+        g = graph_from_arcs(arc_weights, nodes=isolated)
+        assert list(arcs(g)) == sorted(arc_weights)
 
     @given(arc_maps())
     def test_arc_sources_computed_once_and_frozen(self, drawn):
-        arcs, isolated = drawn
-        g = DirectedWeightedGraph(arcs, nodes=isolated)
+        arc_weights, isolated = drawn
+        g = graph_from_arcs(arc_weights, nodes=isolated)
         sources = g.arc_sources()
         assert sources is g.arc_sources()
         assert sources.dtype == np.int32
@@ -94,62 +94,53 @@ class TestGraphType:
         np.testing.assert_array_equal(sources, np.repeat(np.arange(g.n), np.diff(g.indptr)))
 
     def test_unknown_node_is_key_error(self):
-        g = DirectedWeightedGraph({("a", "c"): 1})
+        g = graph_from_arcs({("a", "c"): 1})
         for node in ("b", "", "d"):
             with pytest.raises(KeyError):
                 g.node_id(node)
 
     @given(arc_maps(), st.integers(min_value=0, max_value=1100), st.integers(1, 4))
     def test_edge_list_bytes_match_sorted_rendering(self, drawn, week, block_rows):
-        arcs, isolated = drawn
+        arc_weights, isolated = drawn
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
-        writer.writerows(sorted((week, a, b, w) for (a, b), w in arcs.items()))
+        writer.writerows(sorted((week, a, b, w) for (a, b), w in arc_weights.items()))
         blocks = list(
-            DirectedWeightedGraph(arcs, nodes=isolated).edge_table_rows(week, block_rows)
+            graph_from_arcs(arc_weights, nodes=isolated).edge_table_rows(week, block_rows)
         )
         assert b"".join(blocks) == expected.getvalue().encode("utf-8")
         assert all(block.count(b"\r\n") <= block_rows for block in blocks)
 
     def test_edge_list_export_sorted(self):
-        g = DirectedWeightedGraph({("b", "a"): 2, ("a", "b"): 1})
+        g = graph_from_arcs({("b", "a"): 2, ("a", "b"): 1})
         assert b"".join(g.edge_table_rows(7)).decode().splitlines() == [
             "7,a,b,1",
             "7,b,a,2",
         ]
-
-    def test_summary_json(self):
-        g = DirectedWeightedGraph({("a", "b"): 3}, self_loop_events=2)
-        assert g.summary() == {
-            "n": 2,
-            "m": 1,
-            "total_weight": 3,
-            "self_loop_events": 2,
-        }
 
 
 class TestWordNetwork:
     def test_two_token_stream(self):
         g = build_word_network([["hello", "dolly"]])
         assert g.nodes == ("dolly", "hello")
-        assert dict(g.arcs) == {("hello", "dolly"): 1}
+        assert arcs(g) == {("hello", "dolly"): 1}
 
     def test_three_tokens_all_ordered_pairs(self):
         g = build_word_network([["a", "b", "c"]])
-        assert dict(g.arcs) == {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
+        assert arcs(g) == {("a", "b"): 1, ("a", "c"): 1, ("b", "c"): 1}
         assert g.total_weight == 3
 
     def test_repeated_words_tally_self_pairs(self):
         # [a,b,a,b]: six raw ordered pairs, two of them identical-word
         g = build_word_network([["a", "b", "a", "b"]])
         pairs, identical = enumerate_cooccurrences([["a", "b", "a", "b"]], 7)
-        assert dict(g.arcs) == dict(pairs)
+        assert arcs(g) == dict(pairs)
         assert g.self_loop_events == identical == 2
         assert g.total_weight == 4
 
     def test_window_limits_distance(self):
         g = build_word_network([["a", "b", "c", "d"]], window_size=1)
-        assert dict(g.arcs) == {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1}
+        assert arcs(g) == {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1}
 
     def test_closed_form_distinct_tokens(self):
         for length in (7, 8, 20, 100):
@@ -163,8 +154,8 @@ class TestWordNetwork:
     def test_streams_do_not_bridge(self):
         split = build_word_network([["a", "b"], ["c", "d"]])
         joined = build_word_network([["a", "b", "c", "d"]])
-        assert ("b", "c") not in split.arcs
-        assert ("b", "c") in joined.arcs
+        assert ("b", "c") not in arcs(split)
+        assert ("b", "c") in arcs(joined)
 
     def test_empty_and_single_token_streams(self):
         g = build_word_network([[], ["only"]])
@@ -179,7 +170,7 @@ class TestWordNetwork:
     def test_matches_bruteforce_enumeration(self, streams, window):
         g = build_word_network(streams, window)
         pairs, identical = enumerate_cooccurrences(streams, window)
-        assert dict(g.arcs) == dict(pairs)
+        assert arcs(g) == dict(pairs)
         assert g.self_loop_events == identical
 
     @given(
@@ -190,7 +181,7 @@ class TestWordNetwork:
         # empty and one-token streams, repeats, non-ASCII and NUL-ended tokens
         g = build_word_network(streams, window)
         pairs, identical = enumerate_cooccurrences(streams, window)
-        assert dict(g.arcs) == dict(pairs)
+        assert arcs(g) == dict(pairs)
         assert g.self_loop_events == identical
         assert g.nodes == tuple(sorted({t for stream in streams for t in stream}))
 
@@ -206,7 +197,7 @@ class TestInteractionNetwork:
         post = make_message("p", "alice")
         comment = make_message("c", "bob", parent="p", offset_hours=1)
         g, tallies = build_interaction_network([post, comment])
-        assert dict(g.arcs) == {("bob", "alice"): 1}
+        assert arcs(g) == {("bob", "alice"): 1}
         assert tallies.comments == 1
         assert tallies.self_replies == 0
         assert tallies.dangling_parents == 0
@@ -227,7 +218,7 @@ class TestInteractionNetwork:
             make_message("c2", "bob", parent="p", offset_hours=2),
         ]
         g, tallies = build_interaction_network(msgs)
-        assert dict(g.arcs) == {("bob", "alice"): 2}
+        assert arcs(g) == {("bob", "alice"): 2}
         assert g.m == 1 and g.total_weight == 2
         assert tallies.comments == 2
 
@@ -255,7 +246,7 @@ class TestInteractionNetwork:
     def test_external_author_map_resolves_cross_window_parents(self):
         comment = make_message("c", "bob", parent="old-post", week=1)
         g, tallies = build_interaction_network([comment], {"old-post": "alice", "c": "bob"})
-        assert dict(g.arcs) == {("bob", "alice"): 1}
+        assert arcs(g) == {("bob", "alice"): 1}
         assert tallies.dangling_parents == 0
 
     def test_message_order_irrelevant(self):

@@ -630,6 +630,35 @@ class TestWorkerPool:
         assert not os.path.exists(os.path.join(config.output_dir, "features.csv"))
         assert multiprocessing.active_children() == []
 
+    # forks_before_failure 1 starts one real worker before the failing fork.
+    @pytest.mark.parametrize("forks_before_failure", [0, 1])
+    def test_failed_fork_is_a_typed_error(self, config, tmp_path, capfd, monkeypatch,
+                                          forks_before_failure):
+        fork = os.fork
+        forks = []
+
+        def failing_fork():
+            if len(forks) == forks_before_failure:
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", failing_fork)
+        config.workers = 3
+        path = tmp_path / "config.yaml"
+        save_config(config, str(path))
+        code = main(["run", "-c", str(path)])
+        assert code == 4
+        err = capfd.readouterr().err
+        assert err.startswith("worker error: cannot start the window workers:")
+        assert "Traceback" not in err
+        with open(os.path.join(config.output_dir, "errors.json")) as handle:
+            record = json.load(handle)
+        assert record["stage"] == "features"
+        assert record["type"] == "WorkerError"
+        assert not os.path.exists(os.path.join(config.output_dir, "features.csv"))
+        assert multiprocessing.active_children() == []
+
     def test_data_error_while_loading_leaves_no_worker(self, config, tmp_path, capsys,
                                                        monkeypatch):
         children_at_load = []
@@ -652,6 +681,93 @@ class TestWorkerPool:
         assert "Traceback" not in err
         assert children_at_load == [2]
         assert multiprocessing.active_children() == []
+
+
+class TestTextOptions:
+    """Each text option, seen in the week-0 rows of graphs/words_edges.csv
+    and in the focal-word lookup. Every body is a root post of week 0."""
+
+    def _run(self, config, bodies, **options):
+        with open(config.messages_path, "w") as handle:
+            for i, body in enumerate(bodies):
+                handle.write(json.dumps({"id": f"t{i}", "author_id": f"u{i}",
+                                         "timestamp": "2020-01-06T10:00:00Z",
+                                         "body": body}) + "\n")
+        for name, value in options.items():
+            setattr(config, name, value)
+        week0 = run_features(config)[0]
+        table = os.path.join(config.output_dir, "graphs", "words_edges.csv")
+        edges = [(r["source"], r["target"], int(r["weight"]))
+                 for r in read_rows(table) if r["week"] == "0"]
+        return edges, week0
+
+    def test_stemming(self, config):
+        bodies = ["acme launches widgets", "launched widgets"]
+        config.focal_word = "Launching"
+        plain, week0 = self._run(config, bodies)
+        assert plain == [("acme", "launches", 1), ("acme", "widgets", 1),
+                         ("launched", "widgets", 1), ("launches", "widgets", 1)]
+        assert week0.focal_present is False
+        stemmed, week0 = self._run(config, bodies, stemming=True)
+        assert stemmed == [("acm", "launch", 1), ("acm", "widget", 1), ("launch", "widget", 2)]
+        assert week0.focal_present is True
+        assert week0.focal_degree == pytest.approx(2 / 4)
+
+    def test_dictionary(self, config, tmp_path):
+        bodies = ["acme gizmo widget launch"]
+        plain, _ = self._run(config, bodies)
+        assert ("acme", "gizmo", 1) in plain and len(plain) == 6
+        dictionary = tmp_path / "dictionary.txt"
+        dictionary.write_text("Acme\nwidget\nlaunch\n")
+        kept, week0 = self._run(config, bodies, dictionary_path=str(dictionary))
+        assert kept == [("acme", "launch", 1), ("acme", "widget", 1), ("widget", "launch", 1)]
+        assert week0.focal_present is True
+        config.focal_word = "gizmo"
+        with pytest.raises(ConfigError, match="normalizes to 0 tokens"):
+            run_features(config)
+
+    def test_keep_digits(self, config):
+        bodies = ["acme 2021 launch"]
+        config.focal_word = "2021"
+        with pytest.raises(ConfigError, match="normalizes to 0 tokens"):
+            self._run(config, bodies)
+        config.focal_word = "acme"
+        dropped, _ = self._run(config, bodies)
+        assert dropped == [("acme", "launch", 1)]
+        config.focal_word = "2021"
+        kept, week0 = self._run(config, bodies, keep_digits=True)
+        assert kept == [("2021", "launch", 1), ("acme", "2021", 1), ("acme", "launch", 1)]
+        assert week0.focal_present is True
+        assert week0.focal_degree == pytest.approx(2 / 4)
+
+    def test_italian_stemming(self, config):
+        # The bundled Italian list drops "la" and "il"; the stemmer maps
+        # lancia/lanciano to "lanc" and prodotti/prodotto/prodotta to "prodott".
+        bodies = ["La banca lancia prodotti", "Lanciano il prodotto"]
+        config.language = "italian"
+        config.focal_word = "prodotta"
+        plain, week0 = self._run(config, bodies)
+        assert plain == [("banca", "lancia", 1), ("banca", "prodotti", 1),
+                         ("lancia", "prodotti", 1), ("lanciano", "prodotto", 1)]
+        assert week0.focal_present is False
+        stemmed, week0 = self._run(config, bodies, stemming=True)
+        assert stemmed == [("banc", "lanc", 1), ("banc", "prodott", 1), ("lanc", "prodott", 2)]
+        assert week0.focal_present is True
+        assert week0.focal_degree == pytest.approx(2 / 4)  # 2 arcs of 2 * (3 - 1)
+
+    def test_italian_stemming_worker_count_does_not_change_outputs(self, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            (tmp_path / str(workers)).mkdir()
+            config = make_inputs(tmp_path / str(workers))
+            config.workers = workers
+            self._run(config, ["La banca lancia prodotti", "Lanciano il prodotto"],
+                      language="italian", stemming=True, focal_word="prodotta")
+            outputs.append({
+                name: (Path(config.output_dir) / name).read_bytes()
+                for name in ("features.csv", "diagnostics.csv", "graphs/words_edges.csv")
+            })
+        assert outputs[0] == outputs[1]
 
 
 class TestPrecomputedBackend:
@@ -758,6 +874,37 @@ class TestCli:
         code = main(["run", "-c", self.write_config(config, tmp_path)])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [
+            ("horizon_weeks", "x", "horizon_weeks"),
+            ("workers", "2", "workers"),
+            ("betweenness_samples", None, "betweenness_samples"),
+            ("focal_word", 7, "focal_word"),
+            ("correlation_lags", ["a"], "correlation_lags"),
+            ("models", [{"name": "m", "terms": [{"column": "activity", "lag": "x"}]}], "lag"),
+            ("granger_conditioning", [[1]], "granger_conditioning"),
+            ("messages_path", ["a"], "messages_path"),
+            ("window_size", 2.5, "window_size"),
+            ("export_graphs", "no", "export_graphs"),
+            ("horizon_weeks", True, "horizon_weeks"),
+        ],
+        ids=["weeks-str", "workers-str", "samples-null", "focal-int", "lags-str",
+             "lag-str", "conditioning-nested", "path-list", "window-float",
+             "export-str", "weeks-bool"],
+    )
+    def test_mistyped_config_value_exit_code(self, config, tmp_path, capsys, key, value,
+                                             named):
+        raw = to_dict(config)
+        raw[key] = value
+        path = tmp_path / "config.yaml"
+        path.write_text(json.dumps(raw))  # JSON is YAML
+        code = main(["run", "-c", str(path), "--dry-run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+        assert "Traceback" not in err
 
     def test_data_error_exit_code(self, config, tmp_path, capsys):
         # analyze without a feature table
