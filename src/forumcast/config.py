@@ -335,6 +335,8 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply to parse") from None
     if raw is None:
         raw = {}
     config = from_dict(raw)

@@ -176,6 +176,9 @@ def load_messages(
                 except (json.JSONDecodeError, DataError) as exc:
                     rejections.append(RejectedRow(line_no, str(exc)))
                     continue
+                except RecursionError:
+                    rejections.append(RejectedRow(line_no, "line nests too deeply to parse"))
+                    continue
                 seen_ids.add(message.id)
                 messages.append(message)
         else:

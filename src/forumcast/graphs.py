@@ -11,17 +11,13 @@ centrality code sees loop-free digraphs.
 from __future__ import annotations
 
 import csv
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Message
 from .errors import DataError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_COOCCURRENCE_WINDOW = 7
 
@@ -216,45 +212,27 @@ def graph_from_pairs(nodes: tuple[str, ...], codes: np.ndarray) -> DirectedWeigh
 
 
 def build_interaction_network(
-    messages: Sequence[Message],
-    author_by_id: Mapping[str, str] | None = None,
+    authors: Sequence[str],
+    replies: Sequence[tuple[str, str | None]],
 ) -> tuple[DirectedWeightedGraph, InteractionTallies]:
-    """Arc replier -> parent author for every resolvable cross-actor reply.
+    """Arc replier -> parent author for every resolved cross-actor reply.
 
-    ``author_by_id`` may cover more messages than ``messages`` (replies can
-    point outside the window); when omitted it is derived from ``messages``.
-    Replies to unknown parents are skipped, with one warning per call that
-    counts them; self-replies create no arc.
+    ``authors`` holds the author of each message in the window; ``replies``
+    holds one ``(author, parent author)`` pair per comment, with ``None`` as
+    the parent author when the parent is unknown. Such dangling replies and
+    self-replies create no arc; both are tallied.
     """
-    if author_by_id is None:
-        author_by_id = {msg.id: msg.author_id for msg in messages}
-    replies: list[tuple[str, str]] = []
-    comments = 0
-    dangling: list[Message] = []
-    for msg in messages:
-        if msg.parent_id is None:
-            continue
-        comments += 1
-        parent_author = author_by_id.get(msg.parent_id)
-        if parent_author is None:
-            dangling.append(msg)
-            continue
-        replies.append((msg.author_id, parent_author))
-    if dangling:
-        logger.warning(
-            "%d replies point to unknown parents, arcs skipped (first: message %s"
-            " replies to %s)", len(dangling), dangling[0].id, dangling[0].parent_id,
-        )
-    nodes = tuple(sorted({msg.author_id for msg in messages}.union(
-        parent for _, parent in replies
-    )))
+    resolved = [(replier, parent) for replier, parent in replies if parent is not None]
+    nodes = tuple(sorted(set(authors).union(parent for _, parent in resolved)))
     n = len(nodes)
     index = {v: i for i, v in enumerate(nodes)}
     codes = np.array(
-        [index[replier] * n + index[parent] for replier, parent in replies], dtype=np.int64
+        [index[replier] * n + index[parent] for replier, parent in resolved], dtype=np.int64
     )
     graph = graph_from_pairs(nodes, codes)
-    return graph, InteractionTallies(comments, graph.self_loop_events, len(dangling))
+    return graph, InteractionTallies(
+        len(replies), graph.self_loop_events, len(replies) - len(resolved)
+    )
 
 
 def build_word_network(
@@ -295,9 +273,9 @@ def build_word_network(
     return graph_from_pairs(nodes, codes[:filled])
 
 
-def activity(messages: Sequence[Message]) -> int:
-    """Messages posted in the window."""
-    return len(messages)
+def activity(authors: Sequence[str]) -> int:
+    """Messages posted in the window, given the author of each."""
+    return len(authors)
 
 
 def activity_words(word_graph: DirectedWeightedGraph) -> int:

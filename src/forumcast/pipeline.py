@@ -30,7 +30,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from . import __version__
 from .centrality import (
@@ -47,7 +47,6 @@ from .centrality import (
 )
 from .config import PipelineConfig, to_dict, validate, validate_output_dir, validate_paths
 from .corpus import (
-    Message,
     load_market_series,
     load_messages,
     parse_timestamp,
@@ -165,38 +164,19 @@ class _WindowResult:
 
 @dataclass(frozen=True)
 class _WindowTask:
-    """One window: its messages, their filtered token streams in the same
-    order, a map from message id to author that covers every parent its
-    replies point to, the focal token, and the window's sentiment and
-    emotionality, scored while the messages were tokenized.
-
-    In the main process every task shares the corpus-wide ``author_by_id``.
-    A task sent to a worker pickles its messages without their bodies, which
-    workers never read, and only the authors of the parents that this
-    window's replies point to, so its size follows the window, not the
-    corpus.
-    """
+    """One window, as plain data: the author of each message, one ``(author,
+    parent author)`` pair per comment (``None`` for an unknown parent), the
+    messages' filtered token streams in the same order, the focal token, and
+    the window's sentiment and emotionality, scored while the messages were
+    tokenized."""
 
     index: int
-    messages: tuple[Message, ...]
+    authors: tuple[str, ...]
+    replies: tuple[tuple[str, str | None], ...]
     streams: tuple[list[str], ...]
-    author_by_id: Mapping[str, str]
     focal_token: str
     sentiment: float | None
     emotionality: float | None
-
-    def __reduce__(self):
-        authors = self.author_by_id
-        parents = {
-            m.parent_id: authors[m.parent_id] for m in self.messages if m.parent_id in authors
-        }
-        messages = tuple(
-            Message(m.id, m.author_id, m.timestamp, "", m.parent_id) for m in self.messages
-        )
-        return _WindowTask, (
-            self.index, messages, self.streams, parents, self.focal_token,
-            self.sentiment, self.emotionality,
-        )
 
 
 _worker_config: PipelineConfig | None = None
@@ -241,11 +221,9 @@ def _naming_window(index: int):
 
 def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
     index = task.index
-    messages = task.messages
-    streams = task.streams
     with _naming_window(index):
-        word_graph = build_word_network(streams, config.window_size)
-        interaction, tallies = build_interaction_network(messages, task.author_by_id)
+        word_graph = build_word_network(task.streams, config.window_size)
+        interaction, tallies = build_interaction_network(task.authors, task.replies)
 
         if interaction.n >= 3:
             group_degree = centralization(degree_centrality(interaction)).value
@@ -278,7 +256,7 @@ def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
             focal_betweenness = 0.0
 
         graph_features = (
-            activity(messages),
+            activity(task.authors),
             activity_words(word_graph),
             group_degree,
             group_betweenness,
@@ -288,7 +266,7 @@ def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
         )
         diagnostics = (
             index,
-            len(messages),
+            len(task.authors),
             word_graph.n,
             word_graph.m,
             word_graph.total_weight,
@@ -387,26 +365,51 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
     )
     if corpus.dropped:
         logger.info("%d messages fall outside the horizon", len(corpus.dropped))
-    author_by_id = {m.id: m.author_id for m in messages}
+    # Authors are interned like the tokens: each task holds one string per
+    # author, however many messages and replies name them.
+    author_by_id = {m.id: sys.intern(m.author_id) for m in messages}
+    # From here ``windows`` holds the last references to the messages, and
+    # the pass drops each window's once its task is built: the bodies are
+    # freed while the streams grow, which lowers the load's peak memory.
+    windows = corpus.messages_by_window
+    del messages, corpus
 
-    # The one text pass: each in-horizon message is tokenized here; its
-    # sentiment is scored from those tokens, and its filtered stream rides
-    # with its window. The streams live until the windows are done, so equal
-    # tokens are interned to one string object; a fresh string per
-    # occurrence would take about five times the memory on a busy forum.
+    # The one text pass, and the only place that reads a message: each
+    # in-horizon message is tokenized here, its sentiment is scored from
+    # those tokens, and its author, its reply's parent author and its
+    # filtered stream ride with its window. The streams live until the
+    # windows are done, so equal tokens are interned to one string object; a
+    # fresh string per occurrence would take about five times the memory on
+    # a busy forum.
     tasks = []
-    for i, window in enumerate(corpus.messages_by_window):
+    for i in range(len(windows)):
+        window, windows[i] = windows[i], []
+        authors = []
+        replies = []
+        dangling = []
         streams = []
         scores = []
         with _naming_window(i):
             for m in window:
+                author = author_by_id[m.id]
+                authors.append(author)
+                if m.parent_id is not None:
+                    parent = author_by_id.get(m.parent_id)
+                    replies.append((author, parent))
+                    if parent is None:
+                        dangling.append(m)
                 tokens = tokenize(m.body, keep_digits=config.keep_digits)
                 scores.append(score_message(m, tokens, scorer))
                 streams.append(
                     list(map(sys.intern, _filter_stream(tokens, config, stop, dictionary)))
                 )
+        if dangling:
+            logger.warning(
+                "%d replies point to unknown parents, arcs skipped (first: message %s"
+                " replies to %s)", len(dangling), dangling[0].id, dangling[0].parent_id,
+            )
         tasks.append(_WindowTask(
-            i, tuple(window), tuple(streams), author_by_id, focal_token,
+            i, tuple(authors), tuple(replies), tuple(streams), focal_token,
             window_sentiment(scores), emotionality(scores),
         ))
     vocab = build_vocabulary(stream for task in tasks for stream in task.streams)

@@ -24,7 +24,6 @@ from datetime import timedelta
 
 from .config import PipelineConfig, save_config
 from .corpus import WEEK, parse_timestamp
-from .graphs import build_word_network
 from .textproc import filter_tokens, load_stopwords, tokenize
 
 HORIZON_START = "2018-01-01T00:00:00+00:00"
@@ -134,6 +133,12 @@ def _week_messages(week: int, rng: random.Random, start) -> list[dict]:
     return rows
 
 
+def _cooccurrence_events(tokens: list[str]) -> int:
+    """The word-graph events of one message at the default ``window_size`` of
+    7: ordered pairs of different words at most 7 positions apart."""
+    return sum(right != left for i, left in enumerate(tokens) for right in tokens[i + 1:i + 8])
+
+
 def generate_demo(out_dir: str, seed: int = 7, weeks: int = 94) -> dict[str, str]:
     """Write the demo input set under ``out_dir`` and return the file paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -150,10 +155,11 @@ def generate_demo(out_dir: str, seed: int = 7, weeks: int = 94) -> dict[str, str
 
     # measure the quantity the pipeline itself will see
     stop = load_stopwords("english")
-    weekly_aw: list[float] = []
-    for rows in weekly_rows:
-        streams = [filter_tokens(tokenize(row["body"]), stop) for row in rows]
-        weekly_aw.append(float(build_word_network(streams, 7).total_weight))
+    weekly_aw = [
+        float(sum(_cooccurrence_events(filter_tokens(tokenize(row["body"]), stop))
+                  for row in rows))
+        for rows in weekly_rows
+    ]
 
     control = [100.0]
     for _ in range(1, weeks):

@@ -19,7 +19,7 @@ from forumcast.graphs import (
     graph_from_pairs,
 )
 
-from conftest import arcs, graph_from_arcs, make_message
+from conftest import arcs, graph_from_arcs
 from oracles import enumerate_cooccurrences
 
 token = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -194,93 +194,71 @@ class TestWordNetwork:
 
 class TestInteractionNetwork:
     def test_reply_creates_reversed_arc(self):
-        post = make_message("p", "alice")
-        comment = make_message("c", "bob", parent="p", offset_hours=1)
-        g, tallies = build_interaction_network([post, comment])
+        g, tallies = build_interaction_network(["alice", "bob"], [("bob", "alice")])
         assert arcs(g) == {("bob", "alice"): 1}
         assert tallies.comments == 1
         assert tallies.self_replies == 0
         assert tallies.dangling_parents == 0
 
     def test_self_reply_tally_no_arc(self):
-        post = make_message("p", "alice")
-        own = make_message("c", "alice", parent="p", offset_hours=1)
-        g, tallies = build_interaction_network([post, own])
+        g, tallies = build_interaction_network(["alice", "alice"], [("alice", "alice")])
         assert g.m == 0
         assert g.nodes == ("alice",)
         assert tallies.self_replies == 1
         assert g.self_loop_events == 1
 
     def test_repeat_replies_accumulate_weight(self):
-        msgs = [
-            make_message("p", "alice"),
-            make_message("c1", "bob", parent="p", offset_hours=1),
-            make_message("c2", "bob", parent="p", offset_hours=2),
-        ]
-        g, tallies = build_interaction_network(msgs)
+        g, tallies = build_interaction_network(
+            ["alice", "bob", "bob"], [("bob", "alice"), ("bob", "alice")]
+        )
         assert arcs(g) == {("bob", "alice"): 2}
         assert g.m == 1 and g.total_weight == 2
         assert tallies.comments == 2
 
-    def test_dangling_parent_skipped_and_counted(self, caplog):
-        msgs = [make_message("c", "bob", parent="ghost")]
+    def test_unknown_parent_skipped_and_counted(self, caplog):
         with caplog.at_level("WARNING"):
-            g, tallies = build_interaction_network(msgs)
+            g, tallies = build_interaction_network(["bob"], [("bob", None)])
         assert g.m == 0
-        assert tallies.dangling_parents == 1
-        assert any("ghost" in record.message for record in caplog.records)
+        assert g.nodes == ("bob",)
+        assert (tallies.comments, tallies.dangling_parents) == (1, 1)
+        # the loader reports unknown parents, once per window
+        assert caplog.records == []
 
-    def test_one_warning_per_call_counts_dangling(self, caplog):
-        msgs = [make_message("p", "alice")] + [
-            make_message(f"c{i}", "bob", parent=f"ghost{i}", offset_hours=i + 1)
-            for i in range(3)
-        ]
-        with caplog.at_level("WARNING"):
-            _g, tallies = build_interaction_network(msgs)
-        assert tallies.dangling_parents == 3
-        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert len(warnings) == 1
-        assert "3 replies" in warnings[0].getMessage()
-        assert "ghost0" in warnings[0].getMessage()
-
-    def test_external_author_map_resolves_cross_window_parents(self):
-        comment = make_message("c", "bob", parent="old-post", week=1)
-        g, tallies = build_interaction_network([comment], {"old-post": "alice", "c": "bob"})
+    def test_parent_author_outside_the_window_is_a_node(self):
+        g, tallies = build_interaction_network(["bob"], [("bob", "alice")])
+        assert g.nodes == ("alice", "bob")
         assert arcs(g) == {("bob", "alice"): 1}
         assert tallies.dangling_parents == 0
 
     def test_message_order_irrelevant(self):
-        msgs = [
-            make_message("p", "alice"),
-            make_message("c1", "bob", parent="p", offset_hours=1),
-            make_message("c2", "carol", parent="c1", offset_hours=2),
-        ]
-        a, _ = build_interaction_network(msgs)
-        b, _ = build_interaction_network(list(reversed(msgs)))
+        authors = ["alice", "bob", "carol"]
+        replies = [("bob", "alice"), ("carol", "bob")]
+        a, _ = build_interaction_network(authors, replies)
+        b, _ = build_interaction_network(authors[::-1], replies[::-1])
         assert a == b
 
     def test_weight_conservation_random_threads(self):
         rng = random.Random(99)
         for trial in range(40):
-            authors = [f"u{i}" for i in range(rng.randrange(2, 6))]
-            msgs = [make_message("m0", rng.choice(authors))]
-            for i in range(1, rng.randrange(2, 25)):
-                parent = rng.choice([None, "ghost", rng.choice(msgs).id])
-                msgs.append(
-                    make_message(f"m{i}", rng.choice(authors), parent=parent, offset_hours=i)
-                )
-            g, tallies = build_interaction_network(msgs)
-            comments = sum(1 for m in msgs if m.parent_id is not None)
+            users = [f"u{i}" for i in range(rng.randrange(2, 6))]
+            authors = [rng.choice(users) for _ in range(rng.randrange(2, 25))]
+            replies = [
+                (author, rng.choice([None, rng.choice(users)]))
+                for author in authors[1:] if rng.random() < 0.7
+            ]
+            g, tallies = build_interaction_network(authors, replies)
             assert (
-                g.total_weight + tallies.self_replies + tallies.dangling_parents == comments
+                g.total_weight + tallies.self_replies + tallies.dangling_parents
+                == len(replies)
             )
-            assert tallies.comments == comments
+            assert tallies.comments == len(replies)
+            assert tallies.dangling_parents == sum(p is None for _, p in replies)
 
 
 class TestActivity:
     def test_activity_counts_messages(self):
         assert activity([]) == 0
-        assert activity([make_message(f"m{i}", "u") for i in range(5)]) == 5
+        assert activity(["u", "v", "u", "u", "w"]) == 5
 
     def test_activity_words_reads_total_weight(self):
         assert activity_words(build_word_network([])) == 0

@@ -16,13 +16,14 @@ import math
 import multiprocessing
 import os
 import pickle
+import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
-from conftest import make_message
 
 from forumcast import pipeline
 from forumcast.cli import main
@@ -96,6 +97,18 @@ def read_rows(path) -> list[dict[str, str]]:
 
 def disk_full(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def write_messages(config, rows) -> None:
+    """Replace the corpus with ``rows``: (id, author, week, parent) tuples,
+    posted an hour apart in input order, each with a two-word body."""
+    with open(config.messages_path, "w") as handle:
+        for hour, (msg_id, author, week, parent) in enumerate(rows):
+            record = {"id": msg_id, "author_id": author, "body": "widget demo",
+                      "timestamp": f"2020-01-{6 + 7 * week:02d}T{hour % 24:02d}:00:00Z"}
+            if parent is not None:
+                record["parent_id"] = parent
+            handle.write(json.dumps(record) + "\n")
 
 
 class TestFeatureValues:
@@ -359,6 +372,52 @@ class TestDiagnostics:
                 == [r["activity_words"] for r in features]
 
 
+class TestReplyResolution:
+    """The text pass resolves each reply to its parent's author, against every
+    loaded message; replies to unknown parents are counted and reported once
+    per window, from the main process."""
+
+    def _edges(self, config, week):
+        table = os.path.join(config.output_dir, "graphs", "interaction_edges.csv")
+        return [(r["source"], r["target"], int(r["weight"]))
+                for r in read_rows(table) if r["week"] == str(week)]
+
+    def _diagnostics(self, config):
+        return read_rows(os.path.join(config.output_dir, "diagnostics.csv"))
+
+    def test_dangling_parent_skipped_and_counted(self, config, caplog):
+        write_messages(config, [("c", "bob", 0, "ghost")])
+        with caplog.at_level("WARNING"):
+            run_features(config)
+        week0 = self._diagnostics(config)[0]
+        assert (week0["interaction_n"], week0["interaction_m"]) == ("1", "0")
+        assert (week0["comments"], week0["dangling_parents"]) == ("1", "1")
+        assert any("ghost" in record.getMessage() for record in caplog.records)
+
+    def test_one_warning_per_window_counts_dangling(self, config, caplog):
+        write_messages(config, [("p", "alice", 0, None)] + [
+            (f"c{i}", "bob", 0, f"ghost{i}") for i in range(3)
+        ])
+        with caplog.at_level("WARNING"):
+            run_features(config)
+        assert self._diagnostics(config)[0]["dangling_parents"] == "3"
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "3 replies" in warnings[0].getMessage()
+        assert "ghost0" in warnings[0].getMessage()
+
+    def test_external_author_map_resolves_cross_window_parents(self, config):
+        # m4 (week 2) replies to m2 (week 0); frank replies to m0, which
+        # precedes the horizon and belongs to no window.
+        with open(config.messages_path, "a") as handle:
+            handle.write(json.dumps({"id": "m6", "author_id": "frank", "parent_id": "m0",
+                                     "timestamp": "2020-01-13T10:00:00Z", "body": "x"}) + "\n")
+        run_features(config)
+        assert self._edges(config, 1) == [("frank", "eve", 1)]
+        assert self._edges(config, 2) == [("alice", "bob", 1)]
+        assert [r["dangling_parents"] for r in self._diagnostics(config)] == ["0", "0", "1"]
+
+
 class TestDeterminism:
     def _snapshot(self, root) -> dict[str, bytes]:
         out = {}
@@ -586,23 +645,87 @@ class TestWorkerPool:
         assert len(state_sizes) == 2
         assert state_sizes[0] == state_sizes[1]
 
-    def test_task_pickles_only_what_the_window_reads(self):
-        messages = [
-            make_message("p1", "alice", body="far away " * 50),
-            make_message("r1", "bob", parent="p1"),
-            make_message("r2", "carol", parent="ghost"),
+    def test_task_pickles_only_what_the_window_reads(self, config):
+        tasks, _vocab, _rejections = pipeline._load_windows(config)
+        # m4 in week 2 replies to m2 of week 0; m5's parent is unknown
+        assert [(t.index, t.authors, t.replies) for t in tasks] == [
+            (0, ("alice", "bob", "carol"), (("bob", "alice"), ("carol", "alice"))),
+            (1, (), ()),
+            (2, ("alice", "dave"), (("alice", "bob"), ("dave", None))),
         ]
-        authors = {m.id: m.author_id for m in messages}
-        authors.update({f"x{i}": "zed" for i in range(100)})
-        task = pipeline._WindowTask(3, tuple(messages[1:]), ([], []), authors, "acme", 0.5, None)
-        sent = pickle.loads(pickle.dumps(task))
-        assert sent.author_by_id == {"p1": "alice"}
-        assert [m.body for m in sent.messages] == ["", ""]
-        assert [(m.id, m.author_id, m.parent_id) for m in sent.messages] == [
-            ("r1", "bob", "p1"), ("r2", "carol", "ghost"),
+        assert "__reduce__" not in vars(pipeline._WindowTask)
+        referenced = [{"alice", "bob", "carol"}, set(), {"alice", "bob", "dave"}]
+        for task, names in zip(tasks, referenced):
+            sent = pickle.dumps(task)
+            assert pickle.loads(sent) == task
+            assert b"Message" not in sent and b"forumcast.corpus" not in sent
+            for record in _MESSAGES:
+                assert record["body"].encode() not in sent
+            for author in {"alice", "bob", "carol", "dave", "eve"} - names:
+                assert author.encode() not in sent
+
+    def test_text_pass_frees_each_window_of_messages(self, config, monkeypatch):
+        load_messages, score_message = pipeline.load_messages, pipeline.score_message
+        refs = {}
+        alive = {}
+
+        def load(*args):
+            messages, rejections = load_messages(*args)
+            refs.update((m.id, weakref.ref(m)) for m in messages)
+            return messages, rejections
+
+        def score(message, *args):
+            alive[message.id] = sorted(key for key, ref in refs.items() if ref() is not None)
+            return score_message(message, *args)
+
+        monkeypatch.setattr(pipeline, "load_messages", load)
+        monkeypatch.setattr(pipeline, "score_message", score)
+        pipeline._load_windows(config)
+        # by week 2, week 0's messages and m0 (before the horizon) are gone
+        assert alive["m1"] == ["m1", "m2", "m3", "m4", "m5"]
+        assert alive["m4"] == ["m4", "m5"]
+        assert [key for key, ref in refs.items() if ref() is not None] == []
+
+    def test_two_workers_log_the_warnings_of_one_worker(self, config, tmp_path):
+        # Week 0 is far heavier than weeks 1-3, so a worker that logged its
+        # own windows' warnings would print week 0's after the others'.
+        rng = random.Random(0)
+        vocabulary = ["".join(rng.choices("bcdfghjklmnpqrstvz", k=4)) for _ in range(120)]
+        with open(config.messages_path, "w") as handle:
+            for i in range(1500):
+                handle.write(json.dumps({
+                    "id": f"h{i}", "author_id": f"u{i % 40}", "parent_id": f"gone{i % 2}",
+                    "timestamp": f"2020-01-06T{i % 24:02d}:00:00Z",
+                    "body": " ".join(rng.choices(vocabulary, k=25)),
+                }) + "\n")
+            for week in (1, 2, 3):
+                handle.write(json.dumps({
+                    "id": f"r{week}", "author_id": "bob", "parent_id": f"ghost{week}",
+                    "timestamp": f"2020-01-{6 + 7 * week:02d}T10:00:00Z", "body": "x",
+                }) + "\n")
+        config.horizon_weeks = 4
+        path = tmp_path / "config.yaml"
+        save_config(config, str(path))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        errs = [
+            subprocess.run(
+                [sys.executable, "-m", "forumcast.cli", "features", "-c", str(path),
+                 "--workers", workers, "--output-dir", str(tmp_path / f"out{workers}")],
+                capture_output=True, check=True, env=env, timeout=120,
+            ).stderr
+            for workers in ("1", "2")
         ]
-        assert (sent.index, sent.streams, sent.focal_token) == (3, ([], []), "acme")
-        assert (sent.sentiment, sent.emotionality) == (0.5, None)
+        assert errs[0].splitlines() == [
+            b"1500 replies point to unknown parents, arcs skipped"
+            b" (first: message h0 replies to gone0)",
+            b"1 replies point to unknown parents, arcs skipped"
+            b" (first: message r1 replies to ghost1)",
+            b"1 replies point to unknown parents, arcs skipped"
+            b" (first: message r2 replies to ghost2)",
+            b"1 replies point to unknown parents, arcs skipped"
+            b" (first: message r3 replies to ghost3)",
+        ]
+        assert errs[1] == errs[0]
 
     def test_dead_worker_is_a_typed_error(self, config, tmp_path, capfd, monkeypatch):
         compute = pipeline._compute_window
@@ -802,6 +925,21 @@ class TestIngestCheck:
         assert report["rejected_rows"] == 1
         assert report["rejection_reasons"] == ["missing required field 'id'"]
 
+    def test_deeply_nested_line_is_a_rejection(self, config, tmp_path, capsys):
+        with open(config.messages_path, "a") as handle:
+            handle.write("[" * 200_000 + "]" * 200_000 + "\n")
+        save_config(config, str(tmp_path / "config.yaml"))
+        code = main(["ingest-check", "-c", str(tmp_path / "config.yaml")])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        report = json.loads(out)
+        assert (report["messages"], report["rejected_rows"]) == (6, 1)
+        assert report["rejection_reasons"] == ["line nests too deeply to parse"]
+        run_features(config)
+        assert read_rows(os.path.join(config.output_dir, "rejections.csv")) == [
+            {"line": "7", "reason": "line nests too deeply to parse"}
+        ]
+
 
 def _focal_word_filtered_away(config, monkeypatch):
     config.focal_word = "the"
@@ -993,6 +1131,15 @@ class TestCli:
         assert "config error: cannot read config" in err and path in err
         assert "Traceback" not in err
 
+    def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.yaml"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        code = main(["run", "-c", str(path), "--dry-run"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert "Traceback" not in err
+
     def test_path_count_overflow_exit_code(self, config, tmp_path, capsys):
         # Two authors per layer, each replying to both authors of the next
         # layer: 2**1098 geodesics cross the week-0 interaction graph.
@@ -1113,6 +1260,21 @@ class TestCli:
             ["run", 0, ["numpy"], False],
             ["demo run", 0, ["numpy"], False],
         ]
+
+    def test_demo_generator_leaves_out_numpy(self, tmp_path):
+        code = textwrap.dedent("""
+            import sys
+            from forumcast.synth import generate_demo
+            imported = "numpy" in sys.modules
+            generate_demo(sys.argv[1], seed=7, weeks=3)
+            print(imported, "numpy" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "demo")],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.split() == ["False", "False"]
 
     def test_selftest_command(self, capsys):
         assert main(["selftest"]) == 0
