@@ -65,14 +65,15 @@ def main() -> None:
         f"  peak RSS {peak_rss_mb():.0f} MB"
     )
 
-    degree = degree_centrality(graph).raw
-    word = max(degree, key=degree.get)
+    degree = degree_centrality(graph)
+    top = int(degree.argmax())
+    word = graph.nodes[top]
     sources, scale = sample_sources(graph, min(args.samples, graph.n), args.seed)
     t0 = time.perf_counter()
     vertex_betweenness(graph, word, sources, scale)
     sample_seconds = time.perf_counter() - t0
     print(
-        f"sampled betweenness of {word!r} (degree {degree[word]:.0f},"
+        f"sampled betweenness of {word!r} (degree {degree[top]:.0f},"
         f" {len(sources)} sources): {sample_seconds:.2f}s"
     )
 

@@ -5,7 +5,9 @@ geodesic pair dependencies over unweighted directed shortest paths (arc
 weights are ignored by both metrics). Betweenness uses Brandes' per-source
 dependency accumulation; ``approx_betweenness`` runs the same accumulation
 over a uniform sample of sources, scaled by n / sample_count, so a full
-sample is bit-identical to the exact computation.
+sample is bit-identical to the exact computation. Each returns its raw
+scores as one float array indexed by node id, and ``centralization``
+reduces such an array to the graph's one number.
 
 The accumulation runs level-synchronously over a batch of sources at once,
 in the matrix form of Kepner & Gilbert (Graph Algorithms in the Language of
@@ -37,8 +39,7 @@ every graph of at most 102 nodes: two nodes of an n-node graph have at most
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,20 +64,6 @@ _PATH_COUNT_OVERFLOW = (
 )
 
 
-@dataclass(frozen=True)
-class CentralityVector:
-    metric: str
-    raw: Mapping[str, float]
-    normalized: Mapping[str, float]
-    graph_n: int
-
-
-@dataclass(frozen=True)
-class CentralizationScore:
-    metric: str
-    value: float
-
-
 def normalize(metric: str, raw: float, n: int) -> float:
     """Freeman's normalized score of one node: degree over 2(n-1) for
     n >= 2, betweenness over (n-1)(n-2) for n >= 3, and 0.0 on graphs too
@@ -86,17 +73,15 @@ def normalize(metric: str, raw: float, n: int) -> float:
     return raw / float((n - 1) * (n - 2)) if n >= 3 else 0.0
 
 
-def degree_centrality(g: DirectedWeightedGraph) -> CentralityVector:
-    """raw(v) = distinct in-arcs + distinct out-arcs; normalized by 2(n-1)."""
-    n = g.n
-    degree = (np.diff(g.indptr) + np.bincount(g.indices, minlength=n)).astype(float)
-    raw = dict(zip(g.nodes, degree.tolist()))
-    normalized = {v: normalize(DEGREE, d, n) for v, d in raw.items()}
-    return CentralityVector(metric=DEGREE, raw=raw, normalized=normalized, graph_n=n)
+def degree_centrality(g: DirectedWeightedGraph) -> np.ndarray:
+    """Raw degree of each node, indexed by node id: distinct in-arcs plus
+    distinct out-arcs."""
+    return (np.diff(g.indptr) + np.bincount(g.indices, minlength=g.n)).astype(float)
 
 
 def vertex_degree(g: DirectedWeightedGraph, node: str) -> int:
-    """``degree_centrality(g).raw[node]``, read off the CSR arrays alone."""
+    """``degree_centrality(g)[g.node_id(node)]``, read off the CSR arrays
+    alone."""
     i = g.node_id(node)
     return int(g.indptr[i + 1] - g.indptr[i]) + int(np.count_nonzero(g.indices == i))
 
@@ -159,7 +144,7 @@ def _batched_betweenness(
     sources: Sequence[str],
     scale: float,
     batch_cells: int = BATCH_CELLS,
-) -> dict[str, float]:
+) -> np.ndarray:
     # Brandes (2001) over a batch of S sources at once. Node i is g.nodes[i];
     # sigma, dist and delta are (n x S) arrays, column j for source batch[j].
     # Backward, each cell (i, j) on a level pulls sum_k coef[k, j] over i's
@@ -183,7 +168,7 @@ def _batched_betweenness(
             np.multiply(sigma, sums, out=delta, where=parents)
         # Sequential sum over the columns, in sorted source order.
         score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
-    return dict(zip(g.nodes, score.tolist()))
+    return score
 
 
 def _successor_sums(g: DirectedWeightedGraph, cells: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -207,17 +192,11 @@ def _successor_sums(g: DirectedWeightedGraph, cells: np.ndarray, coef: np.ndarra
     return sums.reshape(coef.shape)
 
 
-def _betweenness_vector(g: DirectedWeightedGraph, raw: dict[str, float]) -> CentralityVector:
-    normalized = {v: normalize(BETWEENNESS, score, g.n) for v, score in raw.items()}
-    return CentralityVector(metric=BETWEENNESS, raw=raw, normalized=normalized, graph_n=g.n)
-
-
-def betweenness_centrality(g: DirectedWeightedGraph) -> CentralityVector:
-    """Exact directed betweenness: raw(v) = sum over ordered pairs s != t != v
-    of sigma_st(v) / sigma_st on hop-count shortest paths. Unreachable pairs
-    contribute zero. Normalized by (n-1)(n-2) for n >= 3."""
-    raw = _batched_betweenness(g, g.nodes, 1.0)
-    return _betweenness_vector(g, raw)
+def betweenness_centrality(g: DirectedWeightedGraph) -> np.ndarray:
+    """Exact directed betweenness of each node, indexed by node id: the sum
+    over ordered pairs s != t != v of sigma_st(v) / sigma_st on hop-count
+    shortest paths. Unreachable pairs contribute zero."""
+    return _batched_betweenness(g, g.nodes, 1.0)
 
 
 def sample_sources(
@@ -235,16 +214,14 @@ def sample_sources(
     return sorted(rng.sample(g.nodes, sample_count)), n / sample_count
 
 
-def approx_betweenness(
-    g: DirectedWeightedGraph, sample_count: int, seed: int
-) -> CentralityVector:
-    """Source-sampled betweenness estimate, unbiased via the n/k scaling.
+def approx_betweenness(g: DirectedWeightedGraph, sample_count: int, seed: int) -> np.ndarray:
+    """Source-sampled betweenness estimate of each node, indexed by node id,
+    unbiased via the n/k scaling.
 
     sample_count = n degenerates to the exact computation, bit for bit.
     """
     sources, scale = sample_sources(g, sample_count, seed)
-    raw = _batched_betweenness(g, sources, scale)
-    return _betweenness_vector(g, raw)
+    return _batched_betweenness(g, sources, scale)
 
 
 def vertex_betweenness(
@@ -288,18 +265,20 @@ def vertex_betweenness(
     return score
 
 
-def centralization(cv: CentralityVector) -> CentralizationScore:
-    """Freeman group centralization from normalized scores.
+def centralization(metric: str, raw: np.ndarray) -> float:
+    """Freeman group centralization of ``metric`` from the raw scores of
+    every node of a graph.
 
-    sum(c* - c_i) over the graph, divided by (n-1) for betweenness and
-    (n-2) for degree: the constants that put the bidirectional star at
-    exactly 1 and any equal-score graph at exactly 0.
+    Each score is normalized with ``normalize``; sum(c* - c_i) over the
+    graph, in node order, is divided by (n-1) for betweenness and (n-2) for
+    degree: the constants that put the bidirectional star at exactly 1 and
+    any equal-score graph at exactly 0.
     """
-    n = cv.graph_n
+    n = len(raw)
     if n < 3:
         raise AnalysisError(f"centralization undefined for n={n} (need n >= 3)")
-    scores = list(cv.normalized.values())
+    scores = [normalize(metric, score, n) for score in raw.tolist()]
     c_star = max(scores)
     spread = sum(c_star - c for c in scores)
-    denom = float(n - 1) if cv.metric == BETWEENNESS else float(n - 2)
-    return CentralizationScore(metric=cv.metric, value=spread / denom)
+    denom = float(n - 1) if metric == BETWEENNESS else float(n - 2)
+    return spread / denom

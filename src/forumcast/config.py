@@ -1,5 +1,5 @@
 """Pipeline configuration: a YAML file mirroring one dataclass, and the
-analysis battery's settings types (``ModelSpec``, ``BatteryConfig``) it parses.
+analysis battery's model types (``ModelTerm``, ``ModelSpec``) it parses.
 
 The file round-trips: load -> save -> load yields an equal config. Unknown
 keys are rejected so typos fail fast. Paths are checked separately
@@ -83,17 +83,6 @@ DEFAULT_MODELS: tuple[ModelSpec, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class BatteryConfig:
-    correlation_lags: tuple[int, ...] = (0, 1, 2)
-    granger_max_lag: int = 3
-    granger_difference_dependent: bool = True
-    granger_conditioning: tuple[str, ...] = ()
-    models: tuple[ModelSpec, ...] = DEFAULT_MODELS
-    baseline_model: str = "model_1"
-    combined_model: str = "model_8"
-
-
 @dataclass
 class PipelineConfig:
     # inputs
@@ -128,15 +117,6 @@ class PipelineConfig:
     granger_difference_dependent: bool = True
     granger_conditioning: tuple[str, ...] = ()
     models: tuple[ModelSpec, ...] = DEFAULT_MODELS
-
-    def battery_config(self) -> BatteryConfig:
-        return BatteryConfig(
-            correlation_lags=self.correlation_lags,
-            granger_max_lag=self.granger_max_lag,
-            granger_difference_dependent=self.granger_difference_dependent,
-            granger_conditioning=self.granger_conditioning,
-            models=self.models,
-        )
 
 
 _REQUIRED = ("messages_path", "price_path", "control_path", "horizon_start", "focal_word")

@@ -47,18 +47,6 @@ class Message:
 
 
 @dataclass(frozen=True)
-class TimeWindow:
-    """Half-open weekly interval [start, end), 0-based index."""
-
-    index: int
-    start: datetime
-    end: datetime
-
-    def contains(self, instant: datetime) -> bool:
-        return self.start <= instant < self.end
-
-
-@dataclass(frozen=True)
 class RejectedRow:
     """A row the loader refused, with its 1-based line number."""
 
@@ -99,13 +87,12 @@ class WindowedCorpus:
     ``dropped`` rather than discarded.
     """
 
-    windows: list[TimeWindow]
     messages_by_window: list[list[Message]]
     dropped: list[Message] = field(default_factory=list)
 
     @property
     def week_count(self) -> int:
-        return len(self.windows)
+        return len(self.messages_by_window)
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -173,7 +160,9 @@ def load_messages(
                     if not isinstance(record, dict):
                         raise DataError("line is not a JSON object")
                     message = _message_from_record(record, seen_ids)
-                except (json.JSONDecodeError, DataError) as exc:
+                except (ValueError, DataError) as exc:
+                    # ValueError: a JSONDecodeError, or an integer with more
+                    # digits than int() converts
                     rejections.append(RejectedRow(line_no, str(exc)))
                     continue
                 except RecursionError:
@@ -205,17 +194,6 @@ def write_rejections(path: str, rejections: list[RejectedRow]) -> None:
     write_csv(path, ("line", "reason"), ((row.line, row.reason) for row in rejections))
 
 
-def make_windows(horizon_start: datetime, horizon_weeks: int) -> list[TimeWindow]:
-    if horizon_weeks < 1:
-        raise ValueError("horizon_weeks must be >= 1")
-    if horizon_start.tzinfo is None:
-        horizon_start = horizon_start.replace(tzinfo=timezone.utc)
-    return [
-        TimeWindow(i, horizon_start + i * WEEK, horizon_start + (i + 1) * WEEK)
-        for i in range(horizon_weeks)
-    ]
-
-
 def window_index(instant: datetime, horizon_start: datetime) -> int:
     """Index of the 7-day block containing ``instant`` (may be out of range)."""
     return math.floor((instant - horizon_start) / WEEK)
@@ -224,17 +202,21 @@ def window_index(instant: datetime, horizon_start: datetime) -> int:
 def partition_weeks(
     messages: list[Message], horizon_start: datetime, horizon_weeks: int
 ) -> WindowedCorpus:
-    """Assign each message to its 7-day window by timestamp.
+    """Assign each message to its 7-day window by timestamp: window i is
+    [horizon_start + i weeks, horizon_start + (i + 1) weeks). A naive
+    ``horizon_start`` is taken as UTC.
 
     Out-of-range messages are collected in ``dropped``. The result does not
     depend on the order of ``messages``.
     """
-    windows = make_windows(horizon_start, horizon_weeks)
-    start = windows[0].start
+    if horizon_weeks < 1:
+        raise ValueError("horizon_weeks must be >= 1")
+    if horizon_start.tzinfo is None:
+        horizon_start = horizon_start.replace(tzinfo=timezone.utc)
     buckets: list[list[Message]] = [[] for _ in range(horizon_weeks)]
     dropped: list[Message] = []
     for message in messages:
-        idx = window_index(message.timestamp, start)
+        idx = window_index(message.timestamp, horizon_start)
         if 0 <= idx < horizon_weeks:
             buckets[idx].append(message)
         else:
@@ -242,7 +224,7 @@ def partition_weeks(
     for bucket in buckets:
         bucket.sort(key=lambda m: (m.timestamp, m.id))
     dropped.sort(key=lambda m: (m.timestamp, m.id))
-    return WindowedCorpus(windows=windows, messages_by_window=buckets, dropped=dropped)
+    return WindowedCorpus(messages_by_window=buckets, dropped=dropped)
 
 
 def ingest_check(config: PipelineConfig) -> dict:

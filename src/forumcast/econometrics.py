@@ -24,14 +24,14 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-# The battery's settings types live in config, which parses them without
+# The battery's model types live in config, which parses them without
 # loading NumPy; they stay importable from here.
 from .config import (
     DEFAULT_MODELS,
     PREDICTOR_COLUMNS,
-    BatteryConfig,
     ModelSpec,
     ModelTerm,
+    PipelineConfig,
 )
 from .corpus import MarketSeries
 from .errors import (
@@ -41,9 +41,12 @@ from .errors import (
     RankDeficiencyError,
     UndefinedCorrelationError,
 )
-from .tables import format_cell, replacing, write_csv
+from .tables import replacing, write_csv
 
 DEPENDENT_COLUMN = "price"
+# The models whose adjusted R2 difference is the report's incremental fit.
+BASELINE_MODEL = "model_1"
+COMBINED_MODEL = "model_8"
 
 CORPUS_FEATURE_COLUMNS = tuple(c for c in PREDICTOR_COLUMNS if c != "control")
 
@@ -488,8 +491,9 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def run_battery(panel: FeaturePanel, config: BatteryConfig = BatteryConfig()) -> AnalysisReport:
-    """Correlation table, Granger table, and declarative regression models.
+def run_battery(panel: FeaturePanel, config: PipelineConfig) -> AnalysisReport:
+    """Correlation table, Granger table, and declarative regression models,
+    as ``config``'s battery settings ask.
 
     A failing cell carries its error message; the rest of the report still
     completes. Cell order is fixed, so reports are byte-stable.
@@ -533,8 +537,8 @@ def run_battery(panel: FeaturePanel, config: BatteryConfig = BatteryConfig()) ->
 
     by_name = {report.spec.name: report for report in models}
     incremental = None
-    baseline = by_name.get(config.baseline_model)
-    combined = by_name.get(config.combined_model)
+    baseline = by_name.get(BASELINE_MODEL)
+    combined = by_name.get(COMBINED_MODEL)
     if baseline and combined and baseline.result and combined.result:
         incremental = combined.result.adj_r2 - baseline.result.adj_r2
 
@@ -553,12 +557,8 @@ def _result_cells(result, fields: Sequence[str]) -> list:
     return [getattr(result, name) for name in fields] + [significance_stars(result.p)]
 
 
-def _write_report_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    write_csv(path, header, ([format_cell(value) for value in row] for row in rows))
-
-
 def write_correlations_csv(report: AnalysisReport, path: str) -> None:
-    _write_report_csv(
+    write_csv(
         path,
         ("predictor", "lag", "r", "n", "p", "stars", "error"),
         (
@@ -569,7 +569,7 @@ def write_correlations_csv(report: AnalysisReport, path: str) -> None:
 
 
 def write_granger_csv(report: AnalysisReport, path: str) -> None:
-    _write_report_csv(
+    write_csv(
         path,
         ("predictor", "chi2", "df", "p", "nobs", "stars", "error"),
         (
@@ -592,7 +592,7 @@ def write_regression_terms_csv(report: AnalysisReport, path: str) -> None:
                 [model.spec.name, name, res.params[i], res.bse[i], res.tvalues[i], p,
                  significance_stars(p), None]
             )
-    _write_report_csv(
+    write_csv(
         path, ("model", "term", "coefficient", "std_error", "t", "p", "stars", "error"), rows
     )
 
@@ -610,7 +610,7 @@ def write_regression_models_csv(report: AnalysisReport, path: str) -> None:
         )
     header = ("model", "nobs", "regressors", "r2", "adj_r2", "durbin_watson",
               "condition_number", "dropped_rows", "error")
-    _write_report_csv(path, header, rows)
+    write_csv(path, header, rows)
 
 
 def _md_num(value: float, digits: int = 4) -> str:

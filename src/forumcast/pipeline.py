@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import logging
 import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .centrality import (
@@ -82,7 +83,7 @@ from .semantics import (
     score_message,
     window_sentiment,
 )
-from .tables import format_cell, open_input, replacing, sha256, write_csv, write_json, writing
+from .tables import open_input, replacing, sha256, write_csv, write_json, writing
 from .textproc import (
     StopwordList,
     Vocabulary,
@@ -103,23 +104,9 @@ _EXPORT_NAME = re.compile(
     r"|week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)"
 )
 
-FEATURE_CSV_COLUMNS = (
-    "week",
-    "activity",
-    "activity_words",
-    "group_degree",
-    "group_betweenness",
-    "focal_degree",
-    "focal_betweenness",
-    "focal_present",
-    "sentiment",
-    "emotionality",
-    "complexity",
-)
+class WindowFeatures(NamedTuple):
+    """One row of features.csv, its cells in column order."""
 
-
-@dataclass(frozen=True)
-class WindowFeatures:
     week: int
     activity: int
     activity_words: int
@@ -132,6 +119,8 @@ class WindowFeatures:
     emotionality: float | None
     complexity: float | None
 
+
+FEATURE_CSV_COLUMNS = WindowFeatures._fields
 
 DIAGNOSTIC_CSV_COLUMNS = (
     "week",
@@ -179,14 +168,6 @@ class _WindowTask:
     emotionality: float | None
 
 
-_worker_config: PipelineConfig | None = None
-
-
-def _init_worker(config: PipelineConfig) -> None:
-    global _worker_config
-    _worker_config = config
-
-
 def _filter_stream(tokens: list[str], config: PipelineConfig, stop: StopwordList,
                    dictionary: frozenset[str] | None) -> list[str]:
     tokens = filter_tokens(tokens, stop, dictionary)
@@ -226,8 +207,8 @@ def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
         interaction, tallies = build_interaction_network(task.authors, task.replies)
 
         if interaction.n >= 3:
-            group_degree = centralization(degree_centrality(interaction)).value
-            group_betweenness = centralization(betweenness_centrality(interaction)).value
+            group_degree = centralization(DEGREE, degree_centrality(interaction))
+            group_betweenness = centralization(BETWEENNESS, betweenness_centrality(interaction))
         else:
             group_degree = None
             group_betweenness = None
@@ -284,22 +265,19 @@ def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
         return _WindowResult(graph_features, diagnostics, edge_rows)
 
 
-def _compute_window_in_worker(task: _WindowTask) -> _WindowResult:
-    assert _worker_config is not None
-    return _compute_window(task, _worker_config)
-
-
-def _computed_in_workers(pool, tasks: list[_WindowTask]) -> Iterator[_WindowResult]:
-    """The windows' results from ``pool``, in window order. A worker that
-    dies (killed, or out of memory) breaks the pool; that ends the run in a
-    WorkerError."""
+def _computed_in_workers(
+    pool, tasks: list[_WindowTask], config: PipelineConfig
+) -> Iterator[_WindowResult]:
+    """The windows' results from ``pool``, in window order. Each task is
+    sent with the config, about 1.5 KB pickled. A worker that dies (killed,
+    or out of memory) breaks the pool; that ends the run in a WorkerError."""
     from concurrent.futures.process import BrokenProcessPool
 
     try:
         # chunksize=1: a worker sends a chunk's results in one piece, so the
         # parent holds every window of it at once; 4-window chunks raised
         # peak RSS by 5-7 MB on the forum_sampled workload.
-        yield from pool.map(_compute_window_in_worker, tasks, chunksize=1)
+        yield from pool.map(functools.partial(_compute_window, config=config), tasks, chunksize=1)
     except BrokenProcessPool as exc:
         raise WorkerError(f"a window worker ended abruptly: {exc}") from exc
 
@@ -417,11 +395,7 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
 
 
 def write_features_csv(rows: Sequence[WindowFeatures], path: str) -> None:
-    write_csv(
-        path,
-        FEATURE_CSV_COLUMNS,
-        ([format_cell(getattr(row, name)) for name in FEATURE_CSV_COLUMNS] for row in rows),
-    )
+    write_csv(path, FEATURE_CSV_COLUMNS, rows)
 
 
 def read_features_csv(path: str) -> dict[str, list[float | None]]:
@@ -480,9 +454,7 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
             # needs it; the manifest is hashed with tables.sha256.
             import hashlib  # noqa: F401
 
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_init_worker, initargs=(config,)
-            ))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             # The pool forks its workers on its first submit. Submit a no-op
             # now, before the corpus loads, so that each worker starts as a
             # copy of this small process and then holds only the windows it
@@ -503,7 +475,7 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         _remove_stale_exports(config.output_dir)
         tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
-            results = _computed_in_workers(pool, tasks)
+            results = _computed_in_workers(pool, tasks, config)
         else:
             results = (_compute_window(task, config) for task in tasks)
         # Complexity reads the corpus-wide vocabulary, so it is scored here,
@@ -530,11 +502,16 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     return rows
 
 
-def _sha256_file(path: str) -> str:
+def _sha256_file(path: str, what: str) -> str:
+    """The hex digest of the file at ``path``; a file that cannot be read is
+    a DataError naming ``what`` it is."""
     digest = sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    try:
+        with open(path, "rb") as handle:
+            for chunk in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
     return digest.hexdigest()
 
 
@@ -544,7 +521,7 @@ def config_hash(config: PipelineConfig) -> str:
 
 
 def write_manifest(config: PipelineConfig, features_path: str, path: str) -> None:
-    inputs = {features_path: _sha256_file(features_path)}
+    inputs = {features_path: _sha256_file(features_path, "feature table")}
     for key in (
         "messages_path",
         "price_path",
@@ -556,7 +533,7 @@ def write_manifest(config: PipelineConfig, features_path: str, path: str) -> Non
     ):
         value = getattr(config, key)
         if value and os.path.isfile(value):
-            inputs[value] = _sha256_file(value)
+            inputs[value] = _sha256_file(value, key)
     manifest = {
         "tool": "forumcast",
         "version": __version__,
@@ -578,7 +555,7 @@ def run_analyze(config: PipelineConfig, features_path: str | None = None):
     price = load_market_series(config.price_path, "price", horizon_start)
     control = load_market_series(config.control_path, "control", horizon_start)
     panel = build_panel(columns, price, control)
-    report = run_battery(panel, config.battery_config())
+    report = run_battery(panel, config)
 
     out = config.output_dir
     write_correlations_csv(report, os.path.join(out, "correlations.csv"))

@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from .centrality import (
+    BETWEENNESS,
+    DEGREE,
     betweenness_centrality,
     centralization,
     degree_centrality,
@@ -20,7 +22,7 @@ from .centrality import (
 from .corpus import Message, parse_timestamp
 from .econometrics import Series, _chi2_tail, _t_tail, durbin_watson, ols, pearson
 from .graphs import build_word_network
-from .semantics import LexiconScorer, SentimentScore, emotionality, score_message
+from .semantics import LexiconScorer, emotionality, score_message
 from .semantics import complexity as window_complexity
 from .textproc import build_vocabulary, tokenize
 
@@ -50,8 +52,8 @@ def run_selftest() -> list[Check]:
     star = build_word_network(
         [["hub", v] for v in spokes] + [[v, "hub"] for v in spokes], window_size=1
     )
-    dc = centralization(degree_centrality(star)).value
-    bc = centralization(betweenness_centrality(star)).value
+    dc = centralization(DEGREE, degree_centrality(star))
+    bc = centralization(BETWEENNESS, betweenness_centrality(star))
     check(
         "star centralization is 1",
         abs(dc - 1.0) <= 1e-12 and abs(bc - 1.0) <= 1e-12,
@@ -59,7 +61,7 @@ def run_selftest() -> list[Check]:
     )
 
     cycle = build_word_network([[f"v{i}", f"v{(i + 1) % 4}"] for i in range(4)], window_size=1)
-    cc = centralization(betweenness_centrality(cycle)).value
+    cc = centralization(BETWEENNESS, betweenness_centrality(cycle))
     check("cycle betweenness centralization is 0", abs(cc) <= 1e-12, f"value={cc}")
 
     sources, scale = sample_sources(cycle, cycle.n, seed=1)
@@ -110,9 +112,9 @@ def run_selftest() -> list[Check]:
         body="platform deadline agenda",
     )
     neutral = score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 0.8}))
-    check("no lexicon match scores neutral", neutral.value == 0.5, f"value={neutral.value}")
+    check("no lexicon match scores neutral", neutral == 0.5, f"value={neutral}")
 
-    emo = emotionality([SentimentScore(0.7), SentimentScore(0.7), SentimentScore(0.7)])
+    emo = emotionality([0.7, 0.7, 0.7])
     check("constant sentiment has zero emotionality", emo == 0.0, f"value={emo}")
 
     vocab = build_vocabulary([["a", "b", "c", "d"]])

@@ -1,8 +1,8 @@
 """Sentiment, emotionality, and complexity measures.
 
-Message sentiment lives in [0,1] with 0.5 neutral. The default backend
+Message sentiment is a float in [0,1] with 0.5 neutral. The default scorer
 averages lexicon polarities over the message's tokens (from ``tokenize``,
-before stopword filtering; all-digit tokens never count); a precomputed backend
+before stopword filtering; all-digit tokens never count); a precomputed scorer
 accepts per-message scores from any external classifier. Weekly sentiment is
 the mean of message scores, emotionality their population standard deviation,
 and complexity the mean surprisal of the week's tokens against a reference
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .corpus import Message
@@ -24,23 +23,9 @@ from .tables import open_input
 from .textproc import Vocabulary, token_surprisal
 from .textproc import tokenize  # noqa: F401  (bench/tracing.py wraps it by this name)
 
-LEXICON = "lexicon"
-PRECOMPUTED = "precomputed"
-
-
-@dataclass(frozen=True)
-class SentimentScore:
-    value: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.value <= 1.0:
-            raise DataError(f"sentiment score {self.value} outside [0, 1]")
-
 
 class SentimentScorer(Protocol):
-    backend: str
-
-    def score(self, msg: Message, tokens: Sequence[str]) -> SentimentScore: ...
+    def score(self, msg: Message, tokens: Sequence[str]) -> float: ...
 
 
 class LexiconScorer:
@@ -50,61 +35,59 @@ class LexiconScorer:
     count, whether or not the tokens kept digits.
     """
 
-    backend = LEXICON
-
     def __init__(self, lexicon: Mapping[str, float]) -> None:
         for word, polarity in lexicon.items():
             if not -1.0 <= polarity <= 1.0:
                 raise DataError(f"lexicon polarity for {word!r} outside [-1, 1]: {polarity}")
         self._lexicon = {word: p for word, p in lexicon.items() if not word.isdecimal()}
 
-    def score(self, msg: Message, tokens: Sequence[str]) -> SentimentScore:
+    def score(self, msg: Message, tokens: Sequence[str]) -> float:
         polarities = [self._lexicon[token] for token in tokens if token in self._lexicon]
         if not polarities:
-            return SentimentScore(0.5)
+            return 0.5
         mean_polarity = sum(polarities) / len(polarities)
-        return SentimentScore((mean_polarity + 1.0) / 2.0)
+        return (mean_polarity + 1.0) / 2.0
 
 
 class PrecomputedScorer:
     """Looks up externally computed scores; total over the corpus it serves."""
 
-    backend = PRECOMPUTED
-
     def __init__(self, scores: Mapping[str, float]) -> None:
+        for message_id, value in scores.items():
+            if not 0.0 <= value <= 1.0:
+                raise DataError(
+                    f"sentiment score {value} for message id {message_id!r} outside [0, 1]"
+                )
         self._scores = dict(scores)
 
-    def score(self, msg: Message, tokens: Sequence[str]) -> SentimentScore:
+    def score(self, msg: Message, tokens: Sequence[str]) -> float:
         if msg.id not in self._scores:
             raise MissingScoreError(f"no precomputed sentiment for message id {msg.id!r}")
-        return SentimentScore(self._scores[msg.id])
+        return self._scores[msg.id]
 
 
-def score_message(
-    msg: Message, tokens: Sequence[str], scorer: SentimentScorer
-) -> SentimentScore:
-    """``msg``'s score; ``tokens`` is ``tokenize(msg.body)``, with or without
-    digits."""
+def score_message(msg: Message, tokens: Sequence[str], scorer: SentimentScorer) -> float:
+    """``msg``'s score in [0, 1]; ``tokens`` is ``tokenize(msg.body)``, with
+    or without digits."""
     return scorer.score(msg, tokens)
 
 
-def window_sentiment(scores: Sequence[SentimentScore]) -> float | None:
+def window_sentiment(scores: Sequence[float]) -> float | None:
     """Mean message score for the window; None when nothing was scored."""
     if not scores:
         return None
     # statistics.fmean computes exactly this; importing statistics would
     # load fractions and decimal with it.
-    values = [s.value for s in scores]
-    return math.fsum(values) / len(values)
+    return math.fsum(scores) / len(scores)
 
 
-def emotionality(scores: Sequence[SentimentScore]) -> float | None:
+def emotionality(scores: Sequence[float]) -> float | None:
     """Population standard deviation of the window's message scores."""
     if not scores:
         return None
     if len(scores) == 1:
         return 0.0
-    return _pstdev([s.value for s in scores])
+    return _pstdev(scores)
 
 
 def _pstdev(values: Sequence[float]) -> float:

@@ -2,8 +2,8 @@
 and the one way input files are opened.
 
 Floats are spelled with ``repr`` so they survive a round-trip exactly;
-missing values (None, NaN) become empty cells. Writers take cells as given,
-so callers format only the cells that need it. Every output goes through
+missing values (None, NaN) become empty cells. ``write_csv`` formats every
+cell it writes, so callers hand it plain values. Every output goes through
 ``replacing``: it is written to a temp file and moved over its target only
 when complete, so a crash never leaves a cut-off file that a later stage
 would read. A failure to write an output (a full disk, an unwritable
@@ -77,11 +77,11 @@ def replacing(path: str, mode: str = "w", **open_args: Any) -> Iterator[IO]:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[Any]]) -> None:
-    """UTF-8 CSV with a header row; cells are written as given."""
+    """UTF-8 CSV with a header row; each cell is spelled by ``format_cell``."""
     with replacing(path, encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([format_cell(value) for value in row] for row in rows)
 
 
 def write_json(path: str, obj: Any) -> None:

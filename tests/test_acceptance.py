@@ -15,10 +15,13 @@ import numpy as np
 import pytest
 
 from forumcast.centrality import (
+    BETWEENNESS,
+    DEGREE,
     approx_betweenness,
     betweenness_centrality,
     centralization,
     degree_centrality,
+    normalize,
 )
 from forumcast.config import load_config
 from forumcast.econometrics import Series, durbin_watson, granger_test, ols
@@ -26,7 +29,6 @@ from forumcast.graphs import build_word_network
 from forumcast.pipeline import run_all
 from forumcast.semantics import (
     LexiconScorer,
-    SentimentScore,
     complexity,
     emotionality,
     score_message,
@@ -57,10 +59,10 @@ def test_criterion_01_exact_betweenness_matches_enumeration():
     for _ in range(500):
         n = rng.randint(1, 8)
         g = random_digraph(rng, n, rng.uniform(0.1, 0.9))
-        got = betweenness_centrality(g).raw
+        got = betweenness_centrality(g).tolist()
         want = brute_force_betweenness(g.nodes, arcs(g))
-        for v in g.nodes:
-            assert abs(got[v] - float(want[v])) <= 1e-12
+        for i, v in enumerate(g.nodes):
+            assert abs(got[i] - float(want[v])) <= 1e-12
             checked += 1
     assert checked > 0
     assert time.perf_counter() - start < 30.0
@@ -69,12 +71,14 @@ def test_criterion_01_exact_betweenness_matches_enumeration():
 def test_criterion_02_centralization_anchor_graphs():
     for size in range(3, 21):
         star = bidirectional_star(size - 1)
-        for vector in (degree_centrality(star), betweenness_centrality(star)):
-            assert abs(centralization(vector).value - 1.0) <= 1e-12
+        for metric, raw in ((DEGREE, degree_centrality(star)),
+                            (BETWEENNESS, betweenness_centrality(star))):
+            assert abs(centralization(metric, raw) - 1.0) <= 1e-12
     for size in range(3, 21):
         for g in (directed_cycle(size), bidirectional_cycle(size)):
-            for vector in (degree_centrality(g), betweenness_centrality(g)):
-                assert abs(centralization(vector).value - 0.0) <= 1e-12
+            for metric, raw in ((DEGREE, degree_centrality(g)),
+                                (BETWEENNESS, betweenness_centrality(g))):
+                assert abs(centralization(metric, raw) - 0.0) <= 1e-12
 
 
 def test_criterion_03_two_word_message():
@@ -158,16 +162,18 @@ def test_criterion_08_sampled_betweenness_exactness_and_error():
         g = random_digraph(rng, 30, 0.15)
         exact = betweenness_centrality(g)
         full = approx_betweenness(g, g.n, seed=1234)
-        assert full.raw == exact.raw
-        assert full.normalized == exact.normalized
+        assert full.tolist() == exact.tolist()
 
     maes = []
     for graph_seed in range(4):
         g = random_digraph(random.Random(9000 + graph_seed), 200, 0.03)
-        exact = betweenness_centrality(g).normalized
+        exact = [normalize(BETWEENNESS, x, g.n) for x in betweenness_centrality(g).tolist()]
         for sample_seed in range(5):
-            est = approx_betweenness(g, 100, seed=sample_seed).normalized
-            mae = sum(abs(est[v] - exact[v]) for v in g.nodes) / g.n
+            est = [
+                normalize(BETWEENNESS, x, g.n)
+                for x in approx_betweenness(g, 100, seed=sample_seed).tolist()
+            ]
+            mae = sum(abs(e - x) for e, x in zip(est, exact)) / g.n
             maes.append(mae)
     assert len(maes) == 20
     assert all(mae < 0.02 for mae in maes)
@@ -176,9 +182,9 @@ def test_criterion_08_sampled_betweenness_exactness_and_error():
 def test_criterion_09_semantic_anchors():
     msg = make_message("m", "u", body="nothing matches here")
     neutral = score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0}))
-    assert neutral.value == 0.5
+    assert neutral == 0.5
 
-    constant = [SentimentScore(0.7)] * 5
+    constant = [0.7] * 5
     assert emotionality(constant) == 0.0
 
     single = build_vocabulary([["echo"] * 3])

@@ -97,69 +97,83 @@ def layered_dag(layers: int) -> DirectedWeightedGraph:
     return graph_from_arcs(arc_weights)
 
 
+def by_node(g: DirectedWeightedGraph, scores: np.ndarray) -> dict[str, float]:
+    """A score array indexed by node id, keyed by node name."""
+    assert scores.shape == (g.n,) and scores.dtype == np.float64
+    return dict(zip(g.nodes, scores.tolist()))
+
+
 class TestDegree:
     def test_bidirectional_star_n4(self):
-        cv = degree_centrality(bidirectional_star(3))
-        assert cv.raw["hub"] == 6
-        assert cv.normalized["hub"] == 1.0
-        assert cv.raw["v1"] == 2
-        assert cv.normalized["v1"] == pytest.approx(1 / 3)
+        star = bidirectional_star(3)
+        raw = by_node(star, degree_centrality(star))
+        assert raw["hub"] == 6
+        assert normalize(DEGREE, raw["hub"], star.n) == 1.0
+        assert raw["v1"] == 2
+        assert normalize(DEGREE, raw["v1"], star.n) == pytest.approx(1 / 3)
 
     def test_single_node(self):
-        cv = degree_centrality(graph_from_arcs({}, nodes={"x"}))
-        assert cv.raw == {"x": 0.0}
-        assert cv.normalized == {"x": 0.0}
+        g = graph_from_arcs({}, nodes={"x"})
+        assert by_node(g, degree_centrality(g)) == {"x": 0.0}
+        assert normalize(DEGREE, 0.0, g.n) == 0.0
 
     def test_two_node_arc(self):
-        cv = degree_centrality(graph_from_arcs({("hello", "dolly"): 1}))
-        assert cv.raw == {"dolly": 1.0, "hello": 1.0}
-        assert cv.normalized == {"dolly": 0.5, "hello": 0.5}
+        g = graph_from_arcs({("hello", "dolly"): 1})
+        raw = by_node(g, degree_centrality(g))
+        assert raw == {"dolly": 1.0, "hello": 1.0}
+        assert {v: normalize(DEGREE, d, g.n) for v, d in raw.items()} == {
+            "dolly": 0.5, "hello": 0.5
+        }
 
     def test_weights_ignored(self):
         light = degree_centrality(graph_from_arcs({("a", "b"): 1}))
         heavy = degree_centrality(graph_from_arcs({("a", "b"): 9}))
-        assert light.raw == heavy.raw
+        assert light.tolist() == heavy.tolist()
 
     @given(small_digraphs())
     def test_vertex_degree_matches_vector(self, g):
-        cv = degree_centrality(g)
+        raw = by_node(g, degree_centrality(g))
         for v in g.nodes:
-            assert vertex_degree(g, v) == cv.raw[v]
-            assert normalize(DEGREE, vertex_degree(g, v), g.n) == cv.normalized[v]
+            assert vertex_degree(g, v) == raw[v]
 
 
 class TestBetweennessExact:
     def test_directed_four_cycle(self):
-        cv = betweenness_centrality(directed_cycle(4))
-        assert all(cv.raw[v] == pytest.approx(3.0) for v in cv.raw)
+        raw = betweenness_centrality(directed_cycle(4))
+        assert len(raw) == 4
+        assert all(score == pytest.approx(3.0) for score in raw.tolist())
 
     def test_bidirectional_star_center_max(self):
-        cv = betweenness_centrality(bidirectional_star(3))
-        assert cv.raw["hub"] == pytest.approx(6.0)  # (n-1)(n-2)
-        assert cv.normalized["hub"] == pytest.approx(1.0)
-        assert cv.raw["v1"] == 0.0
+        star = bidirectional_star(3)
+        raw = by_node(star, betweenness_centrality(star))
+        assert raw["hub"] == pytest.approx(6.0)  # (n-1)(n-2)
+        assert normalize(BETWEENNESS, raw["hub"], star.n) == pytest.approx(1.0)
+        assert raw["v1"] == 0.0
 
     def test_single_arc_no_interior(self):
-        cv = betweenness_centrality(graph_from_arcs({("a", "b"): 1}))
-        assert cv.raw == {"a": 0.0, "b": 0.0}
+        g = graph_from_arcs({("a", "b"): 1})
+        assert by_node(g, betweenness_centrality(g)) == {"a": 0.0, "b": 0.0}
 
     def test_disconnected_pairs_contribute_zero(self):
         g = graph_from_arcs({("a", "b"): 1}, nodes={"c"})
-        cv = betweenness_centrality(g)
-        assert all(v == 0.0 for v in cv.raw.values())
+        raw = betweenness_centrality(g)
+        assert len(raw) == 3
+        assert all(v == 0.0 for v in raw.tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(small_digraphs())
     def test_matches_path_enumeration_oracle(self, g):
-        cv = betweenness_centrality(g)
+        raw = by_node(g, betweenness_centrality(g))
         oracle = brute_force_betweenness(g.nodes, arcs(g))
         for v in g.nodes:
-            assert abs(cv.raw[v] - float(oracle[v])) <= 1e-12
+            assert abs(raw[v] - float(oracle[v])) <= 1e-12
 
     @given(small_digraphs())
     def test_weights_never_matter(self, g):
         unweighted = graph_from_arcs({arc: 1 for arc in arcs(g)}, nodes=g.nodes)
-        assert betweenness_centrality(g).raw == betweenness_centrality(unweighted).raw
+        assert (
+            betweenness_centrality(g).tolist() == betweenness_centrality(unweighted).tolist()
+        )
 
 
 def sampled_oracle(g: DirectedWeightedGraph, sources, scale: float) -> dict[str, float]:
@@ -177,12 +191,12 @@ class TestKernels:
     def test_batched_matches_oracle(self, job):
         g, sources, scale = job
         expected = sampled_oracle(g, sources, scale)
-        batched = _batched_betweenness(g, sources, scale)
+        batched = by_node(g, _batched_betweenness(g, sources, scale))
         for v in g.nodes:
             assert (expected[v] == 0.0) == (batched[v] == 0.0)
             assert abs(expected[v] - batched[v]) <= 1e-12 * abs(expected[v])
         # three sources per batch: several batches, same summation order
-        assert _batched_betweenness(g, sources, scale, batch_cells=3 * g.n) == batched
+        assert by_node(g, _batched_betweenness(g, sources, scale, batch_cells=3 * g.n)) == batched
 
     @settings(max_examples=80, deadline=None)
     @given(backward_steps())
@@ -206,7 +220,7 @@ class TestKernels:
         reference.add_nodes_from(g.nodes)
         reference.add_edges_from(arcs(g))
         expected = nx.betweenness_centrality(reference, normalized=False)
-        raw = betweenness_centrality(g).raw
+        raw = by_node(g, betweenness_centrality(g))
         for v in g.nodes:
             assert raw[v] == pytest.approx(expected[v], rel=1e-12, abs=1e-12)
 
@@ -218,7 +232,8 @@ class TestKernels:
     def test_path_counts_near_float_max_agree(self):
         # up to 2**998 geodesics per pair, and the closed form bit for bit
         layers = 1000
-        batched = _batched_betweenness(layered_dag(layers), ["a0000"], 1.0)
+        g = layered_dag(layers)
+        batched = by_node(g, _batched_betweenness(g, ["a0000"], 1.0))
         for v, score in batched.items():
             k = int(v[1:])
             assert score == (layers - 1 - k if k >= 1 else 0)
@@ -242,7 +257,7 @@ class TestVertexBetweenness:
     def test_matches_oracle_and_brandes(self, job):
         g, sources, scale = job
         expected = sampled_oracle(g, sources, scale)
-        batched = _batched_betweenness(g, sources, scale)
+        batched = by_node(g, _batched_betweenness(g, sources, scale))
         for v in g.nodes:
             score = vertex_betweenness(g, v, sources, scale)
             for reference in (expected[v], batched[v]):
@@ -264,12 +279,12 @@ class TestVertexBetweenness:
     def test_sampled_matches_approx_betweenness(self):
         g = random_digraph(random.Random(12), 50, 0.08)
         sources, scale = sample_sources(g, 15, seed=99)
-        approx = approx_betweenness(g, 15, seed=99)
+        approx = by_node(g, approx_betweenness(g, 15, seed=99))
         for v in g.nodes:
             score = vertex_betweenness(g, v, sources, scale)
-            assert score == pytest.approx(approx.raw[v], rel=1e-12, abs=0.0)
+            assert score == pytest.approx(approx[v], rel=1e-12, abs=0.0)
             assert normalize(BETWEENNESS, score, g.n) == pytest.approx(
-                approx.normalized[v], rel=1e-12, abs=0.0
+                normalize(BETWEENNESS, approx[v], g.n), rel=1e-12, abs=0.0
             )
 
     @pytest.mark.parametrize("n,p", [(20, 0.15), (64, 0.05), (65, 0.05), (120, 0.03)])
@@ -280,7 +295,7 @@ class TestVertexBetweenness:
             monkeypatch.setattr(centrality, "DENSE_NODE_LIMIT", limit)
             scores.append((
                 [vertex_betweenness(g, v, g.nodes, 1.0) for v in g.nodes],
-                betweenness_centrality(g).raw,
+                betweenness_centrality(g).tolist(),
             ))
         assert scores[0] == scores[1]
         assert any(scores[0][0])
@@ -307,16 +322,15 @@ class TestApproxBetweenness:
             g = random_digraph(rng, 30, 0.15)
             exact = betweenness_centrality(g)
             sampled = approx_betweenness(g, g.n, seed=rng.randrange(1 << 30))
-            assert exact.raw == sampled.raw
-            assert exact.normalized == sampled.normalized
+            assert exact.tolist() == sampled.tolist()
 
     def test_seed_reproducible(self):
         g = random_digraph(random.Random(11), 40, 0.1)
         a = approx_betweenness(g, 10, seed=123)
         b = approx_betweenness(g, 10, seed=123)
         c = approx_betweenness(g, 10, seed=124)
-        assert a.raw == b.raw
-        assert a.raw != c.raw
+        assert a.tolist() == b.tolist()
+        assert a.tolist() != c.tolist()
 
     def test_sample_count_bounds(self):
         g = directed_cycle(5)
@@ -328,46 +342,59 @@ class TestApproxBetweenness:
     def test_estimator_close_at_half_sample(self):
         rng = random.Random(31)
         g = random_digraph(rng, 120, 0.04)
-        exact = betweenness_centrality(g)
+        exact = betweenness_centrality(g).tolist()
         errors = []
         for seed in range(5):
-            est = approx_betweenness(g, 60, seed=seed)
-            errors.append(
-                sum(abs(est.normalized[v] - exact.normalized[v]) for v in g.nodes) / g.n
-            )
+            est = approx_betweenness(g, 60, seed=seed).tolist()
+            errors.append(sum(
+                abs(normalize(BETWEENNESS, e, g.n) - normalize(BETWEENNESS, x, g.n))
+                for e, x in zip(est, exact)
+            ) / g.n)
         assert sum(errors) / len(errors) < 0.02
+
+
+def group_degree(g: DirectedWeightedGraph) -> float:
+    return centralization(DEGREE, degree_centrality(g))
+
+
+def group_betweenness(g: DirectedWeightedGraph) -> float:
+    return centralization(BETWEENNESS, betweenness_centrality(g))
 
 
 class TestCentralization:
     def test_stars_hit_one_exactly(self):
         for leaves in (2, 4, 9):
             star = bidirectional_star(leaves)
-            assert centralization(degree_centrality(star)).value == pytest.approx(1.0, abs=1e-12)
-            assert centralization(betweenness_centrality(star)).value == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert group_degree(star) == pytest.approx(1.0, abs=1e-12)
+            assert group_betweenness(star) == pytest.approx(1.0, abs=1e-12)
 
     def test_cycles_hit_zero_exactly(self):
         four = directed_cycle(4)
-        assert centralization(betweenness_centrality(four)).value == pytest.approx(0.0, abs=1e-12)
+        assert group_betweenness(four) == pytest.approx(0.0, abs=1e-12)
         both_ways = bidirectional_cycle(5)
-        assert centralization(degree_centrality(both_ways)).value == pytest.approx(0.0, abs=1e-12)
-        assert centralization(betweenness_centrality(both_ways)).value == pytest.approx(
-            0.0, abs=1e-12
-        )
+        assert group_degree(both_ways) == pytest.approx(0.0, abs=1e-12)
+        assert group_betweenness(both_ways) == pytest.approx(0.0, abs=1e-12)
 
     def test_small_graphs_undefined(self):
         g = graph_from_arcs({("a", "b"): 1})
         with pytest.raises(AnalysisError):
-            centralization(degree_centrality(g))
+            group_degree(g)
+
+    def test_sums_normalized_scores_in_node_order(self):
+        # c* - c_i in node order with Python floats, over (n - 2) for degree
+        raw = np.array([3.0, 1.0, 7.0, 2.0])
+        scores = [normalize(DEGREE, r, 4) for r in raw.tolist()]
+        expected = sum(max(scores) - c for c in scores) / 2.0
+        value = centralization(DEGREE, raw)
+        assert type(value) is float
+        assert value == expected
 
     @settings(max_examples=40, deadline=None)
     @given(small_digraphs())
     def test_bounded_between_zero_and_one(self, g):
         if g.n < 3:
             return
-        for cv in (degree_centrality(g), betweenness_centrality(g)):
-            value = centralization(cv).value
+        for value in (group_degree(g), group_betweenness(g)):
             assert -1e-12 <= value <= 1.0 + 1e-12
 
     def test_relabeling_invariance(self):
@@ -377,7 +404,5 @@ class TestCentralization:
             {(mapping[a], mapping[b]): w for (a, b), w in arcs(g).items()},
             nodes=[mapping[v] for v in g.nodes],
         )
-        for metric in (degree_centrality, betweenness_centrality):
-            original = centralization(metric(g)).value
-            renamed = centralization(metric(relabeled)).value
-            assert original == pytest.approx(renamed, abs=1e-12)
+        for group in (group_degree, group_betweenness):
+            assert group(g) == pytest.approx(group(relabeled), abs=1e-12)

@@ -181,13 +181,3 @@ def test_empty_file_yields_defaults_then_fails_validation(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError, match="required"):
         load_config(str(path))
-
-
-def test_battery_config_mirror(tmp_path):
-    config = valid_config(tmp_path)
-    config.granger_max_lag = 5
-    config.granger_difference_dependent = False
-    battery = config.battery_config()
-    assert battery.granger_max_lag == 5
-    assert battery.granger_difference_dependent is False
-    assert battery.models == config.models

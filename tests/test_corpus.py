@@ -12,7 +12,6 @@ from forumcast.corpus import (
     MarketSeries,
     load_market_series,
     load_messages,
-    make_windows,
     parse_timestamp,
     partition_weeks,
     window_index,
@@ -123,10 +122,16 @@ class TestLoadMessages:
 
 class TestWindows:
     def test_boundaries_half_open(self):
-        windows = make_windows(EPOCH, 2)
-        assert windows[0].contains(EPOCH)
-        assert not windows[0].contains(EPOCH + timedelta(days=7))
-        assert windows[1].contains(EPOCH + timedelta(days=7))
+        start = make_message("start", "u1", week=0)
+        end = make_message("end", "u1", week=1)
+        assert start.timestamp == EPOCH
+        assert end.timestamp == EPOCH + timedelta(days=7)
+        corpus = partition_weeks([end, start], EPOCH, 2)
+        assert [m.id for m in corpus.messages_by_window[0]] == ["start"]
+        assert [m.id for m in corpus.messages_by_window[1]] == ["end"]
+        assert corpus.dropped == []
+        # a message at the horizon's end falls outside it
+        assert [m.id for m in partition_weeks([end, start], EPOCH, 1).dropped] == ["end"]
 
     def test_window_index_floors(self):
         assert window_index(EPOCH + timedelta(days=13, hours=23), EPOCH) == 1

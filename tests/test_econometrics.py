@@ -14,8 +14,9 @@ from forumcast.econometrics import (
     CORPUS_FEATURE_COLUMNS,
     DEFAULT_MODELS,
     PREDICTOR_COLUMNS,
+    BASELINE_MODEL,
+    COMBINED_MODEL,
     AnalysisReport,
-    BatteryConfig,
     ModelSpec,
     ModelTerm,
     Series,
@@ -35,6 +36,7 @@ from forumcast.econometrics import (
     write_regression_terms_csv,
     write_summary_md,
 )
+from forumcast.config import PipelineConfig
 from forumcast.econometrics import _chi2_tail, _t_tail
 from forumcast.errors import (
     AnalysisError,
@@ -552,11 +554,15 @@ class TestBattery:
         assert significance_stars(0.05) == ""
 
     def test_report_shape(self):
-        report = run_battery(_synthetic_panel())
+        report = run_battery(_synthetic_panel(), PipelineConfig())
         assert len(report.correlations) == len(PREDICTOR_COLUMNS) * 3
         assert len(report.granger) == len(PREDICTOR_COLUMNS)
         assert [m.spec.name for m in report.models] == [s.name for s in DEFAULT_MODELS]
-        assert report.incremental_adj_r2 is not None
+        by_name = {m.spec.name: m.result for m in report.models}
+        assert (BASELINE_MODEL, COMBINED_MODEL) == ("model_1", "model_8")
+        assert report.incremental_adj_r2 == (
+            by_name[COMBINED_MODEL].adj_r2 - by_name[BASELINE_MODEL].adj_r2
+        )
 
     def test_failed_cells_carry_errors(self):
         panel = _synthetic_panel()
@@ -564,7 +570,7 @@ class TestBattery:
         nan = np.full(panel.week_count, math.nan)
         columns["focal_degree"] = Series("focal_degree", nan)
         broken = type(panel)(week_count=panel.week_count, columns=columns)
-        report = run_battery(broken)
+        report = run_battery(broken, PipelineConfig())
         focal_corr = [c for c in report.correlations if c.predictor == "focal_degree"]
         assert all(c.result is None and c.error for c in focal_corr)
         model_7 = next(m for m in report.models if m.spec.name == "model_7")
@@ -572,14 +578,34 @@ class TestBattery:
         # other cells still computed
         assert any(c.result is not None for c in report.correlations)
 
+    def test_granger_settings_come_from_the_config(self):
+        panel = _synthetic_panel()
+        conditioning = ("control",)
+        config = PipelineConfig(
+            granger_max_lag=2, granger_difference_dependent=False,
+            granger_conditioning=conditioning,
+        )
+        report = run_battery(panel, config)
+        for cell in report.granger:
+            try:
+                expected = granger_test(
+                    panel.column("price"), panel.column(cell.predictor), 2,
+                    difference_dependent=False,
+                    conditioning=[panel.column(name) for name in conditioning],
+                )
+            except AnalysisError as exc:
+                assert cell.result is None and cell.error == str(exc)
+            else:
+                assert cell.result == expected and expected.lag_order == 2
+
     def test_incremental_requires_both_models(self):
-        config = BatteryConfig(models=(DEFAULT_MODELS[0],))
+        config = PipelineConfig(models=(DEFAULT_MODELS[0],))
         report = run_battery(_synthetic_panel(), config)
         assert report.incremental_adj_r2 is None
 
     def test_custom_model_terms_lagged(self):
         spec = ModelSpec("probe", (ModelTerm("activity", 1),))
-        config = BatteryConfig(models=(spec,), baseline_model="probe", combined_model="probe")
+        config = PipelineConfig(models=(spec,))
         report = run_battery(_synthetic_panel(), config)
         result = report.models[0].result
         assert result is not None
@@ -590,7 +616,7 @@ class TestBattery:
 class TestReportWriters:
     @pytest.fixture()
     def report(self) -> AnalysisReport:
-        return run_battery(_synthetic_panel())
+        return run_battery(_synthetic_panel(), PipelineConfig())
 
     def _rows(self, path) -> list[list[str]]:
         with open(path, newline="") as handle:
@@ -634,7 +660,7 @@ class TestReportWriters:
 
     def test_failed_cells_written_blank_with_error(self, tmp_path):
         collinear = ModelSpec("collinear", (ModelTerm("activity", 0), ModelTerm("activity", 0)))
-        config = BatteryConfig(correlation_lags=(0, 99), models=(collinear,))
+        config = PipelineConfig(correlation_lags=(0, 99), models=(collinear,))
         report = run_battery(_synthetic_panel(), config)
         write_correlations_csv(report, str(tmp_path / "c.csv"))
         write_regression_terms_csv(report, str(tmp_path / "t.csv"))

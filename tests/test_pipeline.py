@@ -28,7 +28,7 @@ import pytest
 from forumcast import pipeline
 from forumcast.cli import main
 from forumcast.config import PipelineConfig, load_config, save_config, to_dict
-from forumcast.corpus import ingest_check
+from forumcast.corpus import ingest_check, load_messages
 from forumcast.errors import (
     ConfigError,
     DataError,
@@ -40,6 +40,7 @@ from forumcast.errors import (
 from forumcast.pipeline import (
     DIAGNOSTIC_CSV_COLUMNS,
     FEATURE_CSV_COLUMNS,
+    _compute_window,
     config_hash,
     read_features_csv,
     run_all,
@@ -629,9 +630,10 @@ class TestWorkerPool:
         pool_class = concurrent.futures.ProcessPoolExecutor
 
         class Recording(pool_class):
-            def __init__(self, *args, initargs=(), **kwargs):
-                state_sizes.append(len(pickle.dumps(initargs)))
-                super().__init__(*args, initargs=initargs, **kwargs)
+            def map(self, fn, *iterables, **kwargs):
+                # what each task is sent besides its window
+                state_sizes.append(len(pickle.dumps(fn)))
+                return super().map(fn, *iterables, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         for weeks in (12, 94):
@@ -643,7 +645,7 @@ class TestWorkerPool:
             config.export_graphs = False
             assert len(run_features(config)) == weeks
         assert len(state_sizes) == 2
-        assert state_sizes[0] == state_sizes[1]
+        assert state_sizes[0] == state_sizes[1] < 4096
 
     def test_task_pickles_only_what_the_window_reads(self, config):
         tasks, _vocab, _rejections = pipeline._load_windows(config)
@@ -728,15 +730,7 @@ class TestWorkerPool:
         assert errs[1] == errs[0]
 
     def test_dead_worker_is_a_typed_error(self, config, tmp_path, capfd, monkeypatch):
-        compute = pipeline._compute_window
-
-        def dying(task, window_config):
-            if task.index == 1:
-                os._exit(1)
-            return compute(task, window_config)
-
-        monkeypatch.setattr(pipeline, "_compute_window", dying)
-        config.workers = 2
+        _worker_dies(config, monkeypatch)
         path = tmp_path / "config.yaml"
         save_config(config, str(path))
         code = main(["run", "-c", str(path)])
@@ -940,6 +934,16 @@ class TestIngestCheck:
             {"line": "7", "reason": "line nests too deeply to parse"}
         ]
 
+    def test_overlong_integer_is_a_rejection(self, config):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer with more digits than int() converts.
+        with open(config.messages_path, "a") as handle:
+            handle.write('{"id": 1' + "0" * 5000 + "}\n")
+        messages, rejections = load_messages(config.messages_path)
+        assert len(messages) == 6
+        assert [row.line for row in rejections] == [7]
+        assert "integer string conversion" in rejections[0].reason
+
 
 def _focal_word_filtered_away(config, monkeypatch):
     config.focal_word = "the"
@@ -951,21 +955,23 @@ def _non_utf8_messages(config, monkeypatch):
 
 
 def _battery_lacks_data(config, monkeypatch):
-    def lacking(panel, battery_config):
+    def lacking(panel, config):
         raise InsufficientDataError("too few weeks")
 
     monkeypatch.setattr(pipeline, "run_battery", lacking)
 
 
+def _dying_compute_window(task, config):
+    """``_compute_window``, except that the process ends abruptly at window
+    1. The pool pickles the function it maps by name, so this one lives at
+    module level."""
+    if task.index == 1:
+        os._exit(1)
+    return _compute_window(task, config)
+
+
 def _worker_dies(config, monkeypatch):
-    compute = pipeline._compute_window
-
-    def dying(task, window_config):
-        if task.index == 1:
-            os._exit(1)
-        return compute(task, window_config)
-
-    monkeypatch.setattr(pipeline, "_compute_window", dying)
+    monkeypatch.setattr(pipeline, "_compute_window", _dying_compute_window)
     config.workers = 2
 
 
@@ -1210,6 +1216,52 @@ class TestCli:
         assert err.startswith(message)
         assert "Traceback" not in err
         assert multiprocessing.active_children() == []
+
+    def test_manifest_input_that_cannot_be_opened_is_a_data_error(
+        self, config, tmp_path, capfd, monkeypatch
+    ):
+        # The input passes the existence check, then cannot be opened when
+        # the manifest hashes it.
+        path = self.write_config(config, tmp_path)
+        assert main(["features", "-c", path]) == 0
+        missing = str(tmp_path / "missing-dictionary.txt")
+        config.dictionary_path = missing
+        path = self.write_config(config, tmp_path)
+        monkeypatch.setattr(os.path, "isfile", lambda _path: True)
+        capfd.readouterr()
+        assert main(["analyze", "-c", path]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"data error: cannot read dictionary_path {missing}:")
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(config.output_dir, "manifest.json"))
+
+    @pytest.mark.skipif(
+        hasattr(os, "geteuid") and os.geteuid() == 0, reason="root reads a mode-000 file"
+    )
+    def test_unreadable_manifest_input_is_recorded_in_errors_json(
+        self, config, tmp_path, capfd, monkeypatch
+    ):
+        features = pipeline.run_features
+
+        def then_unreadable(run_config):
+            rows = features(run_config)
+            os.chmod(run_config.lexicon_path, 0)
+            return rows
+
+        monkeypatch.setattr(pipeline, "run_features", then_unreadable)
+        try:
+            assert main(["run", "-c", self.write_config(config, tmp_path)]) == 2
+        finally:
+            os.chmod(config.lexicon_path, 0o644)
+        err = capfd.readouterr().err
+        assert err.startswith(f"data error: cannot read lexicon_path {config.lexicon_path}:")
+        assert "Traceback" not in err
+        with open(os.path.join(config.output_dir, "errors.json")) as handle:
+            record = json.load(handle)
+        assert record["stage"] == "analyze"
+        assert record["type"] == "DataError"
+        assert "lexicon_path" in record["error"] and config.lexicon_path in record["error"]
+        assert not os.path.exists(os.path.join(config.output_dir, "manifest.json"))
 
     def test_import_leaves_out_scipy_stats(self, config, tmp_path):
         # scipy.stats costs about a second of start-up. Commands that do no

@@ -12,7 +12,6 @@ from forumcast.errors import DataError, MissingScoreError
 from forumcast.semantics import (
     LexiconScorer,
     PrecomputedScorer,
-    SentimentScore,
     complexity,
     emotionality,
     load_lexicon,
@@ -25,7 +24,7 @@ from forumcast.textproc import build_vocabulary, token_surprisal, tokenize
 from conftest import make_message
 
 scores_strategy = st.lists(
-    st.builds(SentimentScore, st.floats(min_value=0.0, max_value=1.0)),
+    st.floats(min_value=0.0, max_value=1.0),
     min_size=1,
     max_size=20,
 )
@@ -34,28 +33,28 @@ scores_strategy = st.lists(
 class TestMessageScoring:
     def test_no_lexicon_match_is_neutral(self):
         msg = make_message("m", "u", body="completely unknown words")
-        assert score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0})).value == 0.5
+        assert score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0})) == 0.5
 
     def test_all_positive_tokens_hit_ceiling(self):
         msg = make_message("m", "u", body="gain gain gain")
-        assert score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0})).value == 1.0
+        assert score_message(msg, tokenize(msg.body), LexiconScorer({"gain": 1.0})) == 1.0
 
     def test_opposite_polarities_cancel(self):
         msg = make_message("m", "u", body="gain loss")
         scorer = LexiconScorer({"gain": 1.0, "loss": -1.0})
-        assert score_message(msg, tokenize(msg.body), scorer).value == 0.5
+        assert score_message(msg, tokenize(msg.body), scorer) == 0.5
 
     def test_matching_is_token_based(self):
         msg = make_message("m", "u", body="Gains? GAIN!")
         scorer = LexiconScorer({"gain": 0.5})
         # "gains" is a different token; only "gain" matches
-        assert score_message(msg, tokenize(msg.body), scorer).value == 0.75
+        assert score_message(msg, tokenize(msg.body), scorer) == 0.75
 
     def test_all_digit_tokens_never_count(self):
         msg = make_message("m", "u", body="gain 42 ٤٢")
         scorer = LexiconScorer({"gain": 1.0, "42": -1.0, "٤٢": -1.0})
         for keep_digits in (False, True):
-            assert score_message(msg, tokenize(msg.body, keep_digits), scorer).value == 1.0
+            assert score_message(msg, tokenize(msg.body, keep_digits), scorer) == 1.0
 
     def test_lexicon_polarity_range_enforced(self):
         with pytest.raises(DataError):
@@ -64,7 +63,7 @@ class TestMessageScoring:
     def test_precomputed_lookup(self):
         msg = make_message("m7", "u")
         scorer = PrecomputedScorer({"m7": 0.25})
-        assert score_message(msg, tokenize(msg.body), scorer).value == 0.25
+        assert score_message(msg, tokenize(msg.body), scorer) == 0.25
 
     def test_precomputed_missing_id_named(self):
         scorer = PrecomputedScorer({"other": 0.5})
@@ -72,13 +71,14 @@ class TestMessageScoring:
             score_message(make_message("m9", "u"), [], scorer)
 
     def test_score_bounds_enforced(self):
-        with pytest.raises(DataError):
-            SentimentScore(1.5)
+        for value in (1.5, -0.1, math.nan):
+            with pytest.raises(DataError, match="m7"):
+                PrecomputedScorer({"m1": 0.5, "m7": value})
 
 
 class TestWindowAggregates:
     def test_sentiment_mean(self):
-        vals = [SentimentScore(v) for v in (0.2, 0.4, 0.9)]
+        vals = [0.2, 0.4, 0.9]
         assert window_sentiment(vals) == pytest.approx(0.5)
 
     def test_empty_window_is_missing(self):
@@ -87,16 +87,16 @@ class TestWindowAggregates:
         assert complexity([], build_vocabulary([["a"]])) is None
 
     def test_emotionality_population_stddev(self):
-        assert emotionality([SentimentScore(0.0), SentimentScore(1.0)]) == pytest.approx(0.5)
-        assert emotionality([SentimentScore(0.5)]) == 0.0
-        constant = [SentimentScore(0.7)] * 4
+        assert emotionality([0.0, 1.0]) == pytest.approx(0.5)
+        assert emotionality([0.5]) == 0.0
+        constant = [0.7] * 4
         assert emotionality(constant) == 0.0
 
     @given(scores_strategy)
     def test_population_variance_identity(self, scores):
         emo = emotionality(scores)
         mean = window_sentiment(scores)
-        mean_sq = statistics.fmean(s.value * s.value for s in scores)
+        mean_sq = statistics.fmean(s * s for s in scores)
         assert emo is not None and mean is not None
         assert emo * emo + mean * mean == pytest.approx(mean_sq, rel=1e-12, abs=1e-12)
 
@@ -109,7 +109,7 @@ class TestWindowAggregates:
         max_size=60,
     ))
     def test_sentiment_is_fmean_bitwise(self, values):
-        assert window_sentiment([SentimentScore(v) for v in values]) == statistics.fmean(values)
+        assert window_sentiment(values) == statistics.fmean(values)
 
     # Python 3.10's pstdev rounds twice: a float square root of a rounded
     # variance. From 3.11 on it rounds the exact root once, as emotionality does.
@@ -124,7 +124,7 @@ class TestWindowAggregates:
         max_size=30,
     ))
     def test_emotionality_is_pstdev_bitwise(self, values):
-        emo = emotionality([SentimentScore(v) for v in values])
+        emo = emotionality(values)
         assert emo == statistics.pstdev(values)
         assert math.copysign(1.0, emo) == 1.0
 
