@@ -27,13 +27,23 @@ units in the last place, not bitwise.
 
 The Brandes accumulation and ``vertex_betweenness`` share one forward
 sweep, ``_path_counts``, and one choice of predecessor matrix,
-``_predecessor_matrix``: dense products for graphs of at most
+``_predecessors``: dense products for graphs of at most
 ``DENSE_NODE_LIMIT`` nodes, sparse CSC products (``scipy.sparse``, loaded
 only then) above. Path counts are integers in floats, so the two forms give
 the same counts whatever their summation order, and the same scores bit for
 bit, as long as every count and partial sum stays below 2**53. That holds on
 every graph of at most 102 nodes: two nodes of an n-node graph have at most
 3**((n - 2) / 3) geodesics, which is below 2**53 for n <= 102.
+
+Both kernels take many graphs at once (``betweenness_centralities``,
+``vertex_betweennesses``) and sweep the dense graphs of equal n and equal
+source count as one (G x n x n) stack: one product per level for the whole
+stack, and a backward pull over the stack's block-diagonal CSR arrays. A
+graph above ``DENSE_NODE_LIMIT`` is a stack of one, and so is the graph of
+a one-graph call. Each row of ratios and dependencies is still summed over
+its own graph's n nodes, in the order of a graph swept alone, because
+NumPy's pairwise sum groups a row by its length; so a stacked score is bit
+for bit the score of its graph alone.
 """
 
 from __future__ import annotations
@@ -49,8 +59,8 @@ from .graphs import DirectedWeightedGraph
 DEGREE = "degree"
 BETWEENNESS = "betweenness"
 
-# Cap on n x batch width: each (n x S) float array of the batched kernel stays
-# within 2 MiB whatever the graph size.
+# Cap on stacked graphs x n x batch width: each (G x n x S) float array of the
+# batched kernels stays within 2 MiB whatever the graph size.
 BATCH_CELLS = 1 << 18
 # Largest graph whose forward sweep runs as dense products, with no SciPy.
 # On a 2-vCPU x86-64 VM, dense sweeps took the focal word's score on 783
@@ -86,46 +96,89 @@ def vertex_degree(g: DirectedWeightedGraph, node: str) -> int:
     return int(g.indptr[i + 1] - g.indptr[i]) + int(np.count_nonzero(g.indices == i))
 
 
-def _source_ids(g: DirectedWeightedGraph, sources: Sequence[str]) -> np.ndarray:
-    if sources is g.nodes:  # every node, the exact computation: no lookups
-        return np.arange(g.n)
-    return np.fromiter(map(g.node_id, sources), dtype=np.int64, count=len(sources))
+class PathCountOverflow(AnalysisError):
+    """Shortest-path counts beyond the float range. ``graph`` is the
+    position, among the graphs a kernel was given, of the graph whose counts
+    overflowed."""
+
+    def __init__(self, message: str = _PATH_COUNT_OVERFLOW, graph: int = 0) -> None:
+        super().__init__(message)
+        self.graph = graph
 
 
-def _predecessor_matrix(g: DirectedWeightedGraph):
-    """The n x n predecessor matrix that ``_path_counts`` sweeps: a dense
-    array for graphs of at most ``DENSE_NODE_LIMIT`` nodes, else a sparse
-    matrix in CSC form over the graph's own CSR arrays (the transpose of the
-    0/1 successor matrix), which sums each node's predecessors in ascending
-    order."""
-    n = g.n
+def _stacks(graphs: Sequence[DirectedWeightedGraph], widths: Sequence[int]) -> list[list[int]]:
+    """The positions of ``graphs`` in stacks, in order of first appearance:
+    graphs of at most ``DENSE_NODE_LIMIT`` nodes with equal n and equal
+    source count (``widths``) share a stack; a larger graph is a stack of
+    one."""
+    stacks: list[list[int]] = []
+    dense: dict[tuple[int, int], list[int]] = {}
+    for position, (g, width) in enumerate(zip(graphs, widths)):
+        if g.n > DENSE_NODE_LIMIT:
+            stacks.append([position])
+            continue
+        stack = dense.get((g.n, width))
+        if stack is None:
+            stack = dense[g.n, width] = []
+            stacks.append(stack)
+        stack.append(position)
+    return stacks
+
+
+def _source_rows(stack: Sequence[DirectedWeightedGraph], sources) -> np.ndarray:
+    """The (G x S) ids of each stacked graph's sources."""
+    n = stack[0].n
+    if all(s is g.nodes for g, s in zip(stack, sources)):
+        # every node, the exact computation: no lookups
+        return np.broadcast_to(np.arange(n), (len(stack), n))
+    return np.array([[g.node_id(v) for v in s] for g, s in zip(stack, sources)], dtype=np.int64)
+
+
+def _predecessors(stack: Sequence[DirectedWeightedGraph]):
+    """The product with the stack's n x n predecessor matrices that
+    ``_path_counts`` sweeps, taking (G x n x S) arrays: dense products over
+    a (G x n x n) array for graphs of at most ``DENSE_NODE_LIMIT`` nodes,
+    else (a stack of one) a sparse matrix in CSC form over the graph's own
+    CSR arrays (the transpose of the 0/1 successor matrix), which sums each
+    node's predecessors in ascending order."""
+    n = stack[0].n
     if n <= DENSE_NODE_LIMIT:
-        pred = np.zeros((n, n))
-        pred[g.indices, g.arc_sources()] = 1.0
-        return pred
+        pred = np.zeros((len(stack), n, n))
+        graph = np.repeat(np.arange(len(stack)), [g.m for g in stack])
+        pred[
+            graph,
+            np.concatenate([g.indices for g in stack]),
+            np.concatenate([g.arc_sources() for g in stack]),
+        ] = 1.0
+        return pred.__matmul__
     from scipy.sparse import csc_matrix
 
-    return csc_matrix((np.ones(g.m), g.indices, g.indptr), shape=(n, n))
+    (g,) = stack
+    pred = csc_matrix((np.ones(g.m), g.indices, g.indptr), shape=(n, n))
+    return lambda frontier: (pred @ frontier[0])[None]
 
 
-def _path_counts(pred, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Level-synchronous BFS from each node of ``columns`` at once.
+def _path_counts(product, n: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Level-synchronous BFS in each graph of a stack from each node of its
+    row of ``columns`` (G x S) at once.
 
-    ``pred`` is the predecessor matrix (dense or sparse, n x n). Returns
-    sigma and dist, (n x S) arrays whose column j holds the shortest-path
-    counts and hop distances from ``columns[j]`` (dist 0: the source itself,
-    or unreached, where sigma is 0), and the depth of the deepest level.
-    Each level is one product pred @ frontier, which sums the path counts of
-    a node's predecessors on the previous level.
+    ``product`` multiplies (G x n x S) arrays by the graphs' predecessor
+    matrices (``_predecessors``). Returns sigma and dist, (G x n x S) arrays
+    whose column j of graph k holds the shortest-path counts and hop
+    distances from ``columns[k, j]`` (dist 0: the source itself, or
+    unreached, where sigma is 0), and the depth of the deepest level. Each
+    level is one product pred @ frontier, which sums the path counts of a
+    node's predecessors on the previous level. A graph whose levels end
+    earlier than the others' gets empty levels, which change nothing.
     """
-    n = pred.shape[0]
-    sigma = np.zeros((n, len(columns)))
-    sigma[columns, np.arange(len(columns))] = 1.0
-    dist = np.zeros((n, len(columns)), dtype=np.int32)
+    stacked, width = columns.shape
+    sigma = np.zeros((stacked, n, width))
+    sigma[np.arange(stacked)[:, None], columns, np.arange(width)] = 1.0
+    dist = np.zeros((stacked, n, width), dtype=np.int32)
     frontier = sigma
     depth = 0
     while True:
-        paths = pred @ frontier
+        paths = product(frontier)
         paths[sigma > 0.0] = 0.0
         reached = paths > 0.0
         if not reached.any():
@@ -134,9 +187,58 @@ def _path_counts(pred, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int
         dist[reached] = depth
         sigma += paths
         frontier = paths
-    if not np.isfinite(sigma).all():
-        raise AnalysisError(_PATH_COUNT_OVERFLOW)
+    finite = np.isfinite(sigma).reshape(stacked, -1).all(axis=1)
+    if not finite.all():
+        raise PathCountOverflow(graph=int(np.argmin(finite)))
     return sigma, dist, depth
+
+
+def _block_diagonal(stack: Sequence[DirectedWeightedGraph]) -> tuple[np.ndarray, ...]:
+    """CSR arrays (indptr, indices, arc sources) of the disjoint union of the
+    stack's graphs, node i of graph k being node k * n + i: the graph's own
+    arrays for a stack of one."""
+    if len(stack) == 1:
+        g = stack[0]
+        return g.indptr, g.indices, g.arc_sources()
+    n = stack[0].n
+    offset = np.repeat(np.arange(0, len(stack) * n, n, dtype=np.int32), [g.m for g in stack])
+    indices = np.concatenate([g.indices for g in stack]) + offset
+    sources = np.concatenate([g.arc_sources() for g in stack]) + offset
+    indptr = np.zeros(len(stack) * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=len(stack) * n), out=indptr[1:])
+    return indptr, indices, sources
+
+
+def _stacked_betweenness(
+    stack: Sequence[DirectedWeightedGraph], rows: np.ndarray, scale: float, batch_cells: int
+) -> np.ndarray:
+    # Brandes (2001) over a batch of S sources of each graph at once. Node i
+    # of graph k is stack[k].nodes[i]; sigma, dist and delta are (G * n x S)
+    # arrays, row k * n + i for that node, column j for source rows[k, j].
+    # Backward, each cell (i, j) on a level pulls sum_c coef[c, j] over i's
+    # successors c, with coef = (1 + delta) / sigma on the next level out,
+    # which hands every parent its children's dependency.
+    stacked, n = len(stack), stack[0].n
+    product = _predecessors(stack)
+    csr = _block_diagonal(stack)
+    score = np.zeros(stacked * n)
+    width = max(1, batch_cells // (stacked * n))
+    for start in range(0, rows.shape[1], width):
+        sigma, dist, depth = _path_counts(product, n, rows[:, start:start + width])
+        sigma = sigma.reshape(stacked * n, -1)
+        dist = dist.reshape(stacked * n, -1)
+        # Level 1 hands its dependency only to the sources, whose dependency
+        # on themselves is not a pair, so the sweep stops above it.
+        delta = np.zeros_like(sigma)
+        for level in range(depth, 1, -1):
+            coef = np.zeros_like(sigma)
+            np.divide(1.0 + delta, sigma, out=coef, where=dist == level)
+            parents = dist == level - 1
+            sums = _successor_sums(*csr, np.flatnonzero(parents), coef)
+            np.multiply(sigma, sums, out=delta, where=parents)
+        # Sequential sum over the columns, in sorted source order.
+        score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
+    return score.reshape(stacked, n)
 
 
 def _batched_betweenness(
@@ -145,58 +247,69 @@ def _batched_betweenness(
     scale: float,
     batch_cells: int = BATCH_CELLS,
 ) -> np.ndarray:
-    # Brandes (2001) over a batch of S sources at once. Node i is g.nodes[i];
-    # sigma, dist and delta are (n x S) arrays, column j for source batch[j].
-    # Backward, each cell (i, j) on a level pulls sum_k coef[k, j] over i's
-    # successors k, with coef = (1 + delta) / sigma on the next level out,
-    # which hands every parent its children's dependency.
-    n = g.n
-    pred = _predecessor_matrix(g)
-    rows = _source_ids(g, sources)
-    score = np.zeros(n)
-    width = max(1, batch_cells // n)
-    for start in range(0, len(rows), width):
-        sigma, dist, depth = _path_counts(pred, rows[start:start + width])
-        # Level 1 hands its dependency only to the sources, whose dependency
-        # on themselves is not a pair, so the sweep stops above it.
-        delta = np.zeros_like(sigma)
-        for level in range(depth, 1, -1):
-            coef = np.zeros_like(sigma)
-            np.divide(1.0 + delta, sigma, out=coef, where=dist == level)
-            parents = dist == level - 1
-            sums = _successor_sums(g, np.flatnonzero(parents), coef)
-            np.multiply(sigma, sums, out=delta, where=parents)
-        # Sequential sum over the columns, in sorted source order.
-        score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
-    return score
+    """Brandes scores of every node of ``g`` over ``sources`` (sorted),
+    times ``scale``: the Brandes kernel on a stack of one."""
+    return _stacked_betweenness([g], _source_rows([g], [sources]), scale, batch_cells)[0]
 
 
-def _successor_sums(g: DirectedWeightedGraph, cells: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def _successor_sums(
+    indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, cells: np.ndarray,
+    coef: np.ndarray,
+) -> np.ndarray:
     """An (n x S) array that holds, at each flat index c = i * S + j of
-    ``cells``, the sum of coef[k, j] over the successors k of node i, taken
-    in CSR order and starting from 0.0, and 0.0 elsewhere. At ``cells`` it
-    equals ``succ @ coef`` for the 0/1 successor matrix succ, bit for bit:
+    ``cells``, the sum of coef[k, j] over the successors k of node i in the
+    CSR arrays ``indptr``, ``indices`` and arc ``sources``, taken in CSR
+    order and starting from 0.0, and 0.0 elsewhere. At ``cells`` it equals
+    ``succ @ coef`` for the 0/1 successor matrix succ, bit for bit:
     ``np.bincount`` adds its weights in input order, as a CSR row product
     does. ``np.add.reduceat`` would not (it adds runs of eight or more with
     unrolled partial sums)."""
     width = coef.shape[1]
     parent = cells // width
-    counts = np.diff(g.indptr)[parent]
+    counts = np.diff(indptr)[parent]
     first = np.cumsum(counts) - counts
-    # Each (cell, successor) pair: its arc's position in g.indices, and the
+    # Each (cell, successor) pair: its arc's position in indices, and the
     # cell it adds into. coef[k, j] lies (k - i) * S after the cell (i, j).
-    arc = np.arange(counts.sum()) + np.repeat(g.indptr[parent] - first, counts)
+    arc = np.arange(counts.sum()) + np.repeat(indptr[parent] - first, counts)
     target = np.repeat(cells, counts)
-    shift = (g.indices - g.arc_sources()) * width
+    shift = (indices - sources) * width
     sums = np.bincount(target, weights=coef.ravel()[target + shift[arc]], minlength=coef.size)
     return sums.reshape(coef.shape)
+
+
+def _stacked_kernel(kernel, graphs, widths, *per_graph):
+    """``kernel(stack, *args)`` on each stack of ``graphs``, with each
+    argument of ``per_graph`` cut to the stack's graphs; the results in the
+    order of ``graphs``. An overflow names its graph's position in
+    ``graphs``."""
+    results: list = [None] * len(graphs)
+    for positions in _stacks(graphs, widths):
+        stack = [graphs[p] for p in positions]
+        try:
+            scores = kernel(stack, *([values[p] for p in positions] for values in per_graph))
+        except PathCountOverflow as exc:
+            raise PathCountOverflow(graph=positions[exc.graph]) from None
+        for p, score in zip(positions, scores):
+            results[p] = score
+    return results
+
+
+def betweenness_centralities(graphs: Sequence[DirectedWeightedGraph]) -> list[np.ndarray]:
+    """``betweenness_centrality`` of each graph, the dense graphs of equal n
+    swept as one stack. Each score is bit for bit that graph's alone."""
+    return _stacked_kernel(
+        lambda stack: list(_stacked_betweenness(
+            stack, _source_rows(stack, [g.nodes for g in stack]), 1.0, BATCH_CELLS
+        )),
+        graphs, [g.n for g in graphs],
+    )
 
 
 def betweenness_centrality(g: DirectedWeightedGraph) -> np.ndarray:
     """Exact directed betweenness of each node, indexed by node id: the sum
     over ordered pairs s != t != v of sigma_st(v) / sigma_st on hop-count
     shortest paths. Unreachable pairs contribute zero."""
-    return _batched_betweenness(g, g.nodes, 1.0)
+    return betweenness_centralities([g])[0]
 
 
 def sample_sources(
@@ -224,6 +337,61 @@ def approx_betweenness(g: DirectedWeightedGraph, sample_count: int, seed: int) -
     return _batched_betweenness(g, sources, scale)
 
 
+def _stacked_vertex_betweenness(
+    stack: Sequence[DirectedWeightedGraph],
+    nodes: Sequence[str],
+    sources: Sequence[Sequence[str]],
+    scales: Sequence[float],
+    batch_cells: int,
+) -> list[float]:
+    stacked, n = len(stack), stack[0].n
+    graph = np.arange(stacked)
+    v = np.array([g.node_id(node) for g, node in zip(stack, nodes)], dtype=np.int64)
+    rows = _source_rows(stack, sources)
+    product = _predecessors(stack)
+    score = np.zeros(stacked)
+    # Each batch carries one more column, the BFS from v.
+    width = max(1, batch_cells // (stacked * n))
+    for start in range(0, rows.shape[1], width):
+        batch = rows[:, start:start + width]
+        sigma, dist, _depth = _path_counts(product, n, np.column_stack((batch, v)))
+        sigma_v = sigma[:, :, -1]
+        # Hops v -> t, and -n where t is v or unreached from v: no d(s, t)
+        # matches d(s, v) plus that.
+        after = np.where(sigma_v > 0.0, dist[:, :, -1], -n)
+        after[graph, v] = -n
+        sigma_sv = np.where(batch == v[:, None], 0.0, sigma[graph, v, :-1])
+        on_path = dist[:, :, :-1] == dist[graph, v, :-1][:, None, :] + after[:, :, None]
+        # Sources as rows: each row's sum runs over its graph's n targets in
+        # one fixed order, whatever the batch width or the stack.
+        ratios = np.zeros((stacked, batch.shape[1], n))
+        np.divide(
+            sigma_v[:, None, :], sigma[:, :, :-1].transpose(0, 2, 1), out=ratios,
+            where=on_path.transpose(0, 2, 1),
+        )
+        dependency = ratios.sum(axis=2) * sigma_sv * np.array(scales)[:, None]
+        # Sequential sum over the sources, in sorted source order.
+        score = np.add.accumulate(np.column_stack((score, dependency)), axis=1)[:, -1]
+    return score.tolist()
+
+
+def vertex_betweennesses(
+    graphs: Sequence[DirectedWeightedGraph],
+    nodes: Sequence[str],
+    sources: Sequence[Sequence[str]],
+    scales: Sequence[float],
+    batch_cells: int = BATCH_CELLS,
+) -> list[float]:
+    """``vertex_betweenness`` of ``nodes[k]`` in ``graphs[k]`` over
+    ``sources[k]`` at ``scales[k]``, for every k; the dense graphs of equal
+    n and source count are swept as one stack. Each score is bit for bit
+    that graph's alone."""
+    return _stacked_kernel(
+        lambda stack, *args: _stacked_vertex_betweenness(stack, *args, batch_cells),
+        graphs, [len(s) for s in sources], nodes, sources, scales,
+    )
+
+
 def vertex_betweenness(
     g: DirectedWeightedGraph,
     node: str,
@@ -239,30 +407,7 @@ def vertex_betweenness(
     to a few units in the last place. With ``sources = g.nodes`` and scale
     1.0 it is the exact score; with ``sample_sources`` it is the sampled one.
     """
-    n = g.n
-    v = g.node_id(node)
-    pred = _predecessor_matrix(g)
-    rows = _source_ids(g, sources)
-    score = 0.0
-    # Each batch carries one more column, the BFS from v.
-    width = max(1, batch_cells // n)
-    for start in range(0, len(rows), width):
-        batch = rows[start:start + width]
-        sigma, dist, _depth = _path_counts(pred, np.append(batch, v))
-        sigma_v = sigma[:, -1]
-        # Hops v -> t, and -n where t is v or unreached from v: no d(s, t)
-        # matches d(s, v) plus that.
-        after = np.where(sigma_v > 0.0, dist[:, -1], -n)
-        after[v] = -n
-        sigma_sv = np.where(batch == v, 0.0, sigma[v, :-1])
-        on_path = dist[:, :-1] == dist[v, :-1] + after[:, None]
-        # Sources as rows: each row's sum runs over the targets in one fixed
-        # order, whatever the batch width.
-        ratios = np.zeros((len(batch), n))
-        np.divide(sigma_v, sigma[:, :-1].T, out=ratios, where=on_path.T)
-        for dependency in (ratios.sum(axis=1) * sigma_sv).tolist():
-            score += dependency * scale
-    return score
+    return vertex_betweennesses([g], [node], [sources], [scale], batch_cells)[0]
 
 
 def centralization(metric: str, raw: np.ndarray) -> float:

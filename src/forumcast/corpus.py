@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from typing import TYPE_CHECKING
@@ -110,11 +111,21 @@ def parse_timestamp(raw: str) -> datetime:
         raise ValueError(f"{raw!r} is out of range in UTC") from None
 
 
+# A lone UTF-16 surrogate, what a JSON \ud800 escape decodes to: no UTF-8
+# output can hold one. (A CSV file cannot carry one: its bytes are not UTF-8,
+# so the whole file is refused when it is read.)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _message_from_record(record: dict, seen_ids: set[str]) -> Message:
     for key in ("id", "author_id", "timestamp"):
         value = record.get(key)
         if value is None or str(value).strip() == "":
             raise DataError(f"missing required field '{key}'")
+    for key in ("id", "author_id", "parent_id", "timestamp", "body"):
+        value = record.get(key)
+        if value is not None and _SURROGATE.search(str(value)):
+            raise DataError(f"field '{key}' holds a lone surrogate, which UTF-8 cannot encode")
     msg_id = str(record["id"])
     if msg_id in seen_ids:
         raise DataError(f"duplicate message id '{msg_id}'")

@@ -13,11 +13,12 @@ Stage outputs land in ``config.output_dir``:
     manifest.json                   config hash, input checksums, tool version
 
 Everything is deterministic for a fixed config: reruns are byte-identical.
-Windows can be processed by a worker pool, started before the corpus loads;
-each window's edge rows are rendered where the window is computed, and the
-results are appended in window order, so the worker count never changes the
-output. Every file appears only
-once it is complete.
+The graph work runs on chunks of consecutive windows, each built and swept
+at once, and a chunk gives each window what that window alone would give.
+Chunks can be processed by a worker pool, started before the corpus loads,
+one chunk to a task; each window's edge rows are rendered where its chunk is
+computed, and the results are appended in window order, so the worker count
+never changes the output. Every file appears only once it is complete.
 """
 
 from __future__ import annotations
@@ -37,13 +38,15 @@ from . import __version__
 from .centrality import (
     BETWEENNESS,
     DEGREE,
+    PathCountOverflow,
     approx_betweenness,  # noqa: F401  (bench/tracing.py wraps it by this name)
-    betweenness_centrality,
+    betweenness_centralities,
+    betweenness_centrality,  # noqa: F401  (the same)
     centralization,
     degree_centrality,
     normalize,
     sample_sources,
-    vertex_betweenness,
+    vertex_betweennesses,
     vertex_degree,
 )
 from .config import PipelineConfig, to_dict, validate, validate_output_dir, validate_paths
@@ -69,8 +72,10 @@ from .graphs import (
     EDGE_TABLE_COLUMNS,
     activity,
     activity_words,
-    build_interaction_network,
-    build_word_network,
+    build_interaction_network,  # noqa: F401  (bench/tracing.py wraps it by this name)
+    build_interaction_networks,
+    build_word_network,  # noqa: F401  (the same)
+    build_word_networks,
 )
 from .semantics import (
     LexiconScorer,
@@ -103,6 +108,13 @@ _EXPORT_NAME = re.compile(
     r"(?:interaction|words)_edges\.csv"
     r"|week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)"
 )
+
+# A chunk of consecutive windows closes before it passes this many tokens,
+# so its graph work costs a few NumPy calls for all its windows, not for
+# each. A larger window is a chunk of its own. An 8192-token cap raised the
+# peak RSS of a 94-week demo run from 35.9 to 36.7 MB (2-vCPU x86-64 VM).
+CHUNK_TOKENS = 4096
+
 
 class WindowFeatures(NamedTuple):
     """One row of features.csv, its cells in column order."""
@@ -200,42 +212,87 @@ def _naming_window(index: int):
         raise type(exc)(f"window {index}: {exc}") from exc
 
 
-def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
-    index = task.index
-    with _naming_window(index):
-        word_graph = build_word_network(task.streams, config.window_size)
-        interaction, tallies = build_interaction_network(task.authors, task.replies)
+def _chunks(tasks: Sequence[_WindowTask]) -> Iterator[list[_WindowTask]]:
+    """Consecutive windows in chunks: a chunk closes before it passes
+    ``CHUNK_TOKENS`` tokens, so a larger window is a chunk of its own."""
+    chunk: list[_WindowTask] = []
+    tokens = 0
+    for task in tasks:
+        size = sum(map(len, task.streams))
+        if chunk and tokens + size > CHUNK_TOKENS:
+            yield chunk
+            chunk, tokens = [], 0
+        chunk.append(task)
+        tokens += size
+    if chunk:
+        yield chunk
 
-        if interaction.n >= 3:
+
+def _overflow_named(windows: Sequence[int], kernel, *args):
+    """``kernel(*args)`` over graphs of ``windows``; a path-count overflow
+    names the window of its graph."""
+    try:
+        return kernel(*args)
+    except PathCountOverflow as exc:
+        raise PathCountOverflow(f"window {windows[exc.graph]}: {exc}") from exc
+
+
+def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list[_WindowResult]:
+    """The graph work of a chunk of consecutive windows: both builders and
+    both kernels take the whole chunk at once."""
+    word_graphs = build_word_networks([task.streams for task in tasks], config.window_size)
+    interactions = build_interaction_networks((task.authors, task.replies) for task in tasks)
+
+    # Group centralization needs n >= 3.
+    grouped = [k for k, (graph, _) in enumerate(interactions) if graph.n >= 3]
+    group_scores = dict(zip(grouped, _overflow_named(
+        [tasks[k].index for k in grouped], betweenness_centralities,
+        [interactions[k][0] for k in grouped],
+    )))
+
+    # The word graph yields one number per metric, the focal word's, so it
+    # gets the single-node kernels rather than whole vectors.
+    focal = tasks[0].focal_token
+    present = []
+    sources = []
+    scales = []
+    for k, (task, word_graph) in enumerate(zip(tasks, word_graphs)):
+        try:
+            word_graph.node_id(focal)
+        except KeyError:
+            continue
+        n = word_graph.n
+        if config.betweenness_mode == "sampled" and n > 1:
+            samples = min(config.betweenness_samples, n)
+            sample, scale = sample_sources(word_graph, samples, config.seed + task.index)
+        else:
+            sample, scale = word_graph.nodes, 1.0
+        present.append(k)
+        sources.append(sample)
+        scales.append(scale)
+    focal_scores = dict(zip(present, _overflow_named(
+        [tasks[k].index for k in present], vertex_betweennesses,
+        [word_graphs[k] for k in present], [focal] * len(present), sources, scales,
+    )))
+
+    results = []
+    for k, (task, word_graph, (interaction, tallies)) in enumerate(
+        zip(tasks, word_graphs, interactions)
+    ):
+        index = task.index
+        if k in group_scores:
             group_degree = centralization(DEGREE, degree_centrality(interaction))
-            group_betweenness = centralization(BETWEENNESS, betweenness_centrality(interaction))
+            group_betweenness = centralization(BETWEENNESS, group_scores[k])
         else:
             group_degree = None
             group_betweenness = None
-
-        # The word graph yields one number per metric, the focal word's, so
-        # it gets the single-node kernels rather than whole vectors.
-        focal = task.focal_token
         n = word_graph.n
-        try:
-            word_graph.node_id(focal)
-            present = True
-        except KeyError:
-            present = False
-        if present:
+        if k in focal_scores:
             focal_degree = normalize(DEGREE, vertex_degree(word_graph, focal), n)
-            if config.betweenness_mode == "sampled" and n > 1:
-                samples = min(config.betweenness_samples, n)
-                sources, scale = sample_sources(word_graph, samples, config.seed + index)
-            else:
-                sources, scale = word_graph.nodes, 1.0
-            focal_betweenness = normalize(
-                BETWEENNESS, vertex_betweenness(word_graph, focal, sources, scale), n
-            )
+            focal_betweenness = normalize(BETWEENNESS, focal_scores[k], n)
         else:
             focal_degree = 0.0
             focal_betweenness = 0.0
-
         graph_features = (
             activity(task.authors),
             activity_words(word_graph),
@@ -243,7 +300,7 @@ def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
             group_betweenness,
             focal_degree,
             focal_betweenness,
-            present,
+            k in focal_scores,
         )
         diagnostics = (
             index,
@@ -259,25 +316,31 @@ def _compute_window(task: _WindowTask, config: PipelineConfig) -> _WindowResult:
             tallies.self_replies,
             tallies.dangling_parents,
         )
-        edge_rows = (
-            _export_graphs(index, interaction, word_graph) if config.export_graphs else None
-        )
-        return _WindowResult(graph_features, diagnostics, edge_rows)
+        with _naming_window(index):
+            edge_rows = (
+                _export_graphs(index, interaction, word_graph) if config.export_graphs else None
+            )
+        results.append(_WindowResult(graph_features, diagnostics, edge_rows))
+    return results
 
 
 def _computed_in_workers(
-    pool, tasks: list[_WindowTask], config: PipelineConfig
+    pool, chunks: Iterator[list[_WindowTask]], config: PipelineConfig
 ) -> Iterator[_WindowResult]:
-    """The windows' results from ``pool``, in window order. Each task is
-    sent with the config, about 1.5 KB pickled. A worker that dies (killed,
-    or out of memory) breaks the pool; that ends the run in a WorkerError."""
+    """The windows' results from ``pool``, in window order, one chunk to a
+    task. Each task is sent with the config, about 1.5 KB pickled. A worker
+    that dies (killed, or out of memory) breaks the pool; that ends the run
+    in a WorkerError."""
     from concurrent.futures.process import BrokenProcessPool
 
     try:
-        # chunksize=1: a worker sends a chunk's results in one piece, so the
-        # parent holds every window of it at once; 4-window chunks raised
-        # peak RSS by 5-7 MB on the forum_sampled workload.
-        yield from pool.map(functools.partial(_compute_window, config=config), tasks, chunksize=1)
+        # chunksize=1: a worker sends a map chunk's results in one piece, so
+        # the parent holds every window of it at once; 4-window map chunks
+        # raised peak RSS by 5-7 MB on the forum_sampled workload.
+        for results in pool.map(
+            functools.partial(_compute_chunk, config=config), chunks, chunksize=1
+        ):
+            yield from results
     except BrokenProcessPool as exc:
         raise WorkerError(f"a window worker ended abruptly: {exc}") from exc
 
@@ -475,9 +538,11 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         _remove_stale_exports(config.output_dir)
         tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
-            results = _computed_in_workers(pool, tasks, config)
+            results = _computed_in_workers(pool, _chunks(tasks), config)
         else:
-            results = (_compute_window(task, config) for task in tasks)
+            results = (
+                result for chunk in _chunks(tasks) for result in _compute_chunk(chunk, config)
+            )
         # Complexity reads the corpus-wide vocabulary, so it is scored here,
         # in the main process, while the workers build the graphs. The
         # results are not zipped with the tasks: zip would hold each
@@ -521,7 +586,13 @@ def config_hash(config: PipelineConfig) -> str:
 
 
 def write_manifest(config: PipelineConfig, features_path: str, path: str) -> None:
-    inputs = {features_path: _sha256_file(features_path, "feature table")}
+    """The manifest: tool version, config hash and a digest of every input.
+    A configured input that is gone by now (analyze reads only the feature
+    table and the market series) is listed with the digest null, and a
+    warning names it."""
+    inputs: dict[str, str | None] = {
+        features_path: _sha256_file(features_path, "feature table")
+    }
     for key in (
         "messages_path",
         "price_path",
@@ -532,8 +603,13 @@ def write_manifest(config: PipelineConfig, features_path: str, path: str) -> Non
         "dictionary_path",
     ):
         value = getattr(config, key)
-        if value and os.path.isfile(value):
+        if not value:
+            continue
+        if os.path.isfile(value):
             inputs[value] = _sha256_file(value, key)
+        else:
+            logger.warning("%s %s is missing; the manifest lists it with no digest", key, value)
+            inputs[value] = None
     manifest = {
         "tool": "forumcast",
         "version": __version__,

@@ -45,13 +45,21 @@ def graph_from_arcs(
     ``nodes``; arcs must be loop-free with weights of at least 1."""
     ordered = tuple(sorted({*nodes, *(v for arc in arc_weights for v in arc)}))
     index = {v: i for i, v in enumerate(ordered)}
-    n = len(ordered)
-    keyed = sorted((index[a] * n + index[b], w) for (a, b), w in arc_weights.items())
-    assert all(w >= 1 for _, w in keyed)
-    assert all(code % (n + 1) for code, _ in keyed)
-    codes = np.array([code for code, _ in keyed], dtype=np.int64)
-    weights = np.array([w for _, w in keyed], dtype=np.int64)
-    return DirectedWeightedGraph(ordered, codes, weights)
+    keyed = sorted((index[a], index[b], w) for (a, b), w in arc_weights.items())
+    assert all(w >= 1 and a != b for a, b, w in keyed)
+    out_degree = [0] * len(ordered)
+    for a, _b, _w in keyed:
+        out_degree[a] += 1
+    indptr = np.cumsum([0, *out_degree], dtype=np.int32)
+    sources, targets, weights = (
+        np.array([arc[column] for arc in keyed], dtype=dtype)
+        for column, dtype in ((0, np.int32), (1, np.int32), (2, np.int64))
+    )
+    for array in (indptr, sources, targets, weights):
+        array.flags.writeable = False
+    return DirectedWeightedGraph(
+        ordered, indptr, targets, sources, weights, 0, int(weights.sum())
+    )
 
 
 def arcs(g: DirectedWeightedGraph) -> dict[tuple[str, str], int]:

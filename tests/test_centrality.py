@@ -208,7 +208,7 @@ class TestKernels:
         succ = csr_matrix((np.ones(g.m), g.indices, g.indptr), shape=(g.n, g.n))
         expected = np.zeros(coef.size)
         expected[cells] = (succ @ coef).ravel()[cells]
-        got = _successor_sums(g, cells, coef)
+        got = _successor_sums(g.indptr, g.indices, g.arc_sources(), cells, coef)
         assert got.shape == coef.shape
         assert got.tobytes() == expected.tobytes()
 

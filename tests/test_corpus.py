@@ -88,6 +88,41 @@ class TestLoadMessages:
         assert [r.line for r in rejections] == [2]
         assert rejections[0].reason.startswith("unparseable timestamp")
 
+    def test_lone_surrogate_is_rejected_row(self, tmp_path):
+        # \ud800 alone cannot be written as UTF-8; a surrogate pair can.
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"id": "a", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z", "body": "x"}\n'
+            '{"id": "x\\ud800", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z"}\n'
+            '{"id": "b", "author_id": "u\\udfff", "timestamp": "2020-01-06T00:00:00Z"}\n'
+            '{"id": "c", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z",'
+            ' "parent_id": "a\\udc00"}\n'
+            '{"id": "d", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z",'
+            ' "body": "smile \\ud83d\\ude00 and \\ud83d"}\n'
+            '{"id": "e", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z",'
+            ' "body": "smile \\ud83d\\ude00"}\n'
+        )
+        messages, rejections = load_messages(str(path), "jsonl")
+        assert [m.id for m in messages] == ["a", "e"]
+        assert messages[1].body == "smile \U0001f600"
+        assert [(r.line, r.reason.split("'")[1]) for r in rejections] == [
+            (2, "id"), (3, "author_id"), (4, "parent_id"), (5, "body")
+        ]
+        out = tmp_path / "rejections.csv"
+        write_rejections(str(out), rejections)
+        assert "lone surrogate" in out.read_text(encoding="utf-8")
+
+    def test_csv_with_a_surrogate_is_refused_whole(self, tmp_path):
+        # A CSV file cannot carry a lone surrogate: its bytes are not UTF-8.
+        path = tmp_path / "m.csv"
+        path.write_bytes(
+            "id,author_id,timestamp,body\nx\ud800,u1,2020-01-06T00:00:00Z,hi\n".encode(
+                "utf-8", "surrogatepass"
+            )
+        )
+        with pytest.raises(DataError, match="cannot read messages file"):
+            load_messages(str(path), "csv")
+
     def test_csv_header_checked(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("id,who,timestamp,body\n")

@@ -16,7 +16,7 @@ from forumcast.graphs import (
     activity_words,
     build_interaction_network,
     build_word_network,
-    graph_from_pairs,
+    graphs_from_pairs,
 )
 
 from conftest import arcs, graph_from_arcs
@@ -69,9 +69,10 @@ class TestGraphType:
         events = np.concatenate([
             np.repeat(codes, given.weights), rng.integers(0, n, size=loops) * (n + 1)
         ])
-        counted = graph_from_pairs(given.nodes, rng.permutation(events))
+        (counted,) = graphs_from_pairs([given.nodes], rng.permutation(events))
         assert counted == DirectedWeightedGraph(
-            given.nodes, codes, given.weights, self_loop_events=loops
+            given.nodes, given.indptr, given.indices, given.arc_sources(), given.weights,
+            loops, given.total_weight,
         )
         assert arcs(counted) == arc_weights
         assert counted.self_loop_events == loops

@@ -40,7 +40,7 @@ from forumcast.errors import (
 from forumcast.pipeline import (
     DIAGNOSTIC_CSV_COLUMNS,
     FEATURE_CSV_COLUMNS,
-    _compute_window,
+    _compute_chunk,
     config_hash,
     read_features_csv,
     run_all,
@@ -519,6 +519,29 @@ class TestAnalyze:
         assert before["inputs"][config.messages_path] != after["inputs"][config.messages_path]
         assert before["config_sha256"] == after["config_sha256"]
 
+    def test_manifest_lists_a_missing_input_as_null(self, config, caplog):
+        run_all(config)
+        with open(os.path.join(config.output_dir, "manifest.json"), "rb") as handle:
+            complete = handle.read()
+        os.replace(config.lexicon_path, config.lexicon_path + ".away")
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            run_analyze(config)
+        with open(os.path.join(config.output_dir, "manifest.json"), "rb") as handle:
+            manifest = json.loads(handle.read())
+        assert manifest["inputs"][config.lexicon_path] is None
+        assert list(manifest["inputs"]) == list(json.loads(complete)["inputs"])
+        assert [record.levelname for record in caplog.records] == ["WARNING"]
+        assert caplog.records[0].getMessage() == (
+            f"lexicon_path {config.lexicon_path} is missing;"
+            " the manifest lists it with no digest"
+        )
+        # Back in place, the input is hashed again, as in the first run.
+        os.replace(config.lexicon_path + ".away", config.lexicon_path)
+        run_analyze(config)
+        with open(os.path.join(config.output_dir, "manifest.json"), "rb") as handle:
+            assert handle.read() == complete
+
     def test_explicit_features_path(self, config, tmp_path):
         run_features(config)
         moved = tmp_path / "elsewhere.csv"
@@ -944,6 +967,23 @@ class TestIngestCheck:
         assert [row.line for row in rejections] == [7]
         assert "integer string conversion" in rejections[0].reason
 
+    def test_lone_surrogate_is_a_rejection(self, config, tmp_path, capfd):
+        # A JSON \ud800 escape decodes to a lone surrogate, which no UTF-8
+        # output can hold; the second line's duplicate-id reason would hold it.
+        with open(config.messages_path, "a") as handle:
+            for hour in (10, 11):
+                handle.write(json.dumps({
+                    "id": "x\ud800", "author_id": "eve",
+                    "timestamp": f"2020-01-06T{hour}:30:00Z", "body": "widget",
+                }) + "\n")
+        save_config(config, str(tmp_path / "config.yaml"))
+        assert main(["run", "-c", str(tmp_path / "config.yaml")]) == 0
+        assert "Traceback" not in capfd.readouterr().err
+        reason = "field 'id' holds a lone surrogate, which UTF-8 cannot encode"
+        assert read_rows(os.path.join(config.output_dir, "rejections.csv")) == [
+            {"line": "7", "reason": reason}, {"line": "8", "reason": reason}
+        ]
+
 
 def _focal_word_filtered_away(config, monkeypatch):
     config.focal_word = "the"
@@ -961,17 +1001,17 @@ def _battery_lacks_data(config, monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", lacking)
 
 
-def _dying_compute_window(task, config):
-    """``_compute_window``, except that the process ends abruptly at window
-    1. The pool pickles the function it maps by name, so this one lives at
-    module level."""
-    if task.index == 1:
+def _dying_compute_chunk(tasks, config):
+    """``_compute_chunk``, except that the process ends abruptly at the chunk
+    that holds window 1. The pool pickles the function it maps by name, so
+    this one lives at module level."""
+    if any(task.index == 1 for task in tasks):
         os._exit(1)
-    return _compute_window(task, config)
+    return _compute_chunk(tasks, config)
 
 
 def _worker_dies(config, monkeypatch):
-    monkeypatch.setattr(pipeline, "_compute_window", _dying_compute_window)
+    monkeypatch.setattr(pipeline, "_compute_chunk", _dying_compute_chunk)
     config.workers = 2
 
 
