@@ -11,12 +11,13 @@ reduces such an array to the graph's one number.
 
 The accumulation runs level-synchronously over a batch of sources at once,
 in the matrix form of Kepner & Gilbert (Graph Algorithms in the Language of
-Linear Algebra, 2011): the forward sweep is one matrix product per BFS level.
-The backward step pulls: each (node, source) cell on a level sums its
-successors' coefficients in CSR order, starting from 0.0, the order of a
-product with the CSR successor matrix, with NumPy alone. Per-source
-dependencies are added into the score in sorted source order, so results
-never depend on the batch width.
+Linear Algebra, 2011). Its forward sweep records each BFS level as the
+sorted flat indices of its (node, source) cells. The backward step walks
+those levels and pulls: each cell on a level sums its successors'
+coefficients in CSR order, starting from 0.0, the order of a product with
+the CSR successor matrix, with NumPy alone, and touches no cell off the
+level. Per-source dependencies are added into the score in sorted source
+order, so results never depend on the batch width.
 
 ``vertex_betweenness`` scores one node v without back-propagation: a single
 forward sweep from the sources, plus one BFS column from v, gives every
@@ -26,10 +27,21 @@ in another order than Brandes' accumulation, so the two agree to a few
 units in the last place, not bitwise.
 
 The Brandes accumulation and ``vertex_betweenness`` share one forward
-sweep, ``_path_counts``, and one choice of predecessor matrix,
-``_predecessors``: dense products for graphs of at most
-``DENSE_NODE_LIMIT`` nodes, sparse CSC products (``scipy.sparse``, loaded
-only then) above. Path counts are integers in floats, so the two forms give
+sweep, ``_path_counts``, of three kinds, which ``_predecessors`` picks once
+per graph:
+
+- dense: graphs of at most ``DENSE_NODE_LIMIT`` nodes, one dense product
+  per level;
+- light: a larger graph whose sweep's columns (sources, plus the focal
+  column) times arcs are at most ``LIGHT_SWEEP_ARCS``. Each level pushes
+  from its own cells alone (Beamer, Asanovic & Patterson, SC 2012; Yang,
+  Buluc & Owens, ICPP 2018): its out-arcs, in the order of its cells, go
+  into one ``np.bincount``, which sums each new cell's predecessors in
+  ascending order from 0.0, the order of the CSC product, bit for bit;
+- heavy: the other large graphs, one sparse CSC product per level
+  (``scipy.sparse``, loaded only when a heavy sweep starts).
+
+Path counts are integers in floats, so the dense and the other forms give
 the same counts whatever their summation order, and the same scores bit for
 bit, as long as every count and partial sum stays below 2**53. That holds on
 every graph of at most 102 nodes: two nodes of an n-node graph have at most
@@ -62,12 +74,20 @@ BETWEENNESS = "betweenness"
 # Cap on stacked graphs x n x batch width: each (G x n x S) float array of the
 # batched kernels stays within 2 MiB whatever the graph size.
 BATCH_CELLS = 1 << 18
-# Largest graph whose forward sweep runs as dense products, with no SciPy.
-# On a 2-vCPU x86-64 VM, dense sweeps took the focal word's score on 783
-# word graphs of 6-40 nodes from 63 to 44 ms, and on 93 graphs of 66-122
-# nodes cost 42 ms against the sparse sweep's 38; a run whose graphs all stay
-# within the cap never imports scipy.sparse.
+# Largest graph whose forward sweep runs as dense products. On a 2-vCPU
+# x86-64 VM, dense sweeps took the focal word's score on 783 word graphs of
+# 6-40 nodes from 63 to 44 ms, and on 93 graphs of 66-122 nodes cost 42 ms
+# against the sparse sweep's 38. Neither a dense nor a light sweep needs
+# SciPy: a run with no heavy sweep never imports scipy.sparse.
 DENSE_NODE_LIMIT = 128
+# Largest light sweep above the dense cap, in columns x arcs of its graph:
+# one that pushes from each BFS level's cells instead of running a CSC
+# product per level. On a 2-vCPU VM, a 9-column sweep of a 1.9k-node,
+# 38k-arc word graph took 4.3 ms pushed against 1.8 ms as CSC products, but
+# needs no SciPy (+22 MB and about 0.2 s per process), and exact Brandes on
+# a 440-node, 380-arc reply graph took 3-4 ms instead of 15-22. A pushed
+# 64-column batch on a 4k-node, 75k-arc graph took 67 ms against 17 ms.
+LIGHT_SWEEP_ARCS = 1 << 19
 
 _PATH_COUNT_OVERFLOW = (
     "shortest-path counts exceed the float range; betweenness cannot be computed"
@@ -134,13 +154,15 @@ def _source_rows(stack: Sequence[DirectedWeightedGraph], sources) -> np.ndarray:
     return np.array([[g.node_id(v) for v in s] for g, s in zip(stack, sources)], dtype=np.int64)
 
 
-def _predecessors(stack: Sequence[DirectedWeightedGraph]):
+def _predecessors(stack: Sequence[DirectedWeightedGraph], columns: int):
     """The product with the stack's n x n predecessor matrices that
-    ``_path_counts`` sweeps, taking (G x n x S) arrays: dense products over
-    a (G x n x n) array for graphs of at most ``DENSE_NODE_LIMIT`` nodes,
-    else (a stack of one) a sparse matrix in CSC form over the graph's own
-    CSR arrays (the transpose of the 0/1 successor matrix), which sums each
-    node's predecessors in ascending order."""
+    ``_path_counts`` sweeps, taking (G x n x S) arrays, for a sweep of
+    ``columns`` columns in all: dense products over a (G x n x n) array for
+    graphs of at most ``DENSE_NODE_LIMIT`` nodes; else (a stack of one)
+    None for a light sweep, ``columns`` x m at most ``LIGHT_SWEEP_ARCS``,
+    which pushes from each level's cells instead; else a sparse matrix in CSC
+    form over the graph's own CSR arrays (the transpose of the 0/1 successor
+    matrix), which sums each node's predecessors in ascending order."""
     n = stack[0].n
     if n <= DENSE_NODE_LIMIT:
         pred = np.zeros((len(stack), n, n))
@@ -151,91 +173,165 @@ def _predecessors(stack: Sequence[DirectedWeightedGraph]):
             np.concatenate([g.arc_sources() for g in stack]),
         ] = 1.0
         return pred.__matmul__
+    (g,) = stack
+    if columns * g.m <= LIGHT_SWEEP_ARCS:
+        return None
     from scipy.sparse import csc_matrix
 
-    (g,) = stack
     pred = csc_matrix((np.ones(g.m), g.indices, g.indptr), shape=(n, n))
     return lambda frontier: (pred @ frontier[0])[None]
 
 
-def _path_counts(product, n: int, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _arc_heads(
+    indptr: np.ndarray, heads: np.ndarray, cells: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each arc out of the node of each flat cell c = i * S + j of
+    ``cells`` (S = ``width``), over CSR arrays ``indptr`` and ``heads``, the
+    column-0 cell k * S of each arc i -> k: the arc count of each cell, and
+    the cell (k, j) at the head of each arc, cell by cell in the order of
+    ``cells`` and in CSR order within a cell."""
+    node, column = np.divmod(cells, width)
+    start = indptr[node]
+    counts = indptr[node + 1] - start
+    first = np.cumsum(counts) - counts
+    arc = np.repeat(start - first, counts)
+    arc += np.arange(arc.size)
+    cell_heads = np.repeat(column, counts)
+    cell_heads += heads[arc]
+    return counts, cell_heads
+
+
+def _push(
+    indptr: np.ndarray, heads: np.ndarray, sigma: np.ndarray, cells: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The BFS level after ``cells``, the sorted flat cells of a level of
+    the flat (n * S) path counts ``sigma``, over the graph's arcs as in
+    ``_arc_heads``: its cells, sorted, and their path counts. Every arc out
+    of the level adds its tail's count into its head, in one
+    ``np.bincount`` whose weights run in the order of ``cells``; so each
+    head sums its predecessors on the level in ascending order from 0.0,
+    the order of the CSC product, bit for bit. A thin level groups its
+    heads by sorting them; a thick one counts into all n * S cells (on a
+    2-vCPU VM, the two cost the same at heads about n * S / 4 to n * S / 8)."""
+    counts, cell_heads = _arc_heads(indptr, heads, cells, width)
+    weights = np.repeat(sigma[cells], counts)
+    if cell_heads.size * 8 < sigma.size:
+        cell_heads, group = np.unique(cell_heads, return_inverse=True)
+        paths = np.bincount(group, weights=weights, minlength=cell_heads.size)
+    else:
+        paths = np.bincount(cell_heads, weights=weights, minlength=sigma.size)
+        cell_heads = np.flatnonzero(paths)
+        paths = paths[cell_heads]
+    fresh = sigma[cell_heads] == 0.0
+    return cell_heads[fresh], paths[fresh]
+
+
+def _path_counts(
+    product,
+    stack: Sequence[DirectedWeightedGraph],
+    columns: np.ndarray,
+    levels: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Level-synchronous BFS in each graph of a stack from each node of its
     row of ``columns`` (G x S) at once.
 
     ``product`` multiplies (G x n x S) arrays by the graphs' predecessor
-    matrices (``_predecessors``). Returns sigma and dist, (G x n x S) arrays
-    whose column j of graph k holds the shortest-path counts and hop
-    distances from ``columns[k, j]`` (dist 0: the source itself, or
-    unreached, where sigma is 0), and the depth of the deepest level. Each
-    level is one product pred @ frontier, which sums the path counts of a
-    node's predecessors on the previous level. A graph whose levels end
-    earlier than the others' gets empty levels, which change nothing.
+    matrices, or is None for a light sweep (``_predecessors``). Returns
+    sigma and dist, (G x n x S) arrays whose column j of graph k holds the
+    shortest-path counts and hop distances from ``columns[k, j]`` (dist 0:
+    the source itself, or unreached, where sigma is 0). Each level sums the
+    path counts of a node's predecessors on the previous level: one product
+    pred @ frontier, whose unvisited positive cells are the level, or for a
+    light sweep a push from the previous level's cells alone (``_push``). A
+    graph whose levels end earlier than the others' gets empty levels, which
+    change nothing. Given a list ``levels``, the sweep appends each level's
+    cells to it as sorted flat indices into sigma and dist, level 0 the
+    sources.
     """
     stacked, width = columns.shape
-    sigma = np.zeros((stacked, n, width))
-    sigma[np.arange(stacked)[:, None], columns, np.arange(width)] = 1.0
-    dist = np.zeros((stacked, n, width), dtype=np.int32)
+    n = stack[0].n
+    cells = np.sort(
+        ((np.arange(stacked)[:, None] * n + columns) * width + np.arange(width)).ravel()
+    )
+    sigma = np.zeros(stacked * n * width)
+    sigma[cells] = 1.0
+    dist = np.zeros(stacked * n * width, dtype=np.int32)
+    if product is None:
+        (g,) = stack
+        heads = g.indices * np.int64(width)
     frontier = sigma
     depth = 0
     while True:
-        paths = product(frontier)
-        paths[sigma > 0.0] = 0.0
-        reached = paths > 0.0
-        if not reached.any():
-            break
+        if levels is not None:
+            levels.append(cells)
         depth += 1
-        dist[reached] = depth
-        sigma += paths
-        frontier = paths
+        if product is None:
+            cells, paths = _push(g.indptr, heads, sigma, cells, width)
+            if not cells.size:
+                break
+            sigma[cells] = paths
+            dist[cells] = depth
+        else:
+            frontier = product(frontier.reshape(stacked, n, width)).ravel()
+            frontier[sigma > 0.0] = 0.0
+            reached = frontier > 0.0
+            if not reached.any():
+                break
+            dist[reached] = depth
+            sigma += frontier
+            if levels is not None:
+                cells = np.flatnonzero(reached)
     finite = np.isfinite(sigma).reshape(stacked, -1).all(axis=1)
     if not finite.all():
         raise PathCountOverflow(graph=int(np.argmin(finite)))
-    return sigma, dist, depth
+    return sigma.reshape(stacked, n, width), dist.reshape(stacked, n, width)
 
 
-def _block_diagonal(stack: Sequence[DirectedWeightedGraph]) -> tuple[np.ndarray, ...]:
-    """CSR arrays (indptr, indices, arc sources) of the disjoint union of the
-    stack's graphs, node i of graph k being node k * n + i: the graph's own
-    arrays for a stack of one."""
+def _block_diagonal(stack: Sequence[DirectedWeightedGraph]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR arrays (indptr, indices) of the disjoint union of the stack's
+    graphs, node i of graph k being node k * n + i: the graph's own arrays
+    for a stack of one."""
     if len(stack) == 1:
-        g = stack[0]
-        return g.indptr, g.indices, g.arc_sources()
+        return stack[0].indptr, stack[0].indices
     n = stack[0].n
     offset = np.repeat(np.arange(0, len(stack) * n, n, dtype=np.int32), [g.m for g in stack])
     indices = np.concatenate([g.indices for g in stack]) + offset
     sources = np.concatenate([g.arc_sources() for g in stack]) + offset
     indptr = np.zeros(len(stack) * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(sources, minlength=len(stack) * n), out=indptr[1:])
-    return indptr, indices, sources
+    return indptr, indices
 
 
 def _stacked_betweenness(
     stack: Sequence[DirectedWeightedGraph], rows: np.ndarray, scale: float, batch_cells: int
 ) -> np.ndarray:
     # Brandes (2001) over a batch of S sources of each graph at once. Node i
-    # of graph k is stack[k].nodes[i]; sigma, dist and delta are (G * n x S)
+    # of graph k is stack[k].nodes[i]; sigma, coef and delta are (G * n x S)
     # arrays, row k * n + i for that node, column j for source rows[k, j].
     # Backward, each cell (i, j) on a level pulls sum_c coef[c, j] over i's
     # successors c, with coef = (1 + delta) / sigma on the next level out,
-    # which hands every parent its children's dependency.
+    # which hands every parent its children's dependency. Only the levels'
+    # cells are touched: the successors of a parent on level L - 1 lie on
+    # level L, where coef is set, or nearer the sources, where it is still 0.
     stacked, n = len(stack), stack[0].n
-    product = _predecessors(stack)
-    csr = _block_diagonal(stack)
+    product = _predecessors(stack, rows.shape[1])
+    indptr, indices = _block_diagonal(stack)
     score = np.zeros(stacked * n)
     width = max(1, batch_cells // (stacked * n))
     for start in range(0, rows.shape[1], width):
-        sigma, dist, depth = _path_counts(product, n, rows[:, start:start + width])
+        levels: list[np.ndarray] = []
+        sigma = _path_counts(product, stack, rows[:, start:start + width], levels)[0]
         sigma = sigma.reshape(stacked * n, -1)
-        dist = dist.reshape(stacked * n, -1)
+        coef = np.zeros_like(sigma)
+        delta = np.zeros_like(sigma)
+        flat_sigma, flat_coef, flat_delta = sigma.ravel(), coef.ravel(), delta.ravel()
         # Level 1 hands its dependency only to the sources, whose dependency
         # on themselves is not a pair, so the sweep stops above it.
-        delta = np.zeros_like(sigma)
-        for level in range(depth, 1, -1):
-            coef = np.zeros_like(sigma)
-            np.divide(1.0 + delta, sigma, out=coef, where=dist == level)
-            parents = dist == level - 1
-            sums = _successor_sums(*csr, np.flatnonzero(parents), coef)
-            np.multiply(sigma, sums, out=delta, where=parents)
+        for level in range(len(levels) - 1, 1, -1):
+            cells, parents = levels[level], levels[level - 1]
+            flat_coef[cells] = (1.0 + flat_delta[cells]) / flat_sigma[cells]
+            sums = _successor_sums(indptr, indices, parents, coef)
+            flat_delta[parents] = flat_sigma[parents] * sums
         # Sequential sum over the columns, in sorted source order.
         score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
     return score.reshape(stacked, n)
@@ -253,28 +349,21 @@ def _batched_betweenness(
 
 
 def _successor_sums(
-    indptr: np.ndarray, indices: np.ndarray, sources: np.ndarray, cells: np.ndarray,
-    coef: np.ndarray,
+    indptr: np.ndarray, indices: np.ndarray, cells: np.ndarray, coef: np.ndarray
 ) -> np.ndarray:
-    """An (n x S) array that holds, at each flat index c = i * S + j of
-    ``cells``, the sum of coef[k, j] over the successors k of node i in the
-    CSR arrays ``indptr``, ``indices`` and arc ``sources``, taken in CSR
-    order and starting from 0.0, and 0.0 elsewhere. At ``cells`` it equals
-    ``succ @ coef`` for the 0/1 successor matrix succ, bit for bit:
-    ``np.bincount`` adds its weights in input order, as a CSR row product
-    does. ``np.add.reduceat`` would not (it adds runs of eight or more with
-    unrolled partial sums)."""
+    """At each flat index c = i * S + j of ``cells`` into the (n x S) array
+    ``coef``, the sum of coef[k, j] over the successors k of node i in the
+    CSR arrays ``indptr`` and ``indices``, taken in CSR order and starting
+    from 0.0. It equals ``(succ @ coef).ravel()[cells]`` for the 0/1
+    successor matrix succ, bit for bit: ``np.bincount`` adds its weights in
+    input order, as a CSR row product does. ``np.add.reduceat`` would not
+    (it adds runs of eight or more with unrolled partial sums)."""
     width = coef.shape[1]
-    parent = cells // width
-    counts = np.diff(indptr)[parent]
-    first = np.cumsum(counts) - counts
-    # Each (cell, successor) pair: its arc's position in indices, and the
-    # cell it adds into. coef[k, j] lies (k - i) * S after the cell (i, j).
-    arc = np.arange(counts.sum()) + np.repeat(indptr[parent] - first, counts)
-    target = np.repeat(cells, counts)
-    shift = (indices - sources) * width
-    sums = np.bincount(target, weights=coef.ravel()[target + shift[arc]], minlength=coef.size)
-    return sums.reshape(coef.shape)
+    counts, heads = _arc_heads(indptr, indices * np.int64(width), cells, width)
+    return np.bincount(
+        np.repeat(np.arange(cells.size), counts), weights=coef.ravel()[heads],
+        minlength=cells.size,
+    )
 
 
 def _stacked_kernel(kernel, graphs, widths, *per_graph):
@@ -348,13 +437,13 @@ def _stacked_vertex_betweenness(
     graph = np.arange(stacked)
     v = np.array([g.node_id(node) for g, node in zip(stack, nodes)], dtype=np.int64)
     rows = _source_rows(stack, sources)
-    product = _predecessors(stack)
+    product = _predecessors(stack, rows.shape[1] + 1)  # and the column from v
     score = np.zeros(stacked)
     # Each batch carries one more column, the BFS from v.
     width = max(1, batch_cells // (stacked * n))
     for start in range(0, rows.shape[1], width):
         batch = rows[:, start:start + width]
-        sigma, dist, _depth = _path_counts(product, n, np.column_stack((batch, v)))
+        sigma, dist = _path_counts(product, stack, np.column_stack((batch, v)))
         sigma_v = sigma[:, :, -1]
         # Hops v -> t, and -n where t is v or unreached from v: no d(s, t)
         # matches d(s, v) plus that.

@@ -127,6 +127,8 @@ def validate(config: PipelineConfig) -> None:
     for name in _REQUIRED:
         if not getattr(config, name):
             raise ConfigError(f"config field {name!r} is required")
+    if not config.output_dir:
+        raise ConfigError("config field 'output_dir' must name a directory, got ''")
     if config.messages_format not in MESSAGE_FORMATS:
         raise ConfigError(
             f"messages_format must be one of {MESSAGE_FORMATS}, got {config.messages_format!r}"

@@ -511,10 +511,13 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
             from concurrent.futures import ProcessPoolExecutor
 
             # Load OpenSSL here, once, for the workers to inherit: a worker
-            # whose graphs need SciPy imports hashlib with it (through
-            # numpy.random, secrets and hmac), and a worker that loads
-            # OpenSSL itself peaks about 3 MB higher. A one-worker run never
-            # needs it; the manifest is hashed with tables.sha256.
+            # that runs a heavy sweep imports scipy.sparse and hashlib with
+            # it (through numpy.random, secrets and hmac), and a worker that
+            # loads OpenSSL itself peaks about 3 MB higher (60.7 against
+            # 63.6 MB with 256-source samples on a busy forum). Dense and
+            # light sweeps never need it, so a run without heavy sweeps pays
+            # about 3 MB for it; a one-worker run never loads it, as the
+            # manifest is hashed with tables.sha256.
             import hashlib  # noqa: F401
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))

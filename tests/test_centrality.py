@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import numpy as np
@@ -12,19 +17,25 @@ from forumcast import centrality
 from forumcast.centrality import (
     BETWEENNESS,
     DEGREE,
+    PathCountOverflow,
     _batched_betweenness,
+    _path_counts,
+    _predecessors,
+    _source_rows,
     _successor_sums,
     approx_betweenness,
+    betweenness_centralities,
     betweenness_centrality,
     centralization,
     degree_centrality,
     normalize,
     sample_sources,
     vertex_betweenness,
+    vertex_betweennesses,
     vertex_degree,
 )
 from forumcast.errors import AnalysisError
-from forumcast.graphs import DirectedWeightedGraph
+from forumcast.graphs import DirectedWeightedGraph, build_word_network
 
 from conftest import (
     arcs,
@@ -206,10 +217,9 @@ class TestKernels:
 
         g, cells, coef = step
         succ = csr_matrix((np.ones(g.m), g.indices, g.indptr), shape=(g.n, g.n))
-        expected = np.zeros(coef.size)
-        expected[cells] = (succ @ coef).ravel()[cells]
-        got = _successor_sums(g.indptr, g.indices, g.arc_sources(), cells, coef)
-        assert got.shape == coef.shape
+        expected = (succ @ coef).ravel()[cells]
+        got = _successor_sums(g.indptr, g.indices, cells, coef)
+        assert got.shape == cells.shape
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n,p", [(200, 0.02), (300, 0.01)])
@@ -313,6 +323,120 @@ class TestVertexBetweenness:
             k = int(v[1:])
             expected = layers - 1 - k if k >= 1 else 0
             assert vertex_betweenness(g, v, ["a0000"], 1.0) == expected
+
+
+SWEEP_KINDS = ("dense", "light", "heavy")
+
+
+def force_sweep(patch: pytest.MonkeyPatch, kind: str) -> None:
+    """Send every graph the kernels take through ``kind``'s forward sweep."""
+    patch.setattr(centrality, "DENSE_NODE_LIMIT", 1 << 20 if kind == "dense" else 0)
+    patch.setattr(centrality, "LIGHT_SWEEP_ARCS", 1 << 40 if kind == "light" else -1)
+
+
+@st.composite
+def sweep_jobs(draw):
+    """A random digraph of up to 60 nodes, its sources (every node, or a
+    sorted sample) with their scale, and a cap of one or many batches."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    p = draw(st.sampled_from([0.02, 0.08, 0.3]))
+    g = random_digraph(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n, p)
+    if draw(st.booleans()):
+        sources, scale = g.nodes, 1.0
+    else:
+        sources = sorted(draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True)))
+        scale = n / len(sources)
+    return g, sources, scale, draw(st.sampled_from([centrality.BATCH_CELLS, 3 * n]))
+
+
+class TestSweepKinds:
+    """The light sweep, which pushes from each level's cells, against the
+    dense and the CSC (heavy) sweeps: the same path counts, levels and
+    scores, bit for bit, and the same overflow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep_jobs())
+    def test_light_sweep_bit_identical(self, job):
+        g, sources, scale, batch_cells = job
+        rows = _source_rows([g], [sources])
+        seen = {}
+        for kind in SWEEP_KINDS:
+            with pytest.MonkeyPatch.context() as patch:
+                force_sweep(patch, kind)
+                product = _predecessors([g], rows.shape[1])
+                assert (product is None) == (kind == "light")
+                levels = []
+                sigma, dist = _path_counts(product, [g], rows, levels)
+                seen[kind] = (
+                    sigma.tobytes(),
+                    dist.tobytes(),
+                    [cells.tolist() for cells in levels],
+                    _batched_betweenness(g, sources, scale, batch_cells).tobytes(),
+                    [vertex_betweenness(g, v, sources, scale, batch_cells).hex()
+                     for v in g.nodes[:4]],
+                )
+        assert seen["light"] == seen["heavy"] == seen["dense"]
+        levels = []
+        dist = _path_counts(None, [g], rows, levels)[1]
+        for depth, cells in enumerate(levels):
+            assert cells.tolist() == sorted(set(cells.tolist()))
+            assert (dist.ravel()[cells] == depth).all()
+
+    @pytest.mark.parametrize("kind", ["light", "heavy"])
+    def test_overflow_names_the_same_graph(self, kind):
+        small = random_digraph(random.Random(1), 6, 0.5)
+        dag = layered_dag(1100)
+        with pytest.MonkeyPatch.context() as patch:
+            force_sweep(patch, kind)
+            with pytest.raises(PathCountOverflow, match="float range") as caught:
+                vertex_betweennesses(
+                    [small, dag, small], [small.nodes[0], "a0500", small.nodes[1]],
+                    [small.nodes, ["a0000"], small.nodes], [1.0, 1.0, 1.0],
+                )
+            assert caught.value.graph == 1
+            with pytest.raises(PathCountOverflow, match="float range"):
+                _batched_betweenness(dag, ["a0000", "b0001"], 1.0)
+            # and just below the float range, the closed form bit for bit
+            near = layered_dag(1000)
+            scores = by_node(near, _batched_betweenness(near, ["a0000"], 1.0))
+            for v, score in scores.items():
+                k = int(v[1:])
+                assert score == (999 - k if k >= 1 else 0)
+
+    def test_light_sweep_runs_without_scipy(self):
+        # A graph above the dense cap whose exact sweep is light: with SciPy
+        # blocked, both kernels run to the scores the CSC sweep gives.
+        rng = random.Random(4)
+        words = [f"w{i:03d}" for i in range(300)]
+        streams = [rng.sample(words, 12) for _ in range(60)]
+        code = textwrap.dedent("""
+            import json, sys
+            sys.modules["scipy"] = None
+            from forumcast import centrality
+            from forumcast.graphs import build_word_network
+
+            g = build_word_network(json.load(sys.stdin), 2)
+            assert g.n > centrality.DENSE_NODE_LIMIT
+            assert centrality._predecessors([g], g.n + 1) is None
+            print(json.dumps([
+                centrality.betweenness_centrality(g).tobytes().hex(),
+                centrality.vertex_betweenness(g, g.nodes[0], g.nodes, 1.0).hex(),
+            ]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code], input=json.dumps(streams), capture_output=True,
+            text=True, check=True, env=env,
+        ).stdout
+        g = build_word_network(streams, 2)
+        with pytest.MonkeyPatch.context() as patch:
+            force_sweep(patch, "heavy")
+            expected = [
+                betweenness_centrality(g).tobytes().hex(),
+                vertex_betweenness(g, g.nodes[0], g.nodes, 1.0).hex(),
+            ]
+        assert json.loads(out) == expected
+        assert betweenness_centralities([g])[0].tobytes().hex() == expected[0]
 
 
 class TestApproxBetweenness:

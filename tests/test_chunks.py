@@ -84,17 +84,19 @@ class TestChunkMatchesWindowsAlone:
         samples=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=1000),
         window_size=st.integers(min_value=1, max_value=3),
-        # 4: graphs of 5 or more nodes go through the sparse sweep as
-        # stacks of one, next to the stacked small ones.
+        # 4: graphs of 5 or more nodes are stacks of one, next to the
+        # stacked small ones, and sweep light, or heavy (CSC) at -1.
         dense_limit=st.sampled_from([centrality.DENSE_NODE_LIMIT, 4]),
+        light_arcs=st.sampled_from([centrality.LIGHT_SWEEP_ARCS, -1]),
     )
     def test_chunk_equals_windows_alone_and_oracles(
-        self, data, count, mode, samples, seed, window_size, dense_limit
+        self, data, count, mode, samples, seed, window_size, dense_limit, light_arcs
     ):
         tasks = data.draw(window_tasks(first=3, count=count))
         config = chunk_config(mode, samples, seed, window_size)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(centrality, "DENSE_NODE_LIMIT", dense_limit)
+            patch.setattr(centrality, "LIGHT_SWEEP_ARCS", light_arcs)
             chunk = _compute_chunk(tasks, config)
             alone = [_compute_chunk([task], config)[0] for task in tasks]
             word_graphs = build_word_networks([t.streams for t in tasks], window_size)
@@ -171,7 +173,7 @@ class TestChunkMatchesWindowsAlone:
         assert max(map(sizes.count, sizes)) >= 4
 
     def test_graph_above_dense_limit_in_a_chunk(self):
-        # One 150-word chain among small windows: a sparse stack of one.
+        # One 150-word chain among small windows: a light stack of one.
         chain = [[f"c{i:03d}" for i in range(150)] + [FOCAL]]
         tasks = [
             _WindowTask(0, ("u0",), (), (("w0", "w1", "w2"),), FOCAL, None, None),

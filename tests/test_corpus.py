@@ -141,6 +141,30 @@ class TestLoadMessages:
         assert messages[1].parent_id == "a"
         assert rejections == []
 
+    def test_jsonl_byte_order_mark_is_skipped(self, tmp_path):
+        # The first line starts after the mark: its message is kept, not
+        # rejected as undecodable JSON.
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(
+            b"\xef\xbb\xbf"
+            b'{"id": "a", "author_id": "u1", "timestamp": "2020-01-06T00:00:00Z", "body": "hi"}\n'
+            b"not json\n"
+        )
+        messages, rejections = load_messages(str(path), "jsonl")
+        assert [m.id for m in messages] == ["a"]
+        assert [r.line for r in rejections] == [2]
+
+    def test_csv_byte_order_mark_is_skipped(self, tmp_path):
+        # The header's first column is "id", not "\ufeffid".
+        path = tmp_path / "m.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbfid,author_id,timestamp,body,parent_id\n"
+            b"a,u1,2020-01-06T00:00:00Z,hello,\n"
+        )
+        messages, rejections = load_messages(str(path), "csv")
+        assert [m.id for m in messages] == ["a"]
+        assert rejections == []
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "m.xml"
         path.write_text("<myformat/>")

@@ -1141,6 +1141,19 @@ class TestCli:
         with open(config.output_dir) as handle:
             assert handle.read() == "keep me\n"
 
+    @pytest.mark.parametrize("command", [["run"], ["run", "--dry-run"]], ids=["run", "dry-run"])
+    def test_empty_output_dir_exit_code(self, config, tmp_path, capsys, monkeypatch, command):
+        # Read as the working directory by some checks and as no path at all
+        # by the writers, an empty output_dir is refused before any work.
+        monkeypatch.chdir(tmp_path)
+        config.output_dir = ""
+        code = main([*command, "-c", self.write_config(config, tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field 'output_dir'")
+        assert "Traceback" not in err
+        assert not (tmp_path / "features.csv").exists()
+
     def test_output_dir_under_a_file_exit_code(self, config, tmp_path, capsys):
         (tmp_path / "taken").write_text("keep me\n")
         config.output_dir = str(tmp_path / "taken" / "out")

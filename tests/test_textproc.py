@@ -97,6 +97,13 @@ class TestStopwordLists:
         stop = load_stopwords("english", str(path))
         assert stop.words == frozenset({"foo", "bar"})
 
+    def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"\xef\xbb\xbfthe\nand\n")
+        assert load_wordlist(str(path)) == {"the", "and"}
+        stop = load_stopwords("english", str(path))
+        assert filter_tokens(["the", "cat", "and"], stop) == ["cat"]
+
     def test_wordlist_missing_file(self):
         with pytest.raises(DataError):
             load_wordlist("/nonexistent/words.txt")
