@@ -2,7 +2,8 @@
 
 Subcommands:
     ingest-check   parse inputs and print corpus counts as JSON
-    features       extract the weekly feature and diagnostics tables (+ edge tables)
+    features       extract the weekly feature and diagnostics tables (+ edge tables,
+                   manifest)
     analyze        run the analysis battery over an existing feature table
     run            features then analyze; --dry-run validates config only
     selftest       run built-in fixture checks
@@ -13,18 +14,21 @@ Flags override the corresponding config-file fields. Exit codes: 0 success,
 
 The config is loaded and checked before the pipeline is imported, so
 ``--help``, ``--version``, ``run --dry-run``, ``ingest-check`` and a config
-error never load NumPy or SciPy.
+error never load NumPy or SciPy; ``--help``, ``--version``, a dry run and a
+config error load no ``forumcast`` module but this one, ``config`` and
+``errors``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import atexit
+import gc
+import os
 import sys
 
 from . import __version__
 from .config import PipelineConfig, load_config, validate, validate_paths
-from .corpus import ingest_check
 from .errors import (
     AnalysisError,
     ConfigError,
@@ -98,6 +102,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The command runs with the cyclic collector off, and the caller's setting
+    is restored after it: a run leaves a few hundred objects in reference
+    cycles however many weeks it reads, so collecting during the run only
+    walks live objects. ``gc.freeze`` is registered to run at exit, once per
+    process, so that the interpreter's shutdown does not walk the whole heap
+    only for the OS to discard it. Forked window workers inherit the
+    collector off and end through ``os._exit``.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_command(argv)
+    finally:
+        if enabled:
+            if not gc.get_freeze_count():
+                # Nothing is promoted while the collector is off, so the
+                # first collection after it is back on would walk every
+                # object the run made. A freeze and a thaw move them all to
+                # the oldest generation without a walk; the thaw would also
+                # release what a caller froze, hence the freeze count test.
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+
+def _run_command(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
@@ -121,13 +155,22 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "ingest-check":
+            import json
+
+            from .corpus import ingest_check
+
             print(json.dumps(ingest_check(config), indent=2, sort_keys=True))
             return 0
 
-        from .pipeline import run_all, run_analyze, run_features
+        from .pipeline import run_all, run_analyze, run_features, write_manifest
 
         if args.command == "features":
             rows = run_features(config)
+            write_manifest(
+                config,
+                os.path.join(config.output_dir, "features.csv"),
+                os.path.join(config.output_dir, "manifest.json"),
+            )
             print(f"wrote {len(rows)} weekly feature rows to {config.output_dir}")
         elif args.command == "analyze":
             run_analyze(config, features_path=args.features)

@@ -1,27 +1,30 @@
-"""Pipeline configuration: a YAML file mirroring one dataclass, and the
-analysis battery's model types (``ModelTerm``, ``ModelSpec``) it parses.
+"""Pipeline configuration: a YAML file mirroring one dataclass, the
+analysis battery's model types (``ModelTerm``, ``ModelSpec``) it parses, and
+the timestamp parser, week length and bundled stopword languages it checks
+against (``corpus`` and ``textproc`` import them from here).
 
 The file round-trips: load -> save -> load yields an equal config. Unknown
 keys are rejected so typos fail fast. Paths are checked separately
 (``validate_paths``, ``validate_output_dir``) right before a run, not at
 parse time, so configs can be written before their inputs exist.
 
-Nothing here loads NumPy or SciPy: a dry run or a config error exits before
-the numeric stack is imported.
+This module imports no other ``forumcast`` module but ``errors``, so a dry
+run or a config error loads no NumPy, SciPy or pipeline layer.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from typing import Any
+from datetime import datetime, timedelta, timezone
+from typing import Any, NamedTuple
 
 import yaml
 
-from .corpus import WEEK, parse_timestamp
 from .errors import ConfigError
-from .textproc import BUNDLED_LANGUAGES
 
+WEEK = timedelta(days=7)
+BUNDLED_LANGUAGES = ("english", "italian")
 BETWEENNESS_MODES = ("exact", "sampled")
 MESSAGE_FORMATS = ("jsonl", "csv")
 
@@ -40,8 +43,7 @@ PREDICTOR_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ModelTerm:
+class ModelTerm(NamedTuple):
     column: str
     lag: int = 0
 
@@ -50,8 +52,7 @@ class ModelTerm:
         return f"{self.column}_lag{self.lag}" if self.lag else self.column
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(NamedTuple):
     name: str
     terms: tuple[ModelTerm, ...]
 
@@ -117,6 +118,21 @@ class PipelineConfig:
     granger_difference_dependent: bool = True
     granger_conditioning: tuple[str, ...] = ()
     models: tuple[ModelSpec, ...] = DEFAULT_MODELS
+
+
+def parse_timestamp(raw: str) -> datetime:
+    """Parse an RFC 3339 timestamp; naive values are taken as UTC. An instant
+    whose UTC form falls outside ``datetime``'s range is a ValueError too."""
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    parsed = datetime.fromisoformat(text)
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    try:
+        return parsed.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"{raw!r} is out of range in UTC") from None
 
 
 _REQUIRED = ("messages_path", "price_path", "control_path", "horizon_start", "focal_word")

@@ -24,20 +24,17 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
-from typing import TYPE_CHECKING
+from datetime import datetime, timezone
+from typing import NamedTuple
 
+# WEEK and parse_timestamp live in config, which checks the horizon with
+# them; they stay importable from here.
+from .config import WEEK, PipelineConfig, parse_timestamp, validate, validate_paths
 from .errors import DataError
 from .tables import open_input, write_csv
 
-if TYPE_CHECKING:
-    from .config import PipelineConfig
 
-WEEK = timedelta(days=7)
-
-
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One forum post or comment. ``parent_id`` is None for root posts."""
 
     id: str
@@ -47,8 +44,7 @@ class Message:
     parent_id: str | None = None
 
 
-@dataclass(frozen=True)
-class RejectedRow:
+class RejectedRow(NamedTuple):
     """A row the loader refused, with its 1-based line number."""
 
     line: int
@@ -94,21 +90,6 @@ class WindowedCorpus:
     @property
     def week_count(self) -> int:
         return len(self.messages_by_window)
-
-
-def parse_timestamp(raw: str) -> datetime:
-    """Parse an RFC 3339 timestamp; naive values are taken as UTC. An instant
-    whose UTC form falls outside ``datetime``'s range is a ValueError too."""
-    text = raw.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    parsed = datetime.fromisoformat(text)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    try:
-        return parsed.astimezone(timezone.utc)
-    except OverflowError:
-        raise ValueError(f"{raw!r} is out of range in UTC") from None
 
 
 # A lone UTF-16 surrogate, what a JSON \ud800 escape decodes to: no UTF-8
@@ -240,8 +221,6 @@ def partition_weeks(
 
 def ingest_check(config: PipelineConfig) -> dict:
     """Parse the messages and report counts without computing features."""
-    from .config import validate, validate_paths  # config imports this module
-
     validate(config)
     validate_paths(config)
     messages, rejections = load_messages(config.messages_path, config.messages_format)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -206,8 +206,7 @@ def _chi2_tail(df: int, x: float) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     n: int
     p: float
@@ -244,8 +243,7 @@ def pearson(x: Series, y: Series) -> CorrelationResult:
     return CorrelationResult(r=r, n=n, p=p)
 
 
-@dataclass(frozen=True)
-class OlsResult:
+class OlsResult(NamedTuple):
     names: tuple[str, ...]
     params: np.ndarray
     bse: np.ndarray
@@ -351,8 +349,7 @@ def ols(y: Series, X: Sequence[Series], intercept: bool = True) -> OlsResult:
     )
 
 
-@dataclass(frozen=True)
-class GrangerResult:
+class GrangerResult(NamedTuple):
     chi2: float
     df: int
     p: float
@@ -406,8 +403,7 @@ def granger_test(
     return GrangerResult(chi2=chi2, df=max_lag, p=p, lag_order=max_lag, nobs=n_eff)
 
 
-@dataclass(frozen=True)
-class FeaturePanel:
+class FeaturePanel(NamedTuple):
     """Named weekly columns on one shared grid: ten predictors plus price."""
 
     week_count: int
@@ -453,30 +449,26 @@ def build_panel(
     return FeaturePanel(week_count=week_count, columns=columns)
 
 
-@dataclass(frozen=True)
-class CorrelationCell:
+class CorrelationCell(NamedTuple):
     predictor: str
     lag: int
     result: CorrelationResult | None = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class GrangerCell:
+class GrangerCell(NamedTuple):
     predictor: str
     result: GrangerResult | None = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ModelReport:
+class ModelReport(NamedTuple):
     spec: ModelSpec
     result: OlsResult | None = None
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     correlations: tuple[CorrelationCell, ...]
     granger: tuple[GrangerCell, ...]
     models: tuple[ModelReport, ...]

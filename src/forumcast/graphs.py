@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,8 +178,7 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
-class InteractionTallies:
+class InteractionTallies(NamedTuple):
     """Bookkeeping from an interaction-network build.
 
     total arc weight + self_replies + dangling_parents == comments.

@@ -31,7 +31,6 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 from . import __version__
@@ -150,8 +149,7 @@ DIAGNOSTIC_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class _WindowResult:
+class _WindowResult(NamedTuple):
     """What one window's graph work sends back: the feature cells it
     computes (the ``WindowFeatures`` fields from ``activity`` to
     ``focal_present``, in that order), its diagnostics.csv row and, when
@@ -163,8 +161,7 @@ class _WindowResult:
     edge_rows: tuple[list[bytes], list[bytes]] | None
 
 
-@dataclass(frozen=True)
-class _WindowTask:
+class _WindowTask(NamedTuple):
     """One window, as plain data: the author of each message, one ``(author,
     parent author)`` pair per comment (``None`` for an unknown parent), the
     messages' filtered token streams in the same order, the focal token, and

@@ -20,12 +20,11 @@ from importlib import resources
 from typing import Iterable
 
 from . import _stemmer
+from .config import BUNDLED_LANGUAGES  # config checks the language; importable from here too
 from .errors import DataError
 from .tables import open_input
 
 _TOKEN_RE = re.compile(r"\w+(?:-\w+)*", re.UNICODE)
-
-BUNDLED_LANGUAGES = ("english", "italian")
 
 
 @dataclass(frozen=True)

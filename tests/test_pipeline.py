@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from forumcast import pipeline
+from forumcast import cli, pipeline
 from forumcast.cli import main
 from forumcast.config import PipelineConfig, load_config, save_config, to_dict
 from forumcast.corpus import ingest_check, load_messages
@@ -694,9 +695,14 @@ class TestWorkerPool:
         refs = {}
         alive = {}
 
+        class Body(str):
+            """A body that can be weakly referenced, as a message (a tuple)
+            cannot; only its message holds it."""
+
         def load(*args):
             messages, rejections = load_messages(*args)
-            refs.update((m.id, weakref.ref(m)) for m in messages)
+            messages = [m._replace(body=Body(m.body)) for m in messages]
+            refs.update((m.id, weakref.ref(m.body)) for m in messages)
             return messages, rejections
 
         def score(message, *args):
@@ -1277,6 +1283,8 @@ class TestCli:
         # the manifest hashes it.
         path = self.write_config(config, tmp_path)
         assert main(["features", "-c", path]) == 0
+        manifest = Path(config.output_dir, "manifest.json")
+        written = manifest.read_bytes()
         missing = str(tmp_path / "missing-dictionary.txt")
         config.dictionary_path = missing
         path = self.write_config(config, tmp_path)
@@ -1286,7 +1294,8 @@ class TestCli:
         err = capfd.readouterr().err
         assert err.startswith(f"data error: cannot read dictionary_path {missing}:")
         assert "Traceback" not in err
-        assert not os.path.exists(os.path.join(config.output_dir, "manifest.json"))
+        # the features run's manifest is left as it was
+        assert manifest.read_bytes() == written
 
     @pytest.mark.skipif(
         hasattr(os, "geteuid") and os.geteuid() == 0, reason="root reads a mode-000 file"
@@ -1321,7 +1330,8 @@ class TestCli:
         # numeric work load neither NumPy nor SciPy, and a run whose graphs
         # all fit the dense sweep loads NumPy but no SciPy module at all. A
         # one-worker run loads no OpenSSL (hashlib) and no statistics (with
-        # fractions and decimal) either.
+        # fractions and decimal) either. A dry run loads no pipeline layer:
+        # corpus, textproc and tables first load with ingest-check.
         bad = tmp_path / "bad.yaml"
         bad.write_text("mesages_path: typo.jsonl\n")
         demo = generate_demo(str(tmp_path / "demo"), seed=7)
@@ -1331,7 +1341,8 @@ class TestCli:
             def loaded():
                 return sorted(
                     m for m in sys.modules
-                    if m in ("numpy", "hashlib", "_hashlib", "statistics")
+                    if m in ("numpy", "hashlib", "_hashlib", "statistics", "forumcast.corpus",
+                             "forumcast.textproc", "forumcast.tables")
                     or m.startswith("scipy")
                 )
 
@@ -1357,14 +1368,150 @@ class TestCli:
             capture_output=True, text=True, check=True, env=env,
         ).stdout
         seen = json.loads(out.strip().splitlines()[-1])
+        ingested = ["forumcast.corpus", "forumcast.tables"]
+        ran = ["forumcast.corpus", "forumcast.tables", "forumcast.textproc", "numpy"]
         assert seen == [
             ["import", None, [], False],
             ["dry run", 0, [], False],
-            ["ingest-check", 0, [], False],
-            ["config error", 1, [], False],
-            ["run", 0, ["numpy"], False],
-            ["demo run", 0, ["numpy"], False],
+            ["ingest-check", 0, ingested, False],
+            ["config error", 1, ingested, False],
+            ["run", 0, ran, False],
+            ["demo run", 0, ran, False],
         ]
+
+    def test_features_run_writes_a_fresh_manifest(self, config, tmp_path):
+        # a features-only run into the directory of an earlier run
+        assert main(["run", "-c", self.write_config(config, tmp_path)]) == 0
+        assert main(["features", "-c", self.write_config(config, tmp_path),
+                     "--window-size", "3"]) == 0
+        manifest = json.loads(Path(config.output_dir, "manifest.json").read_text())
+        features = os.path.join(config.output_dir, "features.csv")
+        with open(features, "rb") as handle:
+            assert manifest["inputs"][features] == hashlib.sha256(handle.read()).hexdigest()
+        config.window_size = 3
+        assert manifest["config_sha256"] == config_hash(config)
+
+    def test_run_writes_one_manifest_hashing_each_input_once(self, config, tmp_path,
+                                                             monkeypatch):
+        manifests, hashed = [], []
+        write_manifest, sha256_file = pipeline.write_manifest, pipeline._sha256_file
+
+        def writing(*args):
+            manifests.append(args)
+            write_manifest(*args)
+
+        def hashing(path, what):
+            hashed.append(path)
+            return sha256_file(path, what)
+
+        monkeypatch.setattr(pipeline, "write_manifest", writing)
+        monkeypatch.setattr(pipeline, "_sha256_file", hashing)
+        assert main(["run", "-c", self.write_config(config, tmp_path)]) == 0
+        assert len(manifests) == 1
+        inputs = json.loads(Path(config.output_dir, "manifest.json").read_text())["inputs"]
+        assert sorted(hashed) == sorted(inputs)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_main_restores_the_callers_collector(self, config, tmp_path, monkeypatch,
+                                                 enabled):
+        path = self.write_config(config, tmp_path)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("mesages_path: typo.jsonl\n")
+        during = []
+        validate_paths = cli.validate_paths
+
+        def recording(config):
+            during.append(gc.isenabled())
+            validate_paths(config)
+
+        def failing(config):
+            raise RuntimeError("unexpected")
+
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            monkeypatch.setattr(cli, "validate_paths", recording)
+            assert main(["run", "-c", path, "--dry-run"]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["run", "-c", str(bad), "--dry-run"]) == 1
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(cli, "validate_paths", failing)
+            with pytest.raises(RuntimeError, match="unexpected"):
+                main(["run", "-c", path, "--dry-run"])
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == 0
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+        assert during == [False]
+
+    def test_main_leaves_what_the_caller_froze_frozen(self, config, tmp_path):
+        path = self.write_config(config, tmp_path)
+        was_enabled = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            assert main(["run", "-c", path, "--dry-run"]) == 0
+            # a thaw would empty the permanent generation
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_main_freezes_the_heap_once_at_exit(self, config, tmp_path):
+        code = textwrap.dedent("""
+            import gc, sys
+
+            freeze = gc.freeze
+
+            def counted():
+                print("freeze")
+                freeze()
+
+            gc.freeze = counted
+            # main freezes and thaws the heap itself when its caller's
+            # collector is on; with it off, only the exit freeze counts
+            gc.disable()
+            from forumcast.cli import main
+
+            for config in sys.argv[1:]:
+                main(["run", "-c", config, "--dry-run"])
+            print("returned")
+        """)
+        path = self.write_config(config, tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code, path, str(tmp_path / "missing.yaml"), path],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        assert out.splitlines()[-2:] == ["returned", "freeze"]
+        assert out.count("freeze") == 1
+
+    def test_collector_off_leaves_no_garbage_that_grows_with_the_corpus(self, tmp_path):
+        # main runs commands with the cyclic collector off; that is safe
+        # while a run's leftover cycles do not grow with the corpus
+        code = textwrap.dedent("""
+            import gc, sys
+            from forumcast.cli import main
+
+            gc.disable()
+            found = []
+            for config in sys.argv[1:]:
+                gc.collect()
+                assert main(["run", "-c", config]) == 0
+                found.append(gc.collect())
+            print(*found)
+        """)
+        configs = [
+            generate_demo(str(tmp_path / name), seed=7, weeks=weeks)["config"]
+            for name, weeks in (("warmup", 12), ("small", 12), ("large", 48))
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", code, *configs],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        _warmup, small, large = map(int, out.split()[-3:])
+        assert large <= small
 
     def test_demo_generator_leaves_out_numpy(self, tmp_path):
         code = textwrap.dedent("""
