@@ -18,7 +18,7 @@ import random
 import resource
 import time
 
-from forumcast.centrality import degree_centrality, sample_sources, vertex_betweenness
+from forumcast.centrality import degree_centrality, sample_sources, vertex_betweennesses
 from forumcast.graphs import build_word_network
 
 
@@ -70,7 +70,7 @@ def main() -> None:
     word = graph.nodes[top]
     sources, scale = sample_sources(graph, min(args.samples, graph.n), args.seed)
     t0 = time.perf_counter()
-    vertex_betweenness(graph, word, sources, scale)
+    vertex_betweennesses([graph], [word], [sources], [scale])
     sample_seconds = time.perf_counter() - t0
     print(
         f"sampled betweenness of {word!r} (degree {degree[top]:.0f},"

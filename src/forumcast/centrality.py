@@ -19,14 +19,14 @@ the CSR successor matrix, with NumPy alone, and touches no cell off the
 level. Per-source dependencies are added into the score in sorted source
 order, so results never depend on the batch width.
 
-``vertex_betweenness`` scores one node v without back-propagation: a single
-forward sweep from the sources, plus one BFS column from v, gives every
-d(s, t) and sigma_st, and v's score is the sum of sigma_sv sigma_vt /
-sigma_st over the pairs with d(s, v) + d(v, t) = d(s, t). It sums the pairs
-in another order than Brandes' accumulation, so the two agree to a few
-units in the last place, not bitwise.
+``vertex_betweennesses`` scores one node v of each graph without
+back-propagation: a single forward sweep from the sources, plus one BFS
+column from v, gives every d(s, t) and sigma_st, and v's score is the sum
+of sigma_sv sigma_vt / sigma_st over the pairs with d(s, v) + d(v, t) =
+d(s, t). It sums the pairs in another order than Brandes' accumulation, so
+the two agree to a few units in the last place, not bitwise.
 
-The Brandes accumulation and ``vertex_betweenness`` share one forward
+The Brandes accumulation and ``vertex_betweennesses`` share one forward
 sweep, ``_path_counts``, of three kinds, which ``_predecessors`` picks once
 per graph:
 
@@ -52,10 +52,11 @@ Both kernels take many graphs at once (``betweenness_centralities``,
 source count as one (G x n x n) stack: one product per level for the whole
 stack, and a backward pull over the stack's block-diagonal CSR arrays. A
 graph above ``DENSE_NODE_LIMIT`` is a stack of one, and so is the graph of
-a one-graph call. Each row of ratios and dependencies is still summed over
-its own graph's n nodes, in the order of a graph swept alone, because
-NumPy's pairwise sum groups a row by its length; so a stacked score is bit
-for bit the score of its graph alone.
+a one-graph call (``betweenness_centrality``, ``approx_betweenness``). Each
+row of ratios and dependencies is still summed over its own graph's n
+nodes, in the order of a graph swept alone, because NumPy's pairwise sum
+groups a row by its length; so a stacked score is bit for bit the score of
+its graph alone.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _predecessors(stack: Sequence[DirectedWeightedGraph], columns: int):
         pred[
             graph,
             np.concatenate([g.indices for g in stack]),
-            np.concatenate([g.arc_sources() for g in stack]),
+            np.concatenate([g.sources for g in stack]),
         ] = 1.0
         return pred.__matmul__
     (g,) = stack
@@ -296,14 +297,14 @@ def _block_diagonal(stack: Sequence[DirectedWeightedGraph]) -> tuple[np.ndarray,
     n = stack[0].n
     offset = np.repeat(np.arange(0, len(stack) * n, n, dtype=np.int32), [g.m for g in stack])
     indices = np.concatenate([g.indices for g in stack]) + offset
-    sources = np.concatenate([g.arc_sources() for g in stack]) + offset
+    sources = np.concatenate([g.sources for g in stack]) + offset
     indptr = np.zeros(len(stack) * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(sources, minlength=len(stack) * n), out=indptr[1:])
     return indptr, indices
 
 
 def _stacked_betweenness(
-    stack: Sequence[DirectedWeightedGraph], rows: np.ndarray, scale: float, batch_cells: int
+    stack: Sequence[DirectedWeightedGraph], rows: np.ndarray, scale: float
 ) -> np.ndarray:
     # Brandes (2001) over a batch of S sources of each graph at once. Node i
     # of graph k is stack[k].nodes[i]; sigma, coef and delta are (G * n x S)
@@ -317,7 +318,7 @@ def _stacked_betweenness(
     product = _predecessors(stack, rows.shape[1])
     indptr, indices = _block_diagonal(stack)
     score = np.zeros(stacked * n)
-    width = max(1, batch_cells // (stacked * n))
+    width = max(1, BATCH_CELLS // (stacked * n))
     for start in range(0, rows.shape[1], width):
         levels: list[np.ndarray] = []
         sigma = _path_counts(product, stack, rows[:, start:start + width], levels)[0]
@@ -335,17 +336,6 @@ def _stacked_betweenness(
         # Sequential sum over the columns, in sorted source order.
         score = np.add.accumulate(np.column_stack((score, delta * scale)), axis=1)[:, -1]
     return score.reshape(stacked, n)
-
-
-def _batched_betweenness(
-    g: DirectedWeightedGraph,
-    sources: Sequence[str],
-    scale: float,
-    batch_cells: int = BATCH_CELLS,
-) -> np.ndarray:
-    """Brandes scores of every node of ``g`` over ``sources`` (sorted),
-    times ``scale``: the Brandes kernel on a stack of one."""
-    return _stacked_betweenness([g], _source_rows([g], [sources]), scale, batch_cells)[0]
 
 
 def _successor_sums(
@@ -384,20 +374,21 @@ def _stacked_kernel(kernel, graphs, widths, *per_graph):
 
 
 def betweenness_centralities(graphs: Sequence[DirectedWeightedGraph]) -> list[np.ndarray]:
-    """``betweenness_centrality`` of each graph, the dense graphs of equal n
-    swept as one stack. Each score is bit for bit that graph's alone."""
+    """Exact directed betweenness of each node of each graph, indexed by node
+    id: the sum over ordered pairs s != t != v of sigma_st(v) / sigma_st on
+    hop-count shortest paths, unreachable pairs contributing zero. The dense
+    graphs of equal n are swept as one stack, and each score is bit for bit
+    that graph's alone."""
     return _stacked_kernel(
         lambda stack: list(_stacked_betweenness(
-            stack, _source_rows(stack, [g.nodes for g in stack]), 1.0, BATCH_CELLS
+            stack, _source_rows(stack, [g.nodes for g in stack]), 1.0
         )),
         graphs, [g.n for g in graphs],
     )
 
 
 def betweenness_centrality(g: DirectedWeightedGraph) -> np.ndarray:
-    """Exact directed betweenness of each node, indexed by node id: the sum
-    over ordered pairs s != t != v of sigma_st(v) / sigma_st on hop-count
-    shortest paths. Unreachable pairs contribute zero."""
+    """``betweenness_centralities`` of one graph."""
     return betweenness_centralities([g])[0]
 
 
@@ -423,7 +414,7 @@ def approx_betweenness(g: DirectedWeightedGraph, sample_count: int, seed: int) -
     sample_count = n degenerates to the exact computation, bit for bit.
     """
     sources, scale = sample_sources(g, sample_count, seed)
-    return _batched_betweenness(g, sources, scale)
+    return _stacked_betweenness([g], _source_rows([g], [sources]), scale)[0]
 
 
 def _stacked_vertex_betweenness(
@@ -431,7 +422,6 @@ def _stacked_vertex_betweenness(
     nodes: Sequence[str],
     sources: Sequence[Sequence[str]],
     scales: Sequence[float],
-    batch_cells: int,
 ) -> list[float]:
     stacked, n = len(stack), stack[0].n
     graph = np.arange(stacked)
@@ -440,7 +430,7 @@ def _stacked_vertex_betweenness(
     product = _predecessors(stack, rows.shape[1] + 1)  # and the column from v
     score = np.zeros(stacked)
     # Each batch carries one more column, the BFS from v.
-    width = max(1, batch_cells // (stacked * n))
+    width = max(1, BATCH_CELLS // (stacked * n))
     for start in range(0, rows.shape[1], width):
         batch = rows[:, start:start + width]
         sigma, dist = _path_counts(product, stack, np.column_stack((batch, v)))
@@ -469,34 +459,21 @@ def vertex_betweennesses(
     nodes: Sequence[str],
     sources: Sequence[Sequence[str]],
     scales: Sequence[float],
-    batch_cells: int = BATCH_CELLS,
 ) -> list[float]:
-    """``vertex_betweenness`` of ``nodes[k]`` in ``graphs[k]`` over
-    ``sources[k]`` at ``scales[k]``, for every k; the dense graphs of equal
-    n and source count are swept as one stack. Each score is bit for bit
-    that graph's alone."""
-    return _stacked_kernel(
-        lambda stack, *args: _stacked_vertex_betweenness(stack, *args, batch_cells),
-        graphs, [len(s) for s in sources], nodes, sources, scales,
-    )
+    """Raw betweenness of ``nodes[k]`` alone in ``graphs[k]``, for every k:
+    ``scales[k]`` times the sum over s in ``sources[k]`` (sorted) and every
+    target t, both other than the node and each other, of sigma_st(node) /
+    sigma_st.
 
-
-def vertex_betweenness(
-    g: DirectedWeightedGraph,
-    node: str,
-    sources: Sequence[str],
-    scale: float,
-    batch_cells: int = BATCH_CELLS,
-) -> float:
-    """Raw betweenness of ``node`` alone: ``scale`` times the sum over s in
-    ``sources`` (sorted) and every target t, both other than ``node`` and
-    each other, of sigma_st(node) / sigma_st.
-
-    It equals the Brandes score of ``node`` for the same sources and scale
-    to a few units in the last place. With ``sources = g.nodes`` and scale
-    1.0 it is the exact score; with ``sample_sources`` it is the sampled one.
+    Each equals the Brandes score of its node for the same sources and scale
+    to a few units in the last place. With a graph's ``nodes`` as sources
+    and scale 1.0 it is the exact score; with ``sample_sources`` it is the
+    sampled one. The dense graphs of equal n and source count are swept as
+    one stack, and each score is bit for bit that graph's alone.
     """
-    return vertex_betweennesses([g], [node], [sources], [scale], batch_cells)[0]
+    return _stacked_kernel(
+        _stacked_vertex_betweenness, graphs, [len(s) for s in sources], nodes, sources, scales
+    )
 
 
 def centralization(metric: str, raw: np.ndarray) -> float:

@@ -187,8 +187,10 @@ def write_rejections(path: str, rejections: list[RejectedRow]) -> None:
 
 
 def window_index(instant: datetime, horizon_start: datetime) -> int:
-    """Index of the 7-day block containing ``instant`` (may be out of range)."""
-    return math.floor((instant - horizon_start) / WEEK)
+    """Index of the 7-day block containing ``instant`` (may be out of range),
+    by exact timedelta floor division: from week 16385 on, a float quotient
+    puts the last microsecond of a week in the next one."""
+    return (instant - horizon_start) // WEEK
 
 
 def partition_weeks(

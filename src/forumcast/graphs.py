@@ -1,5 +1,5 @@
 """Directed weighted graphs: interaction (who replies to whom) and word
-co-occurrence networks, plus the weekly activity counts read off them.
+co-occurrence networks.
 
 The builders take a chunk of consecutive windows at once. Each window's
 nodes get global ids, its node base plus its local id; every event is coded
@@ -29,132 +29,71 @@ EDGE_TABLE_COLUMNS = ("week", "source", "target", "weight")
 EDGE_BLOCK_ROWS = 4096
 
 
-class DirectedWeightedGraph:
+class DirectedWeightedGraph(NamedTuple):
     """Immutable digraph with positive integer arc weights.
 
     Nodes are strings (actor ids or words), kept sorted in ``nodes``; a
     node's id is its position there, so ids follow string order. Arcs are
-    stored once, as CSR arrays over those ids: the successors of node ``i``
-    are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order, and the
-    int64 array ``weights`` runs parallel to ``indices``. Arc weights count events:
-    repeated replies or repeated co-occurrences accumulate on one arc.
+    stored once, as read-only CSR arrays over those ids: the successors of
+    node ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, in ascending order,
+    and ``sources`` (each arc's source id) and the int64 ``weights`` run
+    parallel to ``indices``. The index arrays are int32, scipy.sparse's
+    native index width, so a matrix built over them shares them. Arc weights
+    count events: repeated replies or repeated co-occurrences accumulate on
+    one arc. ``self_loop_events`` tallies the identical-node events, which
+    are not stored, and ``total_weight`` is the sum of the arc weights.
+
+    ``graphs_from_pairs`` builds graphs from raw pair events: nodes sorted
+    and distinct, arcs in (source, target) order with no self-loop, and
+    every weight at least 1. Compare graphs field by field: a tuple's
+    ``==`` would compare the arrays element-wise.
     """
 
-    __slots__ = (
-        "_nodes", "_indptr", "_indices", "_sources", "_weights", "_self_loop_events",
-        "_total_weight",
-    )
-
-    def __init__(
-        self,
-        nodes: tuple[str, ...],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        sources: np.ndarray,
-        weights: np.ndarray,
-        self_loop_events: int,
-        total_weight: int,
-    ) -> None:
-        """Graph over ``nodes`` from its read-only CSR arrays, taken as they
-        are: int32 ``indptr``, ``indices`` and ``sources`` (each arc's source
-        id), int64 ``weights``, plus the self-loop tally and the weight sum.
-
-        The caller guarantees ``nodes`` sorted and distinct, arcs in
-        (source, target) order with no self-loop, and every weight at least
-        1; ``graphs_from_pairs`` builds such arrays from raw pair events.
-        """
-        self._nodes = nodes
-        self._indptr = indptr
-        # int32: scipy.sparse's native index width, so a matrix built over
-        # these arrays shares them.
-        self._indices = indices
-        self._sources = sources
-        self._weights = weights
-        self._self_loop_events = self_loop_events
-        self._total_weight = total_weight
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return self._nodes
-
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._indices
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+    nodes: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+    sources: np.ndarray
+    weights: np.ndarray
+    self_loop_events: int
+    total_weight: int
 
     @property
     def n(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes)
 
     @property
     def m(self) -> int:
-        return len(self._indices)
-
-    @property
-    def total_weight(self) -> int:
-        return self._total_weight
-
-    @property
-    def self_loop_events(self) -> int:
-        return self._self_loop_events
+        return len(self.indices)
 
     def node_id(self, node: str) -> int:
         """Position of ``node`` in ``nodes``; KeyError if absent."""
-        i = bisect_left(self._nodes, node)
-        if i == len(self._nodes) or self._nodes[i] != node:
+        i = bisect_left(self.nodes, node)
+        if i == len(self.nodes) or self.nodes[i] != node:
             raise KeyError(node)
         return i
 
-    def arc_sources(self) -> np.ndarray:
-        """Source id of each arc, parallel to ``indices``."""
-        return self._sources
-
-    def edge_table_rows(self, week: int, block_rows: int = EDGE_BLOCK_ROWS) -> Iterator[bytes]:
+    def edge_table_rows(self, week: int) -> Iterator[bytes]:
         """The graph's rows of an edge table, ``week,source,target,weight`` in
         (source, target) order, spelled as ``csv.writer``'s default dialect
-        spells them and UTF-8 encoded in blocks of at most ``block_rows`` rows.
+        spells them and UTF-8 encoded in blocks of at most ``EDGE_BLOCK_ROWS``
+        rows.
 
         Each node name is CSV-quoted once, not once per arc. Blocks stay
         small because a whole window's rows held as one list of strings, plus
         their join, cost a worker several MB on a 35k-arc word graph.
         """
-        fields = _csv_fields(self._nodes)
+        fields = _csv_fields(self.nodes)
         heads = [f"{week},{field}," for field in fields]
-        sources = self.arc_sources()
-        for start in range(0, self.m, block_rows):
-            stop = start + block_rows
+        for start in range(0, self.m, EDGE_BLOCK_ROWS):
+            stop = start + EDGE_BLOCK_ROWS
             yield "".join([
                 f"{heads[source]}{fields[target]},{weight}\r\n"
                 for source, target, weight in zip(
-                    sources[start:stop].tolist(),
-                    self._indices[start:stop].tolist(),
-                    self._weights[start:stop].tolist(),
+                    self.sources[start:stop].tolist(),
+                    self.indices[start:stop].tolist(),
+                    self.weights[start:stop].tolist(),
                 )
             ]).encode("utf-8")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DirectedWeightedGraph):
-            return NotImplemented
-        return (
-            self._nodes == other._nodes
-            and np.array_equal(self._indptr, other._indptr)
-            and np.array_equal(self._indices, other._indices)
-            and np.array_equal(self._weights, other._weights)
-            and self._self_loop_events == other._self_loop_events
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"DirectedWeightedGraph(n={self.n}, m={self.m},"
-            f" total_weight={self._total_weight})"
-        )
 
 
 class _Echo:
@@ -253,8 +192,15 @@ def graphs_from_pairs(
 def build_interaction_networks(
     windows: Iterable[tuple[Sequence[str], Sequence[tuple[str, str | None]]]],
 ) -> list[tuple[DirectedWeightedGraph, InteractionTallies]]:
-    """``build_interaction_network`` for each ``(authors, replies)`` window
-    of a chunk, with one ``graphs_from_pairs`` for them all."""
+    """Each ``(authors, replies)`` window's graph, with one
+    ``graphs_from_pairs`` for the chunk: an arc replier -> parent author for
+    every resolved cross-actor reply, and the window's tallies.
+
+    ``authors`` holds the author of each message in the window; ``replies``
+    holds one ``(author, parent author)`` pair per comment, with ``None`` as
+    the parent author when the parent is unknown. Such dangling replies and
+    self-replies create no arc; both are tallied.
+    """
     node_lists: list[tuple[str, ...]] = []
     repliers: list[int] = []
     parents: list[int] = []
@@ -281,13 +227,7 @@ def build_interaction_network(
     authors: Sequence[str],
     replies: Sequence[tuple[str, str | None]],
 ) -> tuple[DirectedWeightedGraph, InteractionTallies]:
-    """Arc replier -> parent author for every resolved cross-actor reply.
-
-    ``authors`` holds the author of each message in the window; ``replies``
-    holds one ``(author, parent author)`` pair per comment, with ``None`` as
-    the parent author when the parent is unknown. Such dangling replies and
-    self-replies create no arc; both are tallied.
-    """
+    """``build_interaction_networks`` of one window."""
     return build_interaction_networks([(authors, replies)])[0]
 
 
@@ -295,8 +235,13 @@ def build_word_networks(
     windows: Iterable[Sequence[Sequence[str]]],
     window_size: int = DEFAULT_COOCCURRENCE_WINDOW,
 ) -> list[DirectedWeightedGraph]:
-    """``build_word_network`` for each window of token streams in a chunk,
-    with one ``graphs_from_pairs`` for them all."""
+    """The ordered co-occurrence graph of each window of token streams, with
+    one ``graphs_from_pairs`` for the chunk.
+
+    For each stream, every pair (t_i, t_j) with i < j and j - i <= window_size
+    adds one event on arc t_i -> t_j. Pairs never cross stream boundaries.
+    Identical-word pairs are tallied as self-loop events, not stored.
+    """
     if window_size < 1:
         raise DataError(f"window_size must be >= 1, got {window_size}")
     node_lists: list[tuple[str, ...]] = []
@@ -333,20 +278,6 @@ def build_word_network(
     streams: Iterable[Sequence[str]],
     window_size: int = DEFAULT_COOCCURRENCE_WINDOW,
 ) -> DirectedWeightedGraph:
-    """Ordered co-occurrence graph over filtered token streams.
-
-    For each stream, every pair (t_i, t_j) with i < j and j - i <= window_size
-    adds one event on arc t_i -> t_j. Pairs never cross stream boundaries.
-    Identical-word pairs are tallied as self-loop events, not stored.
-    """
+    """``build_word_networks`` of one window's token streams."""
     return build_word_networks([list(streams)], window_size)[0]
 
-
-def activity(authors: Sequence[str]) -> int:
-    """Messages posted in the window, given the author of each."""
-    return len(authors)
-
-
-def activity_words(word_graph: DirectedWeightedGraph) -> int:
-    """Co-occurrence event count: total arc weight of the word network."""
-    return word_graph.total_weight

@@ -69,8 +69,6 @@ from .econometrics import (
 from .errors import ConfigError, DataError, ForumcastError, OutputError, WorkerError
 from .graphs import (
     EDGE_TABLE_COLUMNS,
-    activity,
-    activity_words,
     build_interaction_network,  # noqa: F401  (bench/tracing.py wraps it by this name)
     build_interaction_networks,
     build_word_network,  # noqa: F401  (the same)
@@ -291,8 +289,8 @@ def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list
             focal_degree = 0.0
             focal_betweenness = 0.0
         graph_features = (
-            activity(task.authors),
-            activity_words(word_graph),
+            len(task.authors),
+            word_graph.total_weight,
             group_degree,
             group_betweenness,
             focal_degree,

@@ -17,7 +17,7 @@ from .centrality import (
     centralization,
     degree_centrality,
     sample_sources,
-    vertex_betweenness,
+    vertex_betweennesses,
 )
 from .corpus import Message, parse_timestamp
 from .econometrics import Series, _chi2_tail, _t_tail, durbin_watson, ols, pearson
@@ -65,8 +65,9 @@ def run_selftest() -> list[Check]:
     check("cycle betweenness centralization is 0", abs(cc) <= 1e-12, f"value={cc}")
 
     sources, scale = sample_sources(cycle, cycle.n, seed=1)
-    exact = [vertex_betweenness(cycle, v, cycle.nodes, 1.0) for v in cycle.nodes]
-    sampled = [vertex_betweenness(cycle, v, sources, scale) for v in cycle.nodes]
+    graphs = [cycle] * cycle.n
+    exact = vertex_betweennesses(graphs, cycle.nodes, [cycle.nodes] * cycle.n, [1.0] * cycle.n)
+    sampled = vertex_betweennesses(graphs, cycle.nodes, [sources] * cycle.n, [scale] * cycle.n)
     check(
         "full-sample betweenness equals exact",
         exact == sampled,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from forumcast.centrality import vertex_betweennesses
 from forumcast.corpus import Message
 from forumcast.graphs import DirectedWeightedGraph
 
@@ -67,8 +68,26 @@ def arcs(g: DirectedWeightedGraph) -> dict[tuple[str, str], int]:
     names = g.nodes
     return {
         (names[a], names[b]): w
-        for a, b, w in zip(g.arc_sources().tolist(), g.indices.tolist(), g.weights.tolist())
+        for a, b, w in zip(g.sources.tolist(), g.indices.tolist(), g.weights.tolist())
     }
+
+
+def same_graph(a: DirectedWeightedGraph, b: DirectedWeightedGraph) -> bool:
+    """Equal nodes, CSR arrays, weights and tallies; a graph is a tuple of
+    arrays, whose own ``==`` would compare the arrays element-wise."""
+    return (
+        a.nodes == b.nodes
+        and all(
+            np.array_equal(getattr(a, name), getattr(b, name))
+            for name in ("indptr", "indices", "sources", "weights")
+        )
+        and (a.self_loop_events, a.total_weight) == (b.self_loop_events, b.total_weight)
+    )
+
+
+def vertex_score(g: DirectedWeightedGraph, node: str, sources, scale: float) -> float:
+    """The focal kernel's score of ``node`` in ``g`` alone."""
+    return vertex_betweennesses([g], [node], [sources], [scale])[0]
 
 
 def random_digraph(rng: random.Random, n: int, p: float) -> DirectedWeightedGraph:

@@ -18,10 +18,10 @@ from forumcast.centrality import (
     BETWEENNESS,
     DEGREE,
     PathCountOverflow,
-    _batched_betweenness,
     _path_counts,
     _predecessors,
     _source_rows,
+    _stacked_betweenness,
     _successor_sums,
     approx_betweenness,
     betweenness_centralities,
@@ -30,7 +30,6 @@ from forumcast.centrality import (
     degree_centrality,
     normalize,
     sample_sources,
-    vertex_betweenness,
     vertex_betweennesses,
     vertex_degree,
 )
@@ -44,6 +43,7 @@ from conftest import (
     directed_cycle,
     graph_from_arcs,
     random_digraph,
+    vertex_score,
 )
 from oracles import brute_force_betweenness
 
@@ -106,6 +106,12 @@ def layered_dag(layers: int) -> DirectedWeightedGraph:
             for b in "ab":
                 arc_weights[(f"{a}{k:04d}", f"{b}{k + 1:04d}")] = 1
     return graph_from_arcs(arc_weights)
+
+
+def brandes(g: DirectedWeightedGraph, sources, scale: float) -> np.ndarray:
+    """The Brandes kernel's scores of every node of ``g`` over ``sources``
+    (sorted), times ``scale``."""
+    return _stacked_betweenness([g], _source_rows([g], [sources]), scale)[0]
 
 
 def by_node(g: DirectedWeightedGraph, scores: np.ndarray) -> dict[str, float]:
@@ -202,12 +208,14 @@ class TestKernels:
     def test_batched_matches_oracle(self, job):
         g, sources, scale = job
         expected = sampled_oracle(g, sources, scale)
-        batched = by_node(g, _batched_betweenness(g, sources, scale))
+        batched = by_node(g, brandes(g, sources, scale))
         for v in g.nodes:
             assert (expected[v] == 0.0) == (batched[v] == 0.0)
             assert abs(expected[v] - batched[v]) <= 1e-12 * abs(expected[v])
         # three sources per batch: several batches, same summation order
-        assert by_node(g, _batched_betweenness(g, sources, scale, batch_cells=3 * g.n)) == batched
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(centrality, "BATCH_CELLS", 3 * g.n)
+            assert by_node(g, brandes(g, sources, scale)) == batched
 
     @settings(max_examples=80, deadline=None)
     @given(backward_steps())
@@ -237,13 +245,13 @@ class TestKernels:
     def test_path_count_overflow_is_analysis_error(self):
         g = layered_dag(1100)
         with pytest.raises(AnalysisError, match="float range"):
-            _batched_betweenness(g, ["a0000"], 1.0)
+            brandes(g, ["a0000"], 1.0)
 
     def test_path_counts_near_float_max_agree(self):
         # up to 2**998 geodesics per pair, and the closed form bit for bit
         layers = 1000
         g = layered_dag(layers)
-        batched = by_node(g, _batched_betweenness(g, ["a0000"], 1.0))
+        batched = by_node(g, brandes(g, ["a0000"], 1.0))
         for v, score in batched.items():
             k = int(v[1:])
             assert score == (layers - 1 - k if k >= 1 else 0)
@@ -258,7 +266,7 @@ class TestVertexBetweenness:
     def test_matches_path_enumeration_oracle(self, g):
         oracle = brute_force_betweenness(g.nodes, arcs(g))
         for v in g.nodes:
-            assert vertex_betweenness(g, v, g.nodes, 1.0) == pytest.approx(
+            assert vertex_score(g, v, g.nodes, 1.0) == pytest.approx(
                 float(oracle[v]), rel=1e-12, abs=0.0
             )
 
@@ -267,14 +275,16 @@ class TestVertexBetweenness:
     def test_matches_oracle_and_brandes(self, job):
         g, sources, scale = job
         expected = sampled_oracle(g, sources, scale)
-        batched = by_node(g, _batched_betweenness(g, sources, scale))
-        for v in g.nodes:
-            score = vertex_betweenness(g, v, sources, scale)
+        batched = by_node(g, brandes(g, sources, scale))
+        scores = [vertex_score(g, v, sources, scale) for v in g.nodes]
+        for v, score in zip(g.nodes, scores):
             for reference in (expected[v], batched[v]):
                 assert (score == 0.0) == (reference == 0.0)
                 assert abs(score - reference) <= 1e-12 * abs(reference)
-            # one source per batch: the same score, bit for bit
-            assert vertex_betweenness(g, v, sources, scale, batch_cells=g.n) == score
+        # one source per batch: the same scores, bit for bit
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(centrality, "BATCH_CELLS", g.n)
+            assert [vertex_score(g, v, sources, scale) for v in g.nodes] == scores
 
     def test_full_sample_bit_identical(self):
         rng = random.Random(8)
@@ -282,16 +292,14 @@ class TestVertexBetweenness:
             g = random_digraph(rng, 30, 0.15)
             sources, scale = sample_sources(g, g.n, seed=rng.randrange(1 << 30))
             for v in g.nodes:
-                assert vertex_betweenness(g, v, sources, scale) == vertex_betweenness(
-                    g, v, g.nodes, 1.0
-                )
+                assert vertex_score(g, v, sources, scale) == vertex_score(g, v, g.nodes, 1.0)
 
     def test_sampled_matches_approx_betweenness(self):
         g = random_digraph(random.Random(12), 50, 0.08)
         sources, scale = sample_sources(g, 15, seed=99)
         approx = by_node(g, approx_betweenness(g, 15, seed=99))
         for v in g.nodes:
-            score = vertex_betweenness(g, v, sources, scale)
+            score = vertex_score(g, v, sources, scale)
             assert score == pytest.approx(approx[v], rel=1e-12, abs=0.0)
             assert normalize(BETWEENNESS, score, g.n) == pytest.approx(
                 normalize(BETWEENNESS, approx[v], g.n), rel=1e-12, abs=0.0
@@ -304,7 +312,7 @@ class TestVertexBetweenness:
         for limit in (0, 1000):
             monkeypatch.setattr(centrality, "DENSE_NODE_LIMIT", limit)
             scores.append((
-                [vertex_betweenness(g, v, g.nodes, 1.0) for v in g.nodes],
+                [vertex_score(g, v, g.nodes, 1.0) for v in g.nodes],
                 betweenness_centrality(g).tolist(),
             ))
         assert scores[0] == scores[1]
@@ -313,7 +321,7 @@ class TestVertexBetweenness:
     def test_path_count_overflow_is_analysis_error(self):
         g = layered_dag(1100)
         with pytest.raises(AnalysisError, match="float range"):
-            vertex_betweenness(g, "a0500", ["a0000"], 1.0)
+            vertex_score(g, "a0500", ["a0000"], 1.0)
 
     def test_path_counts_near_float_max_agree(self):
         # up to 2**998 geodesics per pair, and the closed form bit for bit
@@ -322,7 +330,7 @@ class TestVertexBetweenness:
         for v in ("a0000", "b0000", "b0001", "a0500", "b0998", "a0999"):
             k = int(v[1:])
             expected = layers - 1 - k if k >= 1 else 0
-            assert vertex_betweenness(g, v, ["a0000"], 1.0) == expected
+            assert vertex_score(g, v, ["a0000"], 1.0) == expected
 
 
 SWEEP_KINDS = ("dense", "light", "heavy")
@@ -363,6 +371,7 @@ class TestSweepKinds:
         for kind in SWEEP_KINDS:
             with pytest.MonkeyPatch.context() as patch:
                 force_sweep(patch, kind)
+                patch.setattr(centrality, "BATCH_CELLS", batch_cells)
                 product = _predecessors([g], rows.shape[1])
                 assert (product is None) == (kind == "light")
                 levels = []
@@ -371,9 +380,8 @@ class TestSweepKinds:
                     sigma.tobytes(),
                     dist.tobytes(),
                     [cells.tolist() for cells in levels],
-                    _batched_betweenness(g, sources, scale, batch_cells).tobytes(),
-                    [vertex_betweenness(g, v, sources, scale, batch_cells).hex()
-                     for v in g.nodes[:4]],
+                    brandes(g, sources, scale).tobytes(),
+                    [vertex_score(g, v, sources, scale).hex() for v in g.nodes[:4]],
                 )
         assert seen["light"] == seen["heavy"] == seen["dense"]
         levels = []
@@ -395,10 +403,10 @@ class TestSweepKinds:
                 )
             assert caught.value.graph == 1
             with pytest.raises(PathCountOverflow, match="float range"):
-                _batched_betweenness(dag, ["a0000", "b0001"], 1.0)
+                brandes(dag, ["a0000", "b0001"], 1.0)
             # and just below the float range, the closed form bit for bit
             near = layered_dag(1000)
-            scores = by_node(near, _batched_betweenness(near, ["a0000"], 1.0))
+            scores = by_node(near, brandes(near, ["a0000"], 1.0))
             for v, score in scores.items():
                 k = int(v[1:])
                 assert score == (999 - k if k >= 1 else 0)
@@ -420,7 +428,7 @@ class TestSweepKinds:
             assert centrality._predecessors([g], g.n + 1) is None
             print(json.dumps([
                 centrality.betweenness_centrality(g).tobytes().hex(),
-                centrality.vertex_betweenness(g, g.nodes[0], g.nodes, 1.0).hex(),
+                centrality.vertex_betweennesses([g], [g.nodes[0]], [g.nodes], [1.0])[0].hex(),
             ]))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -433,7 +441,7 @@ class TestSweepKinds:
             force_sweep(patch, "heavy")
             expected = [
                 betweenness_centrality(g).tobytes().hex(),
-                vertex_betweenness(g, g.nodes[0], g.nodes, 1.0).hex(),
+                vertex_score(g, g.nodes[0], g.nodes, 1.0).hex(),
             ]
         assert json.loads(out) == expected
         assert betweenness_centralities([g])[0].tobytes().hex() == expected[0]

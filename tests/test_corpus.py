@@ -196,6 +196,18 @@ class TestWindows:
         assert window_index(EPOCH + timedelta(days=13, hours=23), EPOCH) == 1
         assert window_index(EPOCH - timedelta(seconds=1), EPOCH) == -1
 
+    def test_late_week_boundary_is_exact(self):
+        # From week 16385 on, a float quotient of the two timedeltas rounds
+        # an instant 1 microsecond before a week's end up to the next week.
+        for week in (16385, 40000):
+            end = EPOCH + (week + 1) * timedelta(days=7)
+            last = make_message("last", "u1")._replace(timestamp=end - timedelta(microseconds=1))
+            first = make_message("first", "u1")._replace(timestamp=end)
+            assert window_index(last.timestamp, EPOCH) == week
+            corpus = partition_weeks([first, last], EPOCH, week + 2)
+            assert [m.id for m in corpus.messages_by_window[week]] == ["last"]
+            assert [m.id for m in corpus.messages_by_window[week + 1]] == ["first"]
+
     def test_partition_assigns_and_drops(self):
         inside = make_message("a", "u1", week=0)
         later = make_message("b", "u1", week=3)
@@ -244,6 +256,16 @@ class TestMarketSeries:
         assert series.values == {1: 42.0}
         with pytest.raises(DataError):
             load_market_series(str(path), "price")
+
+    def test_date_before_a_late_week_end_stays_in_its_week(self, tmp_path):
+        end = EPOCH + 16386 * timedelta(days=7)
+        path = tmp_path / "p.csv"
+        path.write_text(
+            f"date,value\n{(end - timedelta(microseconds=1)).isoformat()},1.0\n"
+            f"{end.isoformat()},2.0\n"
+        )
+        series = load_market_series(str(path), "price", horizon_start=EPOCH)
+        assert series.values == {16385: 1.0, 16386: 2.0}
 
     def test_date_outside_utc_range_names_file_and_line(self, tmp_path):
         path = tmp_path / "p.csv"

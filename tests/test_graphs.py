@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from forumcast import graphs
+from forumcast.config import PipelineConfig
 from forumcast.errors import DataError
 from forumcast.graphs import (
-    DirectedWeightedGraph,
-    activity,
-    activity_words,
     build_interaction_network,
     build_word_network,
     graphs_from_pairs,
 )
+from forumcast.pipeline import _compute_chunk, _WindowTask
 
-from conftest import arcs, graph_from_arcs
+from conftest import arcs, graph_from_arcs, same_graph
 from oracles import enumerate_cooccurrences
 
 token = st.sampled_from(["a", "b", "c", "d", "e", "f"])
@@ -64,16 +64,13 @@ class TestGraphType:
         n = given.n
         if n == 0:
             loops = 0
-        codes = given.arc_sources().astype(np.int64) * n + given.indices
+        codes = given.sources.astype(np.int64) * n + given.indices
         rng = np.random.default_rng(seed)
         events = np.concatenate([
             np.repeat(codes, given.weights), rng.integers(0, n, size=loops) * (n + 1)
         ])
         (counted,) = graphs_from_pairs([given.nodes], rng.permutation(events))
-        assert counted == DirectedWeightedGraph(
-            given.nodes, given.indptr, given.indices, given.arc_sources(), given.weights,
-            loops, given.total_weight,
-        )
+        assert same_graph(counted, given._replace(self_loop_events=loops))
         assert arcs(counted) == arc_weights
         assert counted.self_loop_events == loops
         assert counted.total_weight == sum(arc_weights.values())
@@ -85,14 +82,14 @@ class TestGraphType:
         assert list(arcs(g)) == sorted(arc_weights)
 
     @given(arc_maps())
-    def test_arc_sources_computed_once_and_frozen(self, drawn):
+    def test_arc_sources_frozen_int32(self, drawn):
         arc_weights, isolated = drawn
-        g = graph_from_arcs(arc_weights, nodes=isolated)
-        sources = g.arc_sources()
-        assert sources is g.arc_sources()
-        assert sources.dtype == np.int32
-        assert not sources.flags.writeable
-        np.testing.assert_array_equal(sources, np.repeat(np.arange(g.n), np.diff(g.indptr)))
+        given = graph_from_arcs(arc_weights, nodes=isolated)
+        n = given.n
+        (g,) = graphs_from_pairs([given.nodes], given.sources.astype(np.int64) * n + given.indices)
+        assert g.sources.dtype == np.int32
+        assert not g.sources.flags.writeable
+        np.testing.assert_array_equal(g.sources, np.repeat(np.arange(n), np.diff(g.indptr)))
 
     def test_unknown_node_is_key_error(self):
         g = graph_from_arcs({("a", "c"): 1})
@@ -106,9 +103,9 @@ class TestGraphType:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         writer.writerows(sorted((week, a, b, w) for (a, b), w in arc_weights.items()))
-        blocks = list(
-            graph_from_arcs(arc_weights, nodes=isolated).edge_table_rows(week, block_rows)
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "EDGE_BLOCK_ROWS", block_rows)
+            blocks = list(graph_from_arcs(arc_weights, nodes=isolated).edge_table_rows(week))
         assert b"".join(blocks) == expected.getvalue().encode("utf-8")
         assert all(block.count(b"\r\n") <= block_rows for block in blocks)
 
@@ -190,7 +187,7 @@ class TestWordNetwork:
     def test_stream_order_irrelevant(self, streams):
         forward = build_word_network(streams)
         backward = build_word_network(list(reversed(streams)))
-        assert forward == backward
+        assert same_graph(forward, backward)
 
 
 class TestInteractionNetwork:
@@ -236,7 +233,7 @@ class TestInteractionNetwork:
         replies = [("bob", "alice"), ("carol", "bob")]
         a, _ = build_interaction_network(authors, replies)
         b, _ = build_interaction_network(authors[::-1], replies[::-1])
-        assert a == b
+        assert same_graph(a, b)
 
     def test_weight_conservation_random_threads(self):
         rng = random.Random(99)
@@ -257,11 +254,19 @@ class TestInteractionNetwork:
 
 
 class TestActivity:
+    """The two activity cells of a window's feature row."""
+
+    @staticmethod
+    def activity_cells(authors, streams) -> tuple[int, int]:
+        task = _WindowTask(0, tuple(authors), (), tuple(streams), "hello", None, None)
+        (result,) = _compute_chunk([task], PipelineConfig())
+        return result.graph_features[:2]
+
     def test_activity_counts_messages(self):
-        assert activity([]) == 0
-        assert activity(["u", "v", "u", "u", "w"]) == 5
+        assert self.activity_cells([], [])[0] == 0
+        assert self.activity_cells(["u", "v", "u", "u", "w"], [[]] * 5)[0] == 5
 
     def test_activity_words_reads_total_weight(self):
-        assert activity_words(build_word_network([])) == 0
-        assert activity_words(build_word_network([["hello", "dolly"]])) == 1
-        assert activity_words(build_word_network([["a", "b", "a", "b"]])) == 4
+        assert self.activity_cells([], [])[1] == 0
+        assert self.activity_cells(["u"], [["hello", "dolly"]])[1] == 1
+        assert self.activity_cells(["u"], [["a", "b", "a", "b"]])[1] == 4

@@ -1297,24 +1297,27 @@ class TestCli:
         # the features run's manifest is left as it was
         assert manifest.read_bytes() == written
 
-    @pytest.mark.skipif(
-        hasattr(os, "geteuid") and os.geteuid() == 0, reason="root reads a mode-000 file"
-    )
     def test_unreadable_manifest_input_is_recorded_in_errors_json(
         self, config, tmp_path, capfd, monkeypatch
     ):
+        # The lexicon turns unreadable once the features are written. A
+        # mode-000 file would not do: root reads it. So the pipeline's open
+        # is shadowed by one that refuses the lexicon, as the OS refuses a
+        # file without read permission.
         features = pipeline.run_features
+
+        def refusing_open(path, *args, **kwargs):
+            if path == config.lexicon_path:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return open(path, *args, **kwargs)
 
         def then_unreadable(run_config):
             rows = features(run_config)
-            os.chmod(run_config.lexicon_path, 0)
+            monkeypatch.setattr(pipeline, "open", refusing_open, raising=False)
             return rows
 
         monkeypatch.setattr(pipeline, "run_features", then_unreadable)
-        try:
-            assert main(["run", "-c", self.write_config(config, tmp_path)]) == 2
-        finally:
-            os.chmod(config.lexicon_path, 0o644)
+        assert main(["run", "-c", self.write_config(config, tmp_path)]) == 2
         err = capfd.readouterr().err
         assert err.startswith(f"data error: cannot read lexicon_path {config.lexicon_path}:")
         assert "Traceback" not in err
