@@ -78,22 +78,28 @@ class DirectedWeightedGraph(NamedTuple):
         spells them and UTF-8 encoded in blocks of at most ``EDGE_BLOCK_ROWS``
         rows.
 
-        Each node name is CSV-quoted once, not once per arc. Blocks stay
-        small because a whole window's rows held as one list of strings, plus
-        their join, cost a worker several MB on a 35k-arc word graph.
+        A row is two strings built once per node, not once per arc: its
+        source's ``week,source,`` head and its target's ``target,1`` tail.
+        Only an arc of weight other than 1 gets a tail of its own. Blocks
+        stay small because a whole window's rows held as one list of
+        strings, plus their join, cost a worker several MB on a 35k-arc word
+        graph.
         """
         fields = _csv_fields(self.nodes)
         heads = [f"{week},{field}," for field in fields]
+        ones = [f"{field},1\r\n" for field in fields]
         for start in range(0, self.m, EDGE_BLOCK_ROWS):
             stop = start + EDGE_BLOCK_ROWS
-            yield "".join([
-                f"{heads[source]}{fields[target]},{weight}\r\n"
-                for source, target, weight in zip(
-                    self.sources[start:stop].tolist(),
-                    self.indices[start:stop].tolist(),
-                    self.weights[start:stop].tolist(),
-                )
-            ]).encode("utf-8")
+            targets = self.indices[start:stop].tolist()
+            pieces = [""] * (2 * len(targets))
+            pieces[::2] = map(heads.__getitem__, self.sources[start:stop].tolist())
+            pieces[1::2] = map(ones.__getitem__, targets)
+            if self.total_weight != self.m:  # not every weight is 1
+                weights = self.weights[start:stop]
+                heavy = (weights != 1).nonzero()[0]
+                for i, weight in zip(heavy.tolist(), weights[heavy].tolist()):
+                    pieces[2 * i + 1] = f"{fields[targets[i]]},{weight}\r\n"
+            yield "".join(pieces).encode("utf-8")
 
 
 class _Echo:
@@ -103,9 +109,12 @@ class _Echo:
         return text
 
 
-def _csv_fields(names: Sequence[str]) -> list[str]:
+def _csv_fields(names: Sequence[str]) -> Sequence[str]:
     """Each name as ``csv.writer``'s default dialect spells it as one field
     of a row: quoted only when it holds a comma, a quote or a line break."""
+    text = "".join(names)
+    if not any(char in text for char in ',"\r\n'):
+        return names
     writer = csv.writer(_Echo())
     # A row of the name and an empty field comes back as "<field>,\r\n"; the
     # empty field keeps an empty name from being quoted as a row of its own.

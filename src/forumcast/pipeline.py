@@ -87,13 +87,12 @@ from .semantics import (
 )
 from .tables import open_input, replacing, sha256, write_csv, write_json, writing
 from .textproc import (
-    StopwordList,
+    TokenFilter,
     Vocabulary,
     build_vocabulary,
-    filter_tokens,
+    filter_tokens,  # noqa: F401  (bench/tracing.py wraps it by this name)
     load_stopwords,
     load_wordlist,
-    stem_tokens,
     tokenize,
 )
 
@@ -175,21 +174,10 @@ class _WindowTask(NamedTuple):
     emotionality: float | None
 
 
-def _filter_stream(tokens: list[str], config: PipelineConfig, stop: StopwordList,
-                   dictionary: frozenset[str] | None) -> list[str]:
-    tokens = filter_tokens(tokens, stop, dictionary)
-    if config.stemming:
-        tokens = stem_tokens(tokens, config.language)
-    return tokens
-
-
-def normalize_focal_word(config: PipelineConfig, stop: StopwordList,
-                         dictionary: frozenset[str] | None) -> str:
+def normalize_focal_word(config: PipelineConfig, token_filter: TokenFilter) -> str:
     """The focal word goes through the corpus token filter; it must survive
     as exactly one token or the config is unusable."""
-    tokens = _filter_stream(
-        tokenize(config.focal_word, keep_digits=config.keep_digits), config, stop, dictionary
-    )
+    tokens = token_filter.stream(tokenize(config.focal_word, keep_digits=True))
     if len(tokens) != 1:
         raise ConfigError(
             f"focal_word {config.focal_word!r} normalizes to {len(tokens)} tokens"
@@ -387,7 +375,10 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
     dictionary = (
         frozenset(load_wordlist(config.dictionary_path)) if config.dictionary_path else None
     )
-    focal_token = normalize_focal_word(config, stop, dictionary)
+    token_filter = TokenFilter(
+        stop, dictionary, config.language if config.stemming else None, config.keep_digits
+    )
+    focal_token = normalize_focal_word(config, token_filter)
     scorer: SentimentScorer
     if config.precomputed_sentiment_path:
         scorer = PrecomputedScorer(load_precomputed(config.precomputed_sentiment_path))
@@ -413,10 +404,12 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
     # The one text pass, and the only place that reads a message: each
     # in-horizon message is tokenized here, its sentiment is scored from
     # those tokens, and its author, its reply's parent author and its
-    # filtered stream ride with its window. The streams live until the
-    # windows are done, so equal tokens are interned to one string object; a
-    # fresh string per occurrence would take about five times the memory on
-    # a busy forum.
+    # filtered stream ride with its window. The token filter drops the
+    # all-digit tokens unless they are kept (the lexicon has no such word),
+    # and works out each distinct token once. The streams live until the
+    # windows are done, so its stream tokens are interned, one string object
+    # each; a fresh string per occurrence would take about five times the
+    # memory on a busy forum.
     tasks = []
     for i in range(len(windows)):
         window, windows[i] = windows[i], []
@@ -434,11 +427,9 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
                     replies.append((author, parent))
                     if parent is None:
                         dangling.append(m)
-                tokens = tokenize(m.body, keep_digits=config.keep_digits)
+                tokens = tokenize(m.body, keep_digits=True)
                 scores.append(score_message(m, tokens, scorer))
-                streams.append(
-                    list(map(sys.intern, _filter_stream(tokens, config, stop, dictionary)))
-                )
+                streams.append(token_filter.stream(tokens))
         if dangling:
             logger.warning(
                 "%d replies point to unknown parents, arcs skipped (first: message %s"
@@ -571,7 +562,7 @@ def _sha256_file(path: str, what: str) -> str:
     digest = sha256()
     try:
         with open(path, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
+            for chunk in iter(lambda: handle.read(1 << 16), b""):
                 digest.update(chunk)
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc

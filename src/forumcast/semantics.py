@@ -14,13 +14,16 @@ Windows with nothing to score yield ``None`` (missing), never zero.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import operator
+from itertools import chain
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .corpus import Message
 from .errors import DataError, MissingScoreError
 from .tables import open_input
-from .textproc import Vocabulary, token_surprisal
+from .textproc import Vocabulary
 from .textproc import tokenize  # noqa: F401  (bench/tracing.py wraps it by this name)
 
 
@@ -42,7 +45,7 @@ class LexiconScorer:
         self._lexicon = {word: p for word, p in lexicon.items() if not word.isdecimal()}
 
     def score(self, msg: Message, tokens: Sequence[str]) -> float:
-        polarities = [self._lexicon[token] for token in tokens if token in self._lexicon]
+        polarities = [p for p in map(self._lexicon.get, tokens) if p is not None]
         if not polarities:
             return 0.5
         mean_polarity = sum(polarities) / len(polarities)
@@ -126,17 +129,12 @@ def complexity(streams: Iterable[Sequence[str]], vocab: Vocabulary) -> float | N
     Tokens unseen in the reference vocabulary score as count 1. A counted
     word's surprisal comes from the vocabulary's table, computed once.
     """
-    table = vocab.surprisal
-    total = 0.0
-    count = 0
-    for stream in streams:
-        for token in stream:
-            bits = table.get(token)
-            total += token_surprisal(token, vocab) if bits is None else bits
-            count += 1
-    if count == 0:
+    bits = list(map(vocab.surprisal.__getitem__, chain.from_iterable(streams)))
+    if not bits:
         return None
-    return total / count
+    # Added one by one from 0.0, in token order; the builtin sum adds with
+    # compensation from Python 3.12 on, which could move the last bit.
+    return functools.reduce(operator.add, bits, 0.0) / len(bits)
 
 
 def load_lexicon(path: str) -> dict[str, float]:

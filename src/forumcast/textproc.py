@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
+import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from typing import Iterable
 
@@ -25,6 +26,13 @@ from .errors import DataError
 from .tables import open_input
 
 _TOKEN_RE = re.compile(r"\w+(?:-\w+)*", re.UNICODE)
+
+# The ASCII characters that are neither word characters nor whitespace
+# become spaces, so that ``str.split`` separates words where the regex would.
+_ASCII_BREAKS = str.maketrans({
+    char: " " for char in map(chr, range(128))
+    if not (_TOKEN_RE.match(char) or char.isspace())
+})
 
 
 @dataclass(frozen=True)
@@ -46,14 +54,28 @@ class Vocabulary:
 
     @cached_property
     def surprisal(self) -> dict[str, float]:
-        """``token_surprisal`` of every counted word, computed on first use
-        (the counts must not change after that)."""
-        return {word: token_surprisal(word, self) for word in self.counts}
+        """``token_surprisal`` by word, built on first use (the counts must
+        not change after that); a word not counted gets its value when it is
+        first looked up."""
+        return defaultdict(
+            partial(_surprisal, 0, self.total),
+            ((word, _surprisal(count, self.total)) for word, count in self.counts.items()),
+        )
 
 
 def tokenize(body: str, keep_digits: bool = False) -> list[str]:
-    """Split ``body`` into lowercase word tokens, in order of appearance."""
-    tokens = _TOKEN_RE.findall(body.lower())
+    """Split ``body`` into lowercase word tokens, in order of appearance.
+
+    ``_TOKEN_RE`` defines a token. An ASCII text without a hyphen needs no
+    regex: once its punctuation is spaced out, its whitespace-separated
+    pieces are its tokens. Any other text goes through the regex alone, as
+    ``str.translate`` leaves its ASCII fast path on a non-ASCII text.
+    """
+    text = body.lower()
+    if text.isascii() and "-" not in text:
+        tokens = text.translate(_ASCII_BREAKS).split()
+    else:
+        tokens = _TOKEN_RE.findall(text)
     if keep_digits:
         return tokens
     # isdecimal() is true exactly for the non-empty strings of Unicode Nd
@@ -78,10 +100,47 @@ def filter_tokens(
     return [t for t in tokens if t not in stopwords and t in dictionary]
 
 
-def stem_tokens(tokens: Iterable[str], language: str) -> list[str]:
-    """Replace each token by its stem. Optional stage, off by default."""
-    stemmer = _stemmer.stemmer_for(language)
-    return [stemmer(t) for t in tokens]
+class TokenFilter(dict):
+    """Raw token -> stream token, or "" for a token the stream drops.
+
+    A token is dropped if it is a stopword, if a dictionary is given and
+    lacks it, or, unless ``keep_digits``, if it is all digits; a kept token
+    is stemmed when a stemming language is given, and interned, so each
+    stream token is one string object however often it occurs. Each
+    distinct token is worked out once, on first lookup.
+
+    The digit rule is also ``tokenize``'s; the pipeline tokenizes with
+    digits kept and leaves the rule to the filter, so that it costs one
+    ``isdecimal`` call per distinct token rather than one per occurrence.
+    """
+
+    def __init__(
+        self,
+        stop: StopwordList,
+        dictionary: set[str] | frozenset[str] | None = None,
+        stem_language: str | None = None,
+        keep_digits: bool = False,
+    ) -> None:
+        super().__init__()
+        self._stopwords = stop.words
+        self._dictionary = dictionary
+        self._stem = _stemmer.stemmer_for(stem_language) if stem_language else None
+        self._keep_digits = keep_digits
+
+    def __missing__(self, token: str) -> str:
+        kept = ""
+        if not (
+            token in self._stopwords
+            or (self._dictionary is not None and token not in self._dictionary)
+            or (not self._keep_digits and token.isdecimal())
+        ):
+            kept = sys.intern(self._stem(token) if self._stem else token)
+        self[token] = kept
+        return kept
+
+    def stream(self, tokens: Iterable[str]) -> list[str]:
+        """The stream of ``tokens``: each kept token's stream token, in order."""
+        return list(filter(None, map(self.__getitem__, tokens)))
 
 
 def build_vocabulary(streams: Iterable[Iterable[str]]) -> Vocabulary:
@@ -94,10 +153,13 @@ def build_vocabulary(streams: Iterable[Iterable[str]]) -> Vocabulary:
 
 def token_surprisal(word: str, vocab: Vocabulary) -> float:
     """-log2 relative corpus frequency; unseen words scored as count 1."""
-    if vocab.total <= 0:
+    return _surprisal(vocab.counts.get(word, 0), vocab.total)
+
+
+def _surprisal(count: int, total: int) -> float:
+    if total <= 0:
         raise ValueError("vocabulary is empty")
-    count = vocab.counts.get(word, 0)
-    return -math.log2(max(count, 1) / vocab.total)
+    return -math.log2(max(count, 1) / total)
 
 
 def load_wordlist(path: str) -> set[str]:

@@ -24,21 +24,22 @@ from oracles import enumerate_cooccurrences
 
 token = st.sampled_from(["a", "b", "c", "d", "e", "f"])
 streams_strategy = st.lists(st.lists(token, max_size=12), max_size=6)
-# Short strings over an alphabet with non-ASCII letters, a comma, a quote and
-# NUL (which a NumPy unicode array would drop when trailing); few enough that
-# tokens repeat.
-wide_token = st.text(alphabet="aAzé日ß,\"\x00", min_size=1, max_size=3)
+# Short strings over an alphabet with non-ASCII letters, the characters that
+# make csv.writer quote a field (a comma, a quote, CR and LF), a space and NUL
+# (which a NumPy unicode array would drop when trailing); few enough that
+# tokens repeat, and that some graphs name no node that needs quoting.
+wide_token = st.text(alphabet="aAzé日ß,\"\r\n \x00", min_size=1, max_size=3)
 
 
 @st.composite
-def arc_maps(draw):
+def arc_maps(draw, weights=st.integers(min_value=1, max_value=5)):
     """{(source, target): weight} over wide_token names, plus isolated nodes."""
     names = draw(st.lists(wide_token, min_size=1, max_size=8, unique=True))
     arc_weights = {}
     for a in names:
         for b in names:
             if a != b and draw(st.booleans()):
-                arc_weights[(a, b)] = draw(st.integers(min_value=1, max_value=5))
+                arc_weights[(a, b)] = draw(weights)
     isolated = draw(st.lists(wide_token, max_size=3))
     return arc_weights, isolated
 
@@ -97,7 +98,12 @@ class TestGraphType:
             with pytest.raises(KeyError):
                 g.node_id(node)
 
-    @given(arc_maps(), st.integers(min_value=0, max_value=1100), st.integers(1, 4))
+    @given(
+        # Weight 1 often, so that some graphs have only rows of weight 1.
+        arc_maps(weights=st.one_of(st.just(1), st.integers(min_value=1, max_value=10**12))),
+        st.integers(min_value=0, max_value=1100),
+        st.integers(1, 4),
+    )
     def test_edge_list_bytes_match_sorted_rendering(self, drawn, week, block_rows):
         arc_weights, isolated = drawn
         expected = io.StringIO(newline="")
@@ -107,7 +113,21 @@ class TestGraphType:
             patch.setattr(graphs, "EDGE_BLOCK_ROWS", block_rows)
             blocks = list(graph_from_arcs(arc_weights, nodes=isolated).edge_table_rows(week))
         assert b"".join(blocks) == expected.getvalue().encode("utf-8")
-        assert all(block.count(b"\r\n") <= block_rows for block in blocks)
+        # A quoted name may hold a line break, so the rows are counted by
+        # parsing each block.
+        for block in blocks:
+            assert len(list(csv.reader(io.StringIO(block.decode("utf-8"), newline="")))) <= block_rows
+
+    @given(st.lists(st.text(alphabet="ab,\"\r\n \x00é", max_size=3), max_size=6))
+    def test_csv_fields_match_csv_writer(self, names):
+        # Each name as a middle field of a row, which is how an edge table
+        # row holds it.
+        expected = []
+        for name in names:
+            row = io.StringIO(newline="")
+            csv.writer(row).writerow(("x", name, "x"))
+            expected.append(row.getvalue()[2:-4])
+        assert list(graphs._csv_fields(tuple(names))) == expected
 
     def test_edge_list_export_sorted(self):
         g = graph_from_arcs({("b", "a"): 2, ("a", "b"): 1})

@@ -162,6 +162,29 @@ class TestComplexity:
         assert complexity(window, vocab) == total / 3
         assert complexity(window, vocab) == total / 3  # from the table built by the first call
 
+    @given(
+        st.lists(st.lists(st.sampled_from("abcdef"), max_size=9), max_size=4),
+        st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=9), max_size=4),
+    )
+    def test_matches_the_per_token_loop_bit_for_bit(self, counted, window):
+        # The window may hold words the vocabulary never counted ("g", "h",
+        # and any letter missing from ``counted``), and the vocabulary may be
+        # empty.
+        vocab = build_vocabulary(counted)
+        tokens = [token for stream in window for token in stream]
+        if tokens and vocab.total == 0:
+            with pytest.raises(ValueError):
+                complexity(window, vocab)
+            return
+        total = 0.0
+        for token in tokens:
+            total += token_surprisal(token, vocab)
+        expected = total / len(tokens) if tokens else None
+        value = complexity(window, vocab)
+        assert (value is None) == (expected is None)
+        if tokens:
+            assert value.hex() == expected.hex()
+
     def test_rarer_replacement_increases_complexity(self):
         vocab = build_vocabulary([["common"] * 10, ["rare"] * 2])
         low = complexity([["common", "common"]], vocab)

@@ -2,20 +2,24 @@ from __future__ import annotations
 
 import math
 import re
+import string
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from forumcast import _stemmer
 from forumcast._stemmer import italian_stem, porter_stem
 from forumcast.errors import ConfigError, DataError
 from forumcast.textproc import (
+    _TOKEN_RE,
     StopwordList,
+    TokenFilter,
     build_vocabulary,
     filter_tokens,
     load_stopwords,
     load_wordlist,
-    stem_tokens,
     token_surprisal,
     tokenize,
 )
@@ -43,6 +47,27 @@ class TestTokenize:
         # A token is dropped when \d+ matches all of it.
         every = tokenize(text, keep_digits=True)
         assert tokenize(text) == [t for t in every if not re.fullmatch(r"\d+", t)]
+
+    @given(st.one_of(
+        st.text(alphabet=(
+            string.punctuation  # with "-" and "_"
+            + string.digits + "²½٣"  # ² and ½ are numeric but not decimal; ٣ is an Arabic-Indic 3
+            + "aZé"
+            + "«—’\u0307İß"  # non-ASCII punctuation, a combining dot, letters that lowercase oddly
+            + "\x1c\x1d\x1e\x1f\x85\xa0 \t\n"  # separators str.split splits on
+        ), max_size=40),
+        # Mostly ASCII texts without a hyphen: the path that needs no regex.
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+    ))
+    @example("İstanbul ist-ok a_b ½ ²3 ٣٣ «x»")
+    @example("plain words 42 and more")
+    @example("\u212a_9 x\x1cy")  # the Kelvin sign lowercases to an ASCII "k"
+    def test_matches_the_regex_definition(self, text):
+        for keep_digits in (False, True):
+            expected = [
+                t for t in _TOKEN_RE.findall(text.lower()) if keep_digits or not t.isdecimal()
+            ]
+            assert tokenize(text, keep_digits) == expected
 
     def test_accented_words_survive(self):
         assert tokenize("città è bella") == ["città", "è", "bella"]
@@ -75,6 +100,55 @@ class TestFiltering:
         stop = StopwordList(words=frozenset({"the"}), language="english")
         out = filter_tokens(tokens, stop)
         assert out == [t for t in tokens if t != "the"]
+
+
+_FILTER_WORDS = [
+    "the", "and", "il", "che", "running", "ponies", "caresses", "azioni",
+    "parlavano", "velocemente", "relational", "2019", "42", "٣", "q3", "e-mail",
+]
+
+
+def _per_token_stream(tokens, stop, dictionary, language, keep_digits):
+    """What the filter does, one token at a time."""
+    if not keep_digits:
+        tokens = [t for t in tokens if not t.isdecimal()]
+    tokens = filter_tokens(tokens, stop, dictionary)
+    return list(map(_stemmer.stemmer_for(language), tokens)) if language else tokens
+
+
+class TestTokenFilter:
+    @given(
+        st.lists(st.lists(st.sampled_from(_FILTER_WORDS), max_size=12), max_size=5),
+        st.sampled_from([None, "english", "italian"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_streams_equal_per_token_filtering(self, messages, language, use_dictionary,
+                                               keep_digits):
+        stop = StopwordList(words=frozenset({"the", "and", "il", "che", "42"}), language="english")
+        dictionary = frozenset(_FILTER_WORDS[2::2] + ["2019", "q3"]) if use_dictionary else None
+        token_filter = TokenFilter(stop, dictionary, language, keep_digits)
+        for tokens in messages:
+            stream = token_filter.stream(tokens)
+            assert stream == _per_token_stream(tokens, stop, dictionary, language, keep_digits)
+            # a fresh string of each token's value, so only interning can make it equal
+            # the object the stream holds
+            assert all(kept is sys.intern("".join(list(kept))) for kept in stream)
+
+    def test_each_distinct_token_is_stemmed_once(self, monkeypatch):
+        stemmed = []
+        stemmer_for = _stemmer.stemmer_for
+
+        def counting(language):
+            stem = stemmer_for(language)
+            return lambda token: stemmed.append(token) or stem(token)
+
+        monkeypatch.setattr(_stemmer, "stemmer_for", counting)
+        stop = StopwordList(words=frozenset({"the"}), language="english")
+        token_filter = TokenFilter(stop, stem_language="english")
+        assert token_filter.stream(["running", "the", "ponies", "running"]) == ["run", "poni", "run"]
+        assert token_filter.stream(["ponies", "the", "running"]) == ["poni", "run"]
+        assert stemmed == ["running", "ponies"]
 
 
 class TestStopwordLists:
@@ -133,10 +207,13 @@ class TestStemming:
         assert italian_stem("velocemente") == "veloc"
         assert italian_stem("velocissimamente") != "velocissimamente"
 
-    def test_stem_tokens_dispatch(self):
-        assert stem_tokens(["running", "ponies"], "english") == ["run", "poni"]
+    def test_token_filter_stemmer_dispatch(self):
+        stop = StopwordList(words=frozenset({"the"}), language="english")
+        assert TokenFilter(stop, stem_language="english").stream(["running", "ponies"]) == [
+            "run", "poni"
+        ]
         with pytest.raises(ConfigError):
-            stem_tokens(["x"], "latin")
+            TokenFilter(stop, stem_language="latin")
 
 
 class TestVocabulary:
