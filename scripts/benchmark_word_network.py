@@ -70,7 +70,7 @@ def main() -> None:
     word = graph.nodes[top]
     sources, scale = sample_sources(graph, min(args.samples, graph.n), args.seed)
     t0 = time.perf_counter()
-    vertex_betweennesses([graph], [word], [sources], [scale])
+    vertex_betweennesses([graph], [top], [sources], [scale])
     sample_seconds = time.perf_counter() - t0
     print(
         f"sampled betweenness of {word!r} (degree {degree[top]:.0f},"

@@ -19,6 +19,10 @@ the CSR successor matrix, with NumPy alone, and touches no cell off the
 level. Per-source dependencies are added into the score in sorted source
 order, so results never depend on the batch width.
 
+Nodes are ids here: a graph's node ``i`` is ``g.nodes[i]``, and the kernels
+take their sources, and ``vertex_betweennesses`` its scored nodes, as ids;
+only the caller ever looks a name up.
+
 ``vertex_betweennesses`` scores one node v of each graph without
 back-propagation: a single forward sweep from the sources, plus one BFS
 column from v, gives every d(s, t) and sigma_st, and v's score is the sum
@@ -110,13 +114,6 @@ def degree_centrality(g: DirectedWeightedGraph) -> np.ndarray:
     return (np.diff(g.indptr) + np.bincount(g.indices, minlength=g.n)).astype(float)
 
 
-def vertex_degree(g: DirectedWeightedGraph, node: str) -> int:
-    """``degree_centrality(g)[g.node_id(node)]``, read off the CSR arrays
-    alone."""
-    i = g.node_id(node)
-    return int(g.indptr[i + 1] - g.indptr[i]) + int(np.count_nonzero(g.indices == i))
-
-
 class PathCountOverflow(AnalysisError):
     """Shortest-path counts beyond the float range. ``graph`` is the
     position, among the graphs a kernel was given, of the graph whose counts
@@ -144,15 +141,6 @@ def _stacks(graphs: Sequence[DirectedWeightedGraph], widths: Sequence[int]) -> l
             stacks.append(stack)
         stack.append(position)
     return stacks
-
-
-def _source_rows(stack: Sequence[DirectedWeightedGraph], sources) -> np.ndarray:
-    """The (G x S) ids of each stacked graph's sources."""
-    n = stack[0].n
-    if all(s is g.nodes for g, s in zip(stack, sources)):
-        # every node, the exact computation: no lookups
-        return np.broadcast_to(np.arange(n), (len(stack), n))
-    return np.array([[g.node_id(v) for v in s] for g, s in zip(stack, sources)], dtype=np.int64)
 
 
 def _predecessors(stack: Sequence[DirectedWeightedGraph], columns: int):
@@ -306,9 +294,9 @@ def _block_diagonal(stack: Sequence[DirectedWeightedGraph]) -> tuple[np.ndarray,
 def _stacked_betweenness(
     stack: Sequence[DirectedWeightedGraph], rows: np.ndarray, scale: float
 ) -> np.ndarray:
-    # Brandes (2001) over a batch of S sources of each graph at once. Node i
-    # of graph k is stack[k].nodes[i]; sigma, coef and delta are (G * n x S)
-    # arrays, row k * n + i for that node, column j for source rows[k, j].
+    # Brandes (2001) over a batch of S sources of each graph at once, the
+    # (G x S) ids ``rows``. sigma, coef and delta are (G * n x S) arrays, row
+    # k * n + i for node i of graph k, column j for source rows[k, j].
     # Backward, each cell (i, j) on a level pulls sum_c coef[c, j] over i's
     # successors c, with coef = (1 + delta) / sigma on the next level out,
     # which hands every parent its children's dependency. Only the levels'
@@ -381,7 +369,7 @@ def betweenness_centralities(graphs: Sequence[DirectedWeightedGraph]) -> list[np
     that graph's alone."""
     return _stacked_kernel(
         lambda stack: list(_stacked_betweenness(
-            stack, _source_rows(stack, [g.nodes for g in stack]), 1.0
+            stack, np.broadcast_to(np.arange(stack[0].n), (len(stack), stack[0].n)), 1.0
         )),
         graphs, [g.n for g in graphs],
     )
@@ -394,17 +382,19 @@ def betweenness_centrality(g: DirectedWeightedGraph) -> np.ndarray:
 
 def sample_sources(
     g: DirectedWeightedGraph, sample_count: int, seed: int
-) -> tuple[Sequence[str], float]:
-    """The sorted uniform source sample of sampled betweenness and its
-    n / sample_count scale. A full sample is ``g.nodes`` at scale 1.0, the
-    sources and scale of the exact computation."""
+) -> tuple[np.ndarray, float]:
+    """The ids of sampled betweenness's uniform source sample, ascending,
+    and its n / sample_count scale. ``random.Random(seed).sample`` over
+    ``range(n)`` picks the positions it would pick from ``g.nodes``, so the
+    ids name the nodes that a draw of names picks. A full sample is every id
+    at scale 1.0, the sources and scale of the exact computation."""
     n = g.n
     if not 1 <= sample_count <= n:
         raise AnalysisError(f"sample_count must be in [1, {n}], got {sample_count}")
     if sample_count == n:
-        return g.nodes, 1.0
+        return np.arange(n), 1.0
     rng = random.Random(seed)
-    return sorted(rng.sample(g.nodes, sample_count)), n / sample_count
+    return np.array(sorted(rng.sample(range(n), sample_count))), n / sample_count
 
 
 def approx_betweenness(g: DirectedWeightedGraph, sample_count: int, seed: int) -> np.ndarray:
@@ -414,19 +404,19 @@ def approx_betweenness(g: DirectedWeightedGraph, sample_count: int, seed: int) -
     sample_count = n degenerates to the exact computation, bit for bit.
     """
     sources, scale = sample_sources(g, sample_count, seed)
-    return _stacked_betweenness([g], _source_rows([g], [sources]), scale)[0]
+    return _stacked_betweenness([g], sources[None], scale)[0]
 
 
 def _stacked_vertex_betweenness(
     stack: Sequence[DirectedWeightedGraph],
-    nodes: Sequence[str],
-    sources: Sequence[Sequence[str]],
+    nodes: Sequence[int],
+    sources: Sequence[Sequence[int]],
     scales: Sequence[float],
 ) -> list[float]:
     stacked, n = len(stack), stack[0].n
     graph = np.arange(stacked)
-    v = np.array([g.node_id(node) for g, node in zip(stack, nodes)], dtype=np.int64)
-    rows = _source_rows(stack, sources)
+    v = np.array(nodes, dtype=np.int64)
+    rows = np.array(sources, dtype=np.int64)
     product = _predecessors(stack, rows.shape[1] + 1)  # and the column from v
     score = np.zeros(stacked)
     # Each batch carries one more column, the BFS from v.
@@ -456,20 +446,20 @@ def _stacked_vertex_betweenness(
 
 def vertex_betweennesses(
     graphs: Sequence[DirectedWeightedGraph],
-    nodes: Sequence[str],
-    sources: Sequence[Sequence[str]],
+    nodes: Sequence[int],
+    sources: Sequence[Sequence[int]],
     scales: Sequence[float],
 ) -> list[float]:
-    """Raw betweenness of ``nodes[k]`` alone in ``graphs[k]``, for every k:
-    ``scales[k]`` times the sum over s in ``sources[k]`` (sorted) and every
-    target t, both other than the node and each other, of sigma_st(node) /
-    sigma_st.
+    """Raw betweenness of node id ``nodes[k]`` alone in ``graphs[k]``, for
+    every k: ``scales[k]`` times the sum over the source ids s in
+    ``sources[k]`` (ascending) and every target t, both other than the node
+    and each other, of sigma_st(node) / sigma_st.
 
     Each equals the Brandes score of its node for the same sources and scale
-    to a few units in the last place. With a graph's ``nodes`` as sources
-    and scale 1.0 it is the exact score; with ``sample_sources`` it is the
-    sampled one. The dense graphs of equal n and source count are swept as
-    one stack, and each score is bit for bit that graph's alone.
+    to a few units in the last place. With every id, ``np.arange(g.n)``, as
+    sources and scale 1.0 it is the exact score; with ``sample_sources`` it
+    is the sampled one. The dense graphs of equal n and source count are
+    swept as one stack, and each score is bit for bit that graph's alone.
     """
     return _stacked_kernel(
         _stacked_vertex_betweenness, graphs, [len(s) for s in sources], nodes, sources, scales

@@ -137,6 +137,17 @@ def parse_timestamp(raw: str) -> datetime:
 
 _REQUIRED = ("messages_path", "price_path", "control_path", "horizon_start", "focal_word")
 
+# The fields that name input files, in the order they are checked and listed.
+INPUT_PATH_FIELDS = (
+    "messages_path",
+    "price_path",
+    "control_path",
+    "lexicon_path",
+    "precomputed_sentiment_path",
+    "stopwords_path",
+    "dictionary_path",
+)
+
 
 def validate(config: PipelineConfig) -> None:
     """Structural checks; raises ConfigError on the first violation."""
@@ -207,23 +218,11 @@ def validate(config: PipelineConfig) -> None:
 
 
 def validate_paths(config: PipelineConfig) -> None:
-    """Input files must exist before a run starts."""
-    paths = {
-        "messages_path": config.messages_path,
-        "price_path": config.price_path,
-        "control_path": config.control_path,
-    }
-    for optional in (
-        "lexicon_path",
-        "precomputed_sentiment_path",
-        "stopwords_path",
-        "dictionary_path",
-    ):
-        value = getattr(config, optional)
-        if value:
-            paths[optional] = value
-    for name, path in paths.items():
-        if not os.path.isfile(path):
+    """Input files must exist before a run starts: every required one, and
+    each optional one that is set."""
+    for name in INPUT_PATH_FIELDS:
+        path = getattr(config, name)
+        if (path or name in _REQUIRED) and not os.path.isfile(path):
             raise ConfigError(f"{name}: no such file: {path}")
     validate_output_dir(config)
 

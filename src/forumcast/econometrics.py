@@ -275,8 +275,9 @@ def durbin_watson(residuals: Sequence[float] | np.ndarray) -> float:
     return float(np.square(np.diff(arr)).sum() / denom)
 
 
-def ols(y: Series, X: Sequence[Series], intercept: bool = True) -> OlsResult:
-    """Least squares with classical standard errors and diagnostics.
+def ols(y: Series, X: Sequence[Series]) -> OlsResult:
+    """Least squares on an intercept and ``X``, with classical standard
+    errors and diagnostics.
 
     Rows with any missing value among y and X are dropped listwise.
     Refuses rank-deficient designs; reports the design condition number.
@@ -295,13 +296,7 @@ def ols(y: Series, X: Sequence[Series], intercept: bool = True) -> OlsResult:
             f"ols({y.name!r}): {n} usable rows for {k} regressors, need > {k + 1}"
         )
     yv = y.values[mask]
-    columns = [x.values[mask] for x in X]
-    names: list[str] = []
-    if intercept:
-        columns.insert(0, np.ones(n))
-        names.append("intercept")
-    names.extend(x.name for x in X)
-    design = np.column_stack(columns)
+    design = np.column_stack([np.ones(n), *(x.values[mask] for x in X)])
     p = design.shape[1]
     # One thin SVD gives the condition number, the rank (with matrix_rank's
     # tolerance), beta = V (U'y / s) and diag((X'X)^-1) = sum_j (V_ij / s_j)^2.
@@ -324,15 +319,12 @@ def ols(y: Series, X: Sequence[Series], intercept: bool = True) -> OlsResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         tvalues = np.where(bse > 0, beta / bse, np.inf * np.sign(beta))
     pvalues = np.array([2.0 * _t_tail(df_resid, t) for t in tvalues.tolist()])
-    if intercept:
-        centered = yv - yv.mean()
-        tss = float(centered @ centered)
-    else:
-        tss = float(yv @ yv)
+    centered = yv - yv.mean()
+    tss = float(centered @ centered)
     r2 = 1.0 - rss / tss if tss > 0.0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
     return OlsResult(
-        names=tuple(names),
+        names=("intercept", *(x.name for x in X)),
         params=beta,
         bse=bse,
         tvalues=np.asarray(tvalues, dtype=float),
@@ -341,7 +333,7 @@ def ols(y: Series, X: Sequence[Series], intercept: bool = True) -> OlsResult:
         adj_r2=adj_r2,
         residuals=resid,
         rss=rss,
-        durbin_watson=durbin_watson(resid) if n >= 2 else 0.0,
+        durbin_watson=durbin_watson(resid),
         nobs=n,
         df_resid=df_resid,
         condition_number=condition_number,
@@ -414,10 +406,6 @@ class FeaturePanel(NamedTuple):
             have = ", ".join(self.columns)
             raise AnalysisError(f"panel has no column {name!r} (have: {have})")
         return self.columns[name]
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(self.columns)
 
 
 def build_panel(
@@ -519,10 +507,7 @@ def run_battery(panel: FeaturePanel, config: PipelineConfig) -> AnalysisReport:
     models: list[ModelReport] = []
     for spec in config.models:
         try:
-            regressors = [
-                Series(term.label, lag(panel.column(term.column), term.lag).values)
-                for term in spec.terms
-            ]
+            regressors = [lag(panel.column(term.column), term.lag) for term in spec.terms]
             models.append(ModelReport(spec, result=ols(price, regressors)))
         except AnalysisError as exc:
             models.append(ModelReport(spec, error=str(exc)))

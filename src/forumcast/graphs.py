@@ -126,17 +126,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class InteractionTallies(NamedTuple):
-    """Bookkeeping from an interaction-network build.
-
-    total arc weight + self_replies + dangling_parents == comments.
-    """
-
-    comments: int
-    self_replies: int
-    dangling_parents: int
-
-
 def graphs_from_pairs(
     node_lists: Sequence[tuple[str, ...]], codes: np.ndarray
 ) -> list[DirectedWeightedGraph]:
@@ -199,43 +188,35 @@ def graphs_from_pairs(
 
 
 def build_interaction_networks(
-    windows: Iterable[tuple[Sequence[str], Sequence[tuple[str, str | None]]]],
-) -> list[tuple[DirectedWeightedGraph, InteractionTallies]]:
+    windows: Iterable[tuple[Sequence[str], Sequence[tuple[str, str]]]],
+) -> list[DirectedWeightedGraph]:
     """Each ``(authors, replies)`` window's graph, with one
     ``graphs_from_pairs`` for the chunk: an arc replier -> parent author for
-    every resolved cross-actor reply, and the window's tallies.
+    every cross-actor reply.
 
     ``authors`` holds the author of each message in the window; ``replies``
-    holds one ``(author, parent author)`` pair per comment, with ``None`` as
-    the parent author when the parent is unknown. Such dangling replies and
-    self-replies create no arc; both are tallied.
+    holds one ``(author, parent author)`` pair per comment whose parent is
+    known. Self-replies create no arc; the graph tallies them.
     """
     node_lists: list[tuple[str, ...]] = []
     repliers: list[int] = []
     parents: list[int] = []
-    counts: list[tuple[int, int]] = []
     base = 0
     for authors, replies in windows:
-        resolved = [(replier, parent) for replier, parent in replies if parent is not None]
-        nodes = tuple(sorted(set(authors).union(parent for _, parent in resolved)))
+        nodes = tuple(sorted(set(authors).union(parent for _, parent in replies)))
         index = dict(zip(nodes, range(base, base + len(nodes))))
-        for replier, parent in resolved:
+        for replier, parent in replies:
             repliers.append(index[replier])
             parents.append(index[parent])
         node_lists.append(nodes)
-        counts.append((len(replies), len(replies) - len(resolved)))
         base += len(nodes)
     codes = np.array(repliers, dtype=np.int64) * base + np.array(parents, dtype=np.int64)
-    return [
-        (graph, InteractionTallies(comments, graph.self_loop_events, dangling))
-        for graph, (comments, dangling) in zip(graphs_from_pairs(node_lists, codes), counts)
-    ]
+    return graphs_from_pairs(node_lists, codes)
 
 
 def build_interaction_network(
-    authors: Sequence[str],
-    replies: Sequence[tuple[str, str | None]],
-) -> tuple[DirectedWeightedGraph, InteractionTallies]:
+    authors: Sequence[str], replies: Sequence[tuple[str, str]]
+) -> DirectedWeightedGraph:
     """``build_interaction_networks`` of one window."""
     return build_interaction_networks([(authors, replies)])[0]
 

@@ -46,9 +46,15 @@ from .centrality import (
     normalize,
     sample_sources,
     vertex_betweennesses,
-    vertex_degree,
 )
-from .config import PipelineConfig, to_dict, validate, validate_output_dir, validate_paths
+from .config import (
+    INPUT_PATH_FIELDS,
+    PipelineConfig,
+    to_dict,
+    validate,
+    validate_output_dir,
+    validate_paths,
+)
 from .corpus import (
     load_market_series,
     load_messages,
@@ -160,14 +166,15 @@ class _WindowResult(NamedTuple):
 
 class _WindowTask(NamedTuple):
     """One window, as plain data: the author of each message, one ``(author,
-    parent author)`` pair per comment (``None`` for an unknown parent), the
-    messages' filtered token streams in the same order, the focal token, and
-    the window's sentiment and emotionality, scored while the messages were
-    tokenized."""
+    parent author)`` pair per comment whose parent is known, the count of
+    comments whose parent is not, the messages' filtered token streams in
+    message order, the focal token, and the window's sentiment and
+    emotionality, scored while the messages were tokenized."""
 
     index: int
     authors: tuple[str, ...]
-    replies: tuple[tuple[str, str | None], ...]
+    replies: tuple[tuple[str, str], ...]
+    dangling: int
     streams: tuple[list[str], ...]
     focal_token: str
     sentiment: float | None
@@ -177,7 +184,7 @@ class _WindowTask(NamedTuple):
 def normalize_focal_word(config: PipelineConfig, token_filter: TokenFilter) -> str:
     """The focal word goes through the corpus token filter; it must survive
     as exactly one token or the config is unusable."""
-    tokens = token_filter.stream(tokenize(config.focal_word, keep_digits=True))
+    tokens = token_filter.stream(tokenize(config.focal_word))
     if len(tokens) != 1:
         raise ConfigError(
             f"focal_word {config.focal_word!r} normalizes to {len(tokens)} tokens"
@@ -227,41 +234,36 @@ def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list
     interactions = build_interaction_networks((task.authors, task.replies) for task in tasks)
 
     # Group centralization needs n >= 3.
-    grouped = [k for k, (graph, _) in enumerate(interactions) if graph.n >= 3]
+    grouped = [k for k, graph in enumerate(interactions) if graph.n >= 3]
     group_scores = dict(zip(grouped, _overflow_named(
         [tasks[k].index for k in grouped], betweenness_centralities,
-        [interactions[k][0] for k in grouped],
+        [interactions[k] for k in grouped],
     )))
 
     # The word graph yields one number per metric, the focal word's, so it
-    # gets the single-node kernels rather than whole vectors.
+    # gets the single-node kernel rather than whole vectors. Its id is looked
+    # up once per window; below this the kernels see ids alone.
     focal = tasks[0].focal_token
-    present = []
+    focal_ids = {}
     sources = []
     scales = []
     for k, (task, word_graph) in enumerate(zip(tasks, word_graphs)):
         try:
-            word_graph.node_id(focal)
+            focal_ids[k] = word_graph.node_id(focal)
         except KeyError:
             continue
         n = word_graph.n
-        if config.betweenness_mode == "sampled" and n > 1:
-            samples = min(config.betweenness_samples, n)
-            sample, scale = sample_sources(word_graph, samples, config.seed + task.index)
-        else:
-            sample, scale = word_graph.nodes, 1.0
-        present.append(k)
+        samples = min(config.betweenness_samples, n) if config.betweenness_mode == "sampled" else n
+        sample, scale = sample_sources(word_graph, samples, config.seed + task.index)
         sources.append(sample)
         scales.append(scale)
-    focal_scores = dict(zip(present, _overflow_named(
-        [tasks[k].index for k in present], vertex_betweennesses,
-        [word_graphs[k] for k in present], [focal] * len(present), sources, scales,
+    focal_scores = dict(zip(focal_ids, _overflow_named(
+        [tasks[k].index for k in focal_ids], vertex_betweennesses,
+        [word_graphs[k] for k in focal_ids], list(focal_ids.values()), sources, scales,
     )))
 
     results = []
-    for k, (task, word_graph, (interaction, tallies)) in enumerate(
-        zip(tasks, word_graphs, interactions)
-    ):
+    for k, (task, word_graph, interaction) in enumerate(zip(tasks, word_graphs, interactions)):
         index = task.index
         if k in group_scores:
             group_degree = centralization(DEGREE, degree_centrality(interaction))
@@ -271,7 +273,7 @@ def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list
             group_betweenness = None
         n = word_graph.n
         if k in focal_scores:
-            focal_degree = normalize(DEGREE, vertex_degree(word_graph, focal), n)
+            focal_degree = normalize(DEGREE, float(degree_centrality(word_graph)[focal_ids[k]]), n)
             focal_betweenness = normalize(BETWEENNESS, focal_scores[k], n)
         else:
             focal_degree = 0.0
@@ -295,14 +297,13 @@ def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list
             interaction.n,
             interaction.m,
             interaction.total_weight,
-            tallies.comments,
-            tallies.self_replies,
-            tallies.dangling_parents,
+            len(task.replies) + task.dangling,
+            interaction.self_loop_events,
+            task.dangling,
         )
-        with _naming_window(index):
-            edge_rows = (
-                _export_graphs(index, interaction, word_graph) if config.export_graphs else None
-            )
+        edge_rows = (
+            _export_graphs(index, interaction, word_graph) if config.export_graphs else None
+        )
         results.append(_WindowResult(graph_features, diagnostics, edge_rows))
     return results
 
@@ -403,10 +404,11 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
 
     # The one text pass, and the only place that reads a message: each
     # in-horizon message is tokenized here, its sentiment is scored from
-    # those tokens, and its author, its reply's parent author and its
-    # filtered stream ride with its window. The token filter drops the
-    # all-digit tokens unless they are kept (the lexicon has no such word),
-    # and works out each distinct token once. The streams live until the
+    # those tokens, and its author, its reply's parent author (or, for an
+    # unknown parent, one more dangling reply) and its filtered stream ride
+    # with its window. The token filter drops the all-digit tokens unless
+    # they are kept (the lexicon has no such word), and works out each
+    # distinct token once. The streams live until the
     # windows are done, so its stream tokens are interned, one string object
     # each; a fresh string per occurrence would take about five times the
     # memory on a busy forum.
@@ -424,10 +426,11 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
                 authors.append(author)
                 if m.parent_id is not None:
                     parent = author_by_id.get(m.parent_id)
-                    replies.append((author, parent))
                     if parent is None:
                         dangling.append(m)
-                tokens = tokenize(m.body, keep_digits=True)
+                    else:
+                        replies.append((author, parent))
+                tokens = tokenize(m.body)
                 scores.append(score_message(m, tokens, scorer))
                 streams.append(token_filter.stream(tokens))
         if dangling:
@@ -436,7 +439,7 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
                 " replies to %s)", len(dangling), dangling[0].id, dangling[0].parent_id,
             )
         tasks.append(_WindowTask(
-            i, tuple(authors), tuple(replies), tuple(streams), focal_token,
+            i, tuple(authors), tuple(replies), len(dangling), tuple(streams), focal_token,
             window_sentiment(scores), emotionality(scores),
         ))
     vocab = build_vocabulary(stream for task in tasks for stream in task.streams)
@@ -582,15 +585,7 @@ def write_manifest(config: PipelineConfig, features_path: str, path: str) -> Non
     inputs: dict[str, str | None] = {
         features_path: _sha256_file(features_path, "feature table")
     }
-    for key in (
-        "messages_path",
-        "price_path",
-        "control_path",
-        "lexicon_path",
-        "precomputed_sentiment_path",
-        "stopwords_path",
-        "dictionary_path",
-    ):
+    for key in INPUT_PATH_FIELDS:
         value = getattr(config, key)
         if not value:
             continue

@@ -66,8 +66,9 @@ def run_selftest() -> list[Check]:
 
     sources, scale = sample_sources(cycle, cycle.n, seed=1)
     graphs = [cycle] * cycle.n
-    exact = vertex_betweennesses(graphs, cycle.nodes, [cycle.nodes] * cycle.n, [1.0] * cycle.n)
-    sampled = vertex_betweennesses(graphs, cycle.nodes, [sources] * cycle.n, [scale] * cycle.n)
+    ids = range(cycle.n)
+    exact = vertex_betweennesses(graphs, ids, [ids] * cycle.n, [1.0] * cycle.n)
+    sampled = vertex_betweennesses(graphs, ids, [sources] * cycle.n, [scale] * cycle.n)
     check(
         "full-sample betweenness equals exact",
         exact == sampled,

@@ -34,8 +34,8 @@ class SentimentScorer(Protocol):
 class LexiconScorer:
     """Mean token polarity p, mapped into [0,1] via (p+1)/2.
 
-    All-digit words are left out of the lexicon, so such tokens never
-    count, whether or not the tokens kept digits.
+    All-digit words are left out of the lexicon, so the all-digit tokens
+    that ``tokenize`` keeps never count.
     """
 
     def __init__(self, lexicon: Mapping[str, float]) -> None:
@@ -70,8 +70,7 @@ class PrecomputedScorer:
 
 
 def score_message(msg: Message, tokens: Sequence[str], scorer: SentimentScorer) -> float:
-    """``msg``'s score in [0, 1]; ``tokens`` is ``tokenize(msg.body)``, with
-    or without digits."""
+    """``msg``'s score in [0, 1]; ``tokens`` is ``tokenize(msg.body)``."""
     return scorer.score(msg, tokens)
 
 

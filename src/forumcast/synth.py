@@ -24,7 +24,7 @@ from datetime import timedelta
 
 from .config import PipelineConfig, save_config
 from .corpus import WEEK, parse_timestamp
-from .textproc import filter_tokens, load_stopwords, tokenize
+from .textproc import TokenFilter, load_stopwords, tokenize
 
 HORIZON_START = "2018-01-01T00:00:00+00:00"
 FOCAL_WORD = "brandora"
@@ -154,9 +154,9 @@ def generate_demo(out_dir: str, seed: int = 7, weeks: int = 94) -> dict[str, str
                 handle.write(json.dumps(row, sort_keys=True) + "\n")
 
     # measure the quantity the pipeline itself will see
-    stop = load_stopwords("english")
+    token_filter = TokenFilter(load_stopwords("english"))
     weekly_aw = [
-        float(sum(_cooccurrence_events(filter_tokens(tokenize(row["body"]), stop))
+        float(sum(_cooccurrence_events(token_filter.stream(tokenize(row["body"])))
                   for row in rows))
         for rows in weekly_rows
     ]

@@ -2,8 +2,9 @@
 
 Segmentation rule: a token is a maximal run of Unicode word characters,
 optionally joined by single interior hyphens ("e-mail" stays one token).
-Tokens are lowercased; punctuation is discarded; tokens consisting solely of
-digits are dropped unless ``keep_digits`` is set.
+Tokens are lowercased; punctuation is discarded. Tokens consisting solely of
+digits are kept by ``tokenize`` and dropped by ``TokenFilter`` unless
+``keep_digits`` is set.
 
 Stopword and dictionary files are plain UTF-8, one lowercase word per line.
 Default stopword lists for English and Italian ship with the package.
@@ -63,7 +64,7 @@ class Vocabulary:
         )
 
 
-def tokenize(body: str, keep_digits: bool = False) -> list[str]:
+def tokenize(body: str) -> list[str]:
     """Split ``body`` into lowercase word tokens, in order of appearance.
 
     ``_TOKEN_RE`` defines a token. An ASCII text without a hyphen needs no
@@ -73,14 +74,8 @@ def tokenize(body: str, keep_digits: bool = False) -> list[str]:
     """
     text = body.lower()
     if text.isascii() and "-" not in text:
-        tokens = text.translate(_ASCII_BREAKS).split()
-    else:
-        tokens = _TOKEN_RE.findall(text)
-    if keep_digits:
-        return tokens
-    # isdecimal() is true exactly for the non-empty strings of Unicode Nd
-    # characters, the ones the regex \d+ matches in full.
-    return [t for t in tokens if not t.isdecimal()]
+        return text.translate(_ASCII_BREAKS).split()
+    return _TOKEN_RE.findall(text)
 
 
 def filter_tokens(
@@ -107,11 +102,10 @@ class TokenFilter(dict):
     lacks it, or, unless ``keep_digits``, if it is all digits; a kept token
     is stemmed when a stemming language is given, and interned, so each
     stream token is one string object however often it occurs. Each
-    distinct token is worked out once, on first lookup.
-
-    The digit rule is also ``tokenize``'s; the pipeline tokenizes with
-    digits kept and leaves the rule to the filter, so that it costs one
-    ``isdecimal`` call per distinct token rather than one per occurrence.
+    distinct token is worked out once, on first lookup, so the digit rule
+    costs one ``isdecimal`` call per distinct token. (``isdecimal`` is true
+    exactly for the non-empty strings of Unicode Nd characters, the ones
+    the regex ``\\d+`` matches in full.)
     """
 
     def __init__(

@@ -85,8 +85,9 @@ def same_graph(a: DirectedWeightedGraph, b: DirectedWeightedGraph) -> bool:
     )
 
 
-def vertex_score(g: DirectedWeightedGraph, node: str, sources, scale: float) -> float:
-    """The focal kernel's score of ``node`` in ``g`` alone."""
+def vertex_score(g: DirectedWeightedGraph, node: int, sources, scale: float) -> float:
+    """The focal kernel's score of node id ``node`` in ``g`` alone, over the
+    source ids ``sources``."""
     return vertex_betweennesses([g], [node], [sources], [scale])[0]
 
 

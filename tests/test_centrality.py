@@ -20,7 +20,6 @@ from forumcast.centrality import (
     PathCountOverflow,
     _path_counts,
     _predecessors,
-    _source_rows,
     _stacked_betweenness,
     _successor_sums,
     approx_betweenness,
@@ -31,7 +30,6 @@ from forumcast.centrality import (
     normalize,
     sample_sources,
     vertex_betweennesses,
-    vertex_degree,
 )
 from forumcast.errors import AnalysisError
 from forumcast.graphs import DirectedWeightedGraph, build_word_network
@@ -62,11 +60,12 @@ def small_digraphs(draw):
 
 @st.composite
 def kernel_jobs(draw):
-    """A random digraph with a sorted source sample and its n / k scale."""
+    """A random digraph with a sorted sample of source ids and its n / k
+    scale."""
     n = draw(st.integers(min_value=1, max_value=24))
     p = draw(st.sampled_from([0.05, 0.15, 0.4]))
     g = random_digraph(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n, p)
-    sources = sorted(draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True)))
+    sources = sorted(draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True)))
     return g, sources, n / len(sources)
 
 
@@ -109,9 +108,9 @@ def layered_dag(layers: int) -> DirectedWeightedGraph:
 
 
 def brandes(g: DirectedWeightedGraph, sources, scale: float) -> np.ndarray:
-    """The Brandes kernel's scores of every node of ``g`` over ``sources``
-    (sorted), times ``scale``."""
-    return _stacked_betweenness([g], _source_rows([g], [sources]), scale)[0]
+    """The Brandes kernel's scores of every node of ``g`` over the source ids
+    ``sources`` (sorted), times ``scale``."""
+    return _stacked_betweenness([g], np.array([sources]), scale)[0]
 
 
 def by_node(g: DirectedWeightedGraph, scores: np.ndarray) -> dict[str, float]:
@@ -146,12 +145,6 @@ class TestDegree:
         light = degree_centrality(graph_from_arcs({("a", "b"): 1}))
         heavy = degree_centrality(graph_from_arcs({("a", "b"): 9}))
         assert light.tolist() == heavy.tolist()
-
-    @given(small_digraphs())
-    def test_vertex_degree_matches_vector(self, g):
-        raw = by_node(g, degree_centrality(g))
-        for v in g.nodes:
-            assert vertex_degree(g, v) == raw[v]
 
 
 class TestBetweennessExact:
@@ -194,8 +187,9 @@ class TestBetweennessExact:
 
 
 def sampled_oracle(g: DirectedWeightedGraph, sources, scale: float) -> dict[str, float]:
-    """The path-enumeration oracle over ``sources``, times ``scale``."""
-    oracle = brute_force_betweenness(g.nodes, arcs(g), sources)
+    """The path-enumeration oracle over the source ids ``sources``, times
+    ``scale``."""
+    oracle = brute_force_betweenness(g.nodes, arcs(g), [g.nodes[s] for s in sources])
     return {v: float(score * Fraction(scale)) for v, score in oracle.items()}
 
 
@@ -245,13 +239,13 @@ class TestKernels:
     def test_path_count_overflow_is_analysis_error(self):
         g = layered_dag(1100)
         with pytest.raises(AnalysisError, match="float range"):
-            brandes(g, ["a0000"], 1.0)
+            brandes(g, [g.node_id("a0000")], 1.0)
 
     def test_path_counts_near_float_max_agree(self):
         # up to 2**998 geodesics per pair, and the closed form bit for bit
         layers = 1000
         g = layered_dag(layers)
-        batched = by_node(g, brandes(g, ["a0000"], 1.0))
+        batched = by_node(g, brandes(g, [g.node_id("a0000")], 1.0))
         for v, score in batched.items():
             k = int(v[1:])
             assert score == (layers - 1 - k if k >= 1 else 0)
@@ -265,9 +259,9 @@ class TestVertexBetweenness:
     @given(small_digraphs())
     def test_matches_path_enumeration_oracle(self, g):
         oracle = brute_force_betweenness(g.nodes, arcs(g))
-        for v in g.nodes:
-            assert vertex_score(g, v, g.nodes, 1.0) == pytest.approx(
-                float(oracle[v]), rel=1e-12, abs=0.0
+        for v, name in enumerate(g.nodes):
+            assert vertex_score(g, v, range(g.n), 1.0) == pytest.approx(
+                float(oracle[name]), rel=1e-12, abs=0.0
             )
 
     @settings(max_examples=80, deadline=None)
@@ -276,7 +270,7 @@ class TestVertexBetweenness:
         g, sources, scale = job
         expected = sampled_oracle(g, sources, scale)
         batched = by_node(g, brandes(g, sources, scale))
-        scores = [vertex_score(g, v, sources, scale) for v in g.nodes]
+        scores = [vertex_score(g, v, sources, scale) for v in range(g.n)]
         for v, score in zip(g.nodes, scores):
             for reference in (expected[v], batched[v]):
                 assert (score == 0.0) == (reference == 0.0)
@@ -284,21 +278,22 @@ class TestVertexBetweenness:
         # one source per batch: the same scores, bit for bit
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(centrality, "BATCH_CELLS", g.n)
-            assert [vertex_score(g, v, sources, scale) for v in g.nodes] == scores
+            assert [vertex_score(g, v, sources, scale) for v in range(g.n)] == scores
 
     def test_full_sample_bit_identical(self):
         rng = random.Random(8)
         for _ in range(10):
             g = random_digraph(rng, 30, 0.15)
             sources, scale = sample_sources(g, g.n, seed=rng.randrange(1 << 30))
-            for v in g.nodes:
-                assert vertex_score(g, v, sources, scale) == vertex_score(g, v, g.nodes, 1.0)
+            assert sources.tolist() == list(range(g.n)) and scale == 1.0
+            for v in range(g.n):
+                assert vertex_score(g, v, sources, scale) == vertex_score(g, v, range(g.n), 1.0)
 
     def test_sampled_matches_approx_betweenness(self):
         g = random_digraph(random.Random(12), 50, 0.08)
         sources, scale = sample_sources(g, 15, seed=99)
-        approx = by_node(g, approx_betweenness(g, 15, seed=99))
-        for v in g.nodes:
+        approx = approx_betweenness(g, 15, seed=99).tolist()
+        for v in range(g.n):
             score = vertex_score(g, v, sources, scale)
             assert score == pytest.approx(approx[v], rel=1e-12, abs=0.0)
             assert normalize(BETWEENNESS, score, g.n) == pytest.approx(
@@ -312,7 +307,7 @@ class TestVertexBetweenness:
         for limit in (0, 1000):
             monkeypatch.setattr(centrality, "DENSE_NODE_LIMIT", limit)
             scores.append((
-                [vertex_score(g, v, g.nodes, 1.0) for v in g.nodes],
+                [vertex_score(g, v, range(g.n), 1.0) for v in range(g.n)],
                 betweenness_centrality(g).tolist(),
             ))
         assert scores[0] == scores[1]
@@ -321,7 +316,7 @@ class TestVertexBetweenness:
     def test_path_count_overflow_is_analysis_error(self):
         g = layered_dag(1100)
         with pytest.raises(AnalysisError, match="float range"):
-            vertex_score(g, "a0500", ["a0000"], 1.0)
+            vertex_score(g, g.node_id("a0500"), [g.node_id("a0000")], 1.0)
 
     def test_path_counts_near_float_max_agree(self):
         # up to 2**998 geodesics per pair, and the closed form bit for bit
@@ -330,7 +325,7 @@ class TestVertexBetweenness:
         for v in ("a0000", "b0000", "b0001", "a0500", "b0998", "a0999"):
             k = int(v[1:])
             expected = layers - 1 - k if k >= 1 else 0
-            assert vertex_score(g, v, ["a0000"], 1.0) == expected
+            assert vertex_score(g, g.node_id(v), [g.node_id("a0000")], 1.0) == expected
 
 
 SWEEP_KINDS = ("dense", "light", "heavy")
@@ -344,15 +339,15 @@ def force_sweep(patch: pytest.MonkeyPatch, kind: str) -> None:
 
 @st.composite
 def sweep_jobs(draw):
-    """A random digraph of up to 60 nodes, its sources (every node, or a
+    """A random digraph of up to 60 nodes, its source ids (every node, or a
     sorted sample) with their scale, and a cap of one or many batches."""
     n = draw(st.integers(min_value=1, max_value=60))
     p = draw(st.sampled_from([0.02, 0.08, 0.3]))
     g = random_digraph(random.Random(draw(st.integers(min_value=0, max_value=2**32))), n, p)
     if draw(st.booleans()):
-        sources, scale = g.nodes, 1.0
+        sources, scale = range(g.n), 1.0
     else:
-        sources = sorted(draw(st.lists(st.sampled_from(g.nodes), min_size=1, unique=True)))
+        sources = sorted(draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True)))
         scale = n / len(sources)
     return g, sources, scale, draw(st.sampled_from([centrality.BATCH_CELLS, 3 * n]))
 
@@ -366,7 +361,7 @@ class TestSweepKinds:
     @given(sweep_jobs())
     def test_light_sweep_bit_identical(self, job):
         g, sources, scale, batch_cells = job
-        rows = _source_rows([g], [sources])
+        rows = np.array([sources])
         seen = {}
         for kind in SWEEP_KINDS:
             with pytest.MonkeyPatch.context() as patch:
@@ -381,7 +376,7 @@ class TestSweepKinds:
                     dist.tobytes(),
                     [cells.tolist() for cells in levels],
                     brandes(g, sources, scale).tobytes(),
-                    [vertex_score(g, v, sources, scale).hex() for v in g.nodes[:4]],
+                    [vertex_score(g, v, sources, scale).hex() for v in range(min(g.n, 4))],
                 )
         assert seen["light"] == seen["heavy"] == seen["dense"]
         levels = []
@@ -398,15 +393,15 @@ class TestSweepKinds:
             force_sweep(patch, kind)
             with pytest.raises(PathCountOverflow, match="float range") as caught:
                 vertex_betweennesses(
-                    [small, dag, small], [small.nodes[0], "a0500", small.nodes[1]],
-                    [small.nodes, ["a0000"], small.nodes], [1.0, 1.0, 1.0],
+                    [small, dag, small], [0, dag.node_id("a0500"), 1],
+                    [range(small.n), [dag.node_id("a0000")], range(small.n)], [1.0, 1.0, 1.0],
                 )
             assert caught.value.graph == 1
             with pytest.raises(PathCountOverflow, match="float range"):
-                brandes(dag, ["a0000", "b0001"], 1.0)
+                brandes(dag, [dag.node_id("a0000"), dag.node_id("b0001")], 1.0)
             # and just below the float range, the closed form bit for bit
             near = layered_dag(1000)
-            scores = by_node(near, brandes(near, ["a0000"], 1.0))
+            scores = by_node(near, brandes(near, [near.node_id("a0000")], 1.0))
             for v, score in scores.items():
                 k = int(v[1:])
                 assert score == (999 - k if k >= 1 else 0)
@@ -428,7 +423,7 @@ class TestSweepKinds:
             assert centrality._predecessors([g], g.n + 1) is None
             print(json.dumps([
                 centrality.betweenness_centrality(g).tobytes().hex(),
-                centrality.vertex_betweennesses([g], [g.nodes[0]], [g.nodes], [1.0])[0].hex(),
+                centrality.vertex_betweennesses([g], [0], [range(g.n)], [1.0])[0].hex(),
             ]))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -441,10 +436,57 @@ class TestSweepKinds:
             force_sweep(patch, "heavy")
             expected = [
                 betweenness_centrality(g).tobytes().hex(),
-                vertex_score(g, g.nodes[0], g.nodes, 1.0).hex(),
+                vertex_score(g, 0, range(g.n), 1.0).hex(),
             ]
         assert json.loads(out) == expected
         assert betweenness_centralities([g])[0].tobytes().hex() == expected[0]
+
+
+@st.composite
+def sampling_jobs(draw):
+    """A graph of the dense, light or heavy size class, with node names in
+    random order, a sample size and a seed."""
+    kind = draw(st.sampled_from(SWEEP_KINDS))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    if kind == "dense":
+        n = draw(st.integers(min_value=1, max_value=centrality.DENSE_NODE_LIMIT))
+        k = draw(st.integers(min_value=1, max_value=n))
+        arcs_per_node = 1
+    elif kind == "light":
+        n = draw(st.integers(min_value=centrality.DENSE_NODE_LIMIT + 1, max_value=400))
+        k = draw(st.integers(min_value=1, max_value=n))
+        arcs_per_node = 1
+    else:
+        n = draw(st.integers(min_value=700, max_value=1000))
+        k = draw(st.integers(min_value=200, max_value=n))
+        arcs_per_node = 4
+    names = sorted({f"{rng.getrandbits(48):x}" for _ in range(n)}, key=lambda _: rng.random())
+    n = len(names)
+    k = min(k, n)
+    g = graph_from_arcs(
+        {(names[i], names[(i + step) % n]): 1
+         for i in range(n) for step in range(1, arcs_per_node + 1) if n > step},
+        nodes=names,
+    )
+    # The class the sweep picks for the sample's columns, plus the focal one.
+    columns_arcs = (k + 1) * g.m
+    assert (g.n <= centrality.DENSE_NODE_LIMIT) == (kind == "dense")
+    if kind != "dense":
+        assert (columns_arcs <= centrality.LIGHT_SWEEP_ARCS) == (kind == "light")
+    return g, k, draw(st.integers(min_value=0, max_value=2**32))
+
+
+class TestSampleSources:
+    @settings(max_examples=60, deadline=None)
+    @given(sampling_jobs())
+    def test_ids_name_the_nodes_a_draw_of_names_picks(self, job):
+        # The draw from g.nodes itself, sorted, is what the sampled scores
+        # were computed over when the kernels took names.
+        g, k, seed = job
+        ids, scale = sample_sources(g, k, seed)
+        assert ids.dtype.kind == "i" and ids.shape == (k,)
+        assert [g.nodes[i] for i in ids.tolist()] == sorted(random.Random(seed).sample(g.nodes, k))
+        assert scale == (g.n / k if k < g.n else 1.0)
 
 
 class TestApproxBetweenness:

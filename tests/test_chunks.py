@@ -39,17 +39,20 @@ authors = st.sampled_from([f"u{i}" for i in range(5)])
 @st.composite
 def window_tasks(draw, first: int, count: int) -> list[_WindowTask]:
     """``count`` consecutive windows from ``first``: some empty, some without
-    the focal word, reply graphs of every size from 0 nodes up."""
+    the focal word, reply graphs of every size from 0 nodes up, and some
+    replies to unknown parents."""
     tasks = []
     for index in range(first, first + count):
         streams = draw(st.lists(st.lists(words, max_size=12), max_size=4))
         posters = draw(st.lists(authors, max_size=6))
-        replies = [
+        parents = [
             (poster, draw(st.one_of(st.none(), authors)))
             for poster in posters if draw(st.booleans())
         ]
+        replies = tuple((poster, parent) for poster, parent in parents if parent is not None)
         tasks.append(_WindowTask(
-            index, tuple(posters), tuple(replies), tuple(streams), FOCAL, None, None
+            index, tuple(posters), replies, len(parents) - len(replies), tuple(streams), FOCAL,
+            None, None,
         ))
     return tasks
 
@@ -100,30 +103,29 @@ class TestChunkMatchesWindowsAlone:
             alone = [_compute_chunk([task], config)[0] for task in tasks]
             word_graphs = build_word_networks([t.streams for t in tasks], window_size)
             interactions = build_interaction_networks((t.authors, t.replies) for t in tasks)
-            grouped = [g for g, _ in interactions if g.n >= 3]
+            grouped = [g for g in interactions if g.n >= 3]
             group_scores = betweenness_centralities(grouped)
             jobs = []
             for task, g in zip(tasks, word_graphs):
                 if FOCAL in g.nodes:
-                    if mode == "sampled" and g.n > 1:
+                    if mode == "sampled":
                         sources, scale = sample_sources(g, min(samples, g.n), seed + task.index)
                     else:
-                        sources, scale = g.nodes, 1.0
-                    jobs.append((g, sources, scale))
+                        sources, scale = range(g.n), 1.0
+                    jobs.append((g, g.node_id(FOCAL), sources, scale))
             focal_scores = vertex_betweennesses(
-                [g for g, _, _ in jobs], [FOCAL] * len(jobs),
-                [s for _, s, _ in jobs], [scale for _, _, scale in jobs],
+                [g for g, _, _, _ in jobs], [v for _, v, _, _ in jobs],
+                [s for _, _, s, _ in jobs], [scale for _, _, _, scale in jobs],
             )
             # bit for bit what each window gives alone
             assert repr(chunk) == repr(alone)
-            for task, g, (h, tallies) in zip(tasks, word_graphs, interactions):
+            for task, g, h in zip(tasks, word_graphs, interactions):
                 assert same_graph(g, build_word_network(task.streams, window_size))
-                h_alone, tallies_alone = build_interaction_network(task.authors, task.replies)
-                assert same_graph(h, h_alone) and tallies == tallies_alone
+                assert same_graph(h, build_interaction_network(task.authors, task.replies))
             for g, scores in zip(grouped, group_scores):
                 assert scores.tobytes() == betweenness_centrality(g).tobytes()
-            for (g, sources, scale), score in zip(jobs, focal_scores):
-                assert score.hex() == vertex_score(g, FOCAL, sources, scale).hex()
+            for (g, focal, sources, scale), score in zip(jobs, focal_scores):
+                assert score.hex() == vertex_score(g, focal, sources, scale).hex()
 
         # and what the oracles give
         for task, result, g in zip(tasks, chunk, word_graphs):
@@ -137,7 +139,10 @@ class TestChunkMatchesWindowsAlone:
             assert present == (FOCAL in g.nodes)
             if not present:
                 assert focal == 0.0
-        for (h, _), result in zip(interactions, chunk):
+        for task, h, result in zip(tasks, interactions, chunk):
+            comments, self_replies, dangling = result.diagnostics[-3:]
+            assert (comments, dangling) == (len(task.replies) + task.dangling, task.dangling)
+            assert self_replies == sum(replier == parent for replier, parent in task.replies)
             group_betweenness = result.graph_features[3]
             if h.n < 3:
                 assert group_betweenness is None
@@ -145,8 +150,9 @@ class TestChunkMatchesWindowsAlone:
                 raw = brute_force_betweenness(h.nodes, arcs(h))
                 assert_close(group_betweenness, freeman_betweenness_centralization(raw))
         present = [result for result in chunk if result.graph_features[6]]
-        for (g, sources, scale), result in zip(jobs, present):
-            raw = brute_force_betweenness(g.nodes, arcs(g), sources)[FOCAL] * scale
+        for (g, _, sources, scale), result in zip(jobs, present):
+            names = [g.nodes[s] for s in sources]
+            raw = brute_force_betweenness(g.nodes, arcs(g), names)[FOCAL] * scale
             expected = float(raw) / ((g.n - 1) * (g.n - 2)) if g.n >= 3 else 0.0
             assert_close(result.graph_features[5], expected)
 
@@ -164,7 +170,7 @@ class TestChunkMatchesWindowsAlone:
             )
             posters = tuple(rng.choice("abcdef") for _ in range(6))
             replies = tuple((p, rng.choice("abcdef")) for p in posters)
-            tasks.append(_WindowTask(index, posters, replies, streams, FOCAL, None, None))
+            tasks.append(_WindowTask(index, posters, replies, 0, streams, FOCAL, None, None))
         config = chunk_config(mode, 6, 3, 3)
         chunk = _compute_chunk(tasks, config)
         assert repr(chunk) == repr([_compute_chunk([task], config)[0] for task in tasks])
@@ -175,9 +181,9 @@ class TestChunkMatchesWindowsAlone:
         # One 150-word chain among small windows: a light stack of one.
         chain = [[f"c{i:03d}" for i in range(150)] + [FOCAL]]
         tasks = [
-            _WindowTask(0, ("u0",), (), (("w0", "w1", "w2"),), FOCAL, None, None),
-            _WindowTask(1, ("u1",), (), tuple(chain), FOCAL, None, None),
-            _WindowTask(2, ("u2",), (), (("w1", "w0", "w2"),), FOCAL, None, None),
+            _WindowTask(0, ("u0",), (), 0, (("w0", "w1", "w2"),), FOCAL, None, None),
+            _WindowTask(1, ("u1",), (), 0, tuple(chain), FOCAL, None, None),
+            _WindowTask(2, ("u2",), (), 0, (("w1", "w0", "w2"),), FOCAL, None, None),
         ]
         config = chunk_config("sampled", 5, 11, 2)
         chunk = _compute_chunk(tasks, config)
@@ -185,7 +191,8 @@ class TestChunkMatchesWindowsAlone:
         big = build_word_network(chain, 2)
         assert big.n > centrality.DENSE_NODE_LIMIT
         sources, scale = sample_sources(big, 5, 11 + 1)
-        raw = brute_force_betweenness(big.nodes, arcs(big), sources)[FOCAL] * scale
+        names = [big.nodes[s] for s in sources]
+        raw = brute_force_betweenness(big.nodes, arcs(big), names)[FOCAL] * scale
         assert_close(chunk[1].graph_features[5], float(raw) / ((big.n - 1) * (big.n - 2)))
 
 
@@ -197,9 +204,9 @@ class TestStackedKernels:
         rng = random.Random(17)
         graphs = [random_digraph(rng, n, 0.12) for n in (20, 30, 20, 30, 20, 9, 20, 30)]
         for node in range(9):
-            nodes = [g.nodes[node] for g in graphs]
+            nodes = [node] * len(graphs)
             if mode == "exact":
-                sources, scales = [g.nodes for g in graphs], [1.0] * len(graphs)
+                sources, scales = [range(g.n) for g in graphs], [1.0] * len(graphs)
             else:
                 drawn = [sample_sources(g, 7, seed) for seed, g in enumerate(graphs)]
                 sources, scales = [s for s, _ in drawn], [scale for _, scale in drawn]
@@ -225,8 +232,8 @@ class TestOverflowNamesItsWindow:
         dag = build_word_network(layered_dag_streams(1100), 1)
         with pytest.raises(PathCountOverflow, match="float range") as caught:
             vertex_betweennesses(
-                [small, dag, small], ["b", "a0500", "b"], [["a"], ["a0000"], ["a"]],
-                [1.0, 1.0, 1.0],
+                [small, dag, small], [1, dag.node_id("a0500"), 1],
+                [[0], [dag.node_id("a0000")], [0]], [1.0, 1.0, 1.0],
             )
         assert caught.value.graph == 1
 
@@ -236,12 +243,13 @@ class TestOverflowNamesItsWindow:
         # A seed whose one-source sample in window 8 lies on layer 50 or
         # above it, from where some count passes 2**1024.
         seed = next(
-            s for s in range(1000) if int(sample_sources(dag, 1, s + 8)[0][0][1:]) <= 50
+            s for s in range(1000)
+            if int(dag.nodes[sample_sources(dag, 1, s + 8)[0][0]][1:]) <= 50
         )
         tasks = [
-            _WindowTask(7, (), (), (("a0500", "x"), ("x", "a0500")), "a0500", None, None),
-            _WindowTask(8, (), (), tuple(streams), "a0500", None, None),
-            _WindowTask(9, (), (), (("a0500", "x"),), "a0500", None, None),
+            _WindowTask(7, (), (), 0, (("a0500", "x"), ("x", "a0500")), "a0500", None, None),
+            _WindowTask(8, (), (), 0, tuple(streams), "a0500", None, None),
+            _WindowTask(9, (), (), 0, (("a0500", "x"),), "a0500", None, None),
         ]
         with pytest.raises(AnalysisError, match="^window 8: shortest-path counts exceed"):
             _compute_chunk(tasks, chunk_config("sampled", 1, seed, 1))
@@ -250,7 +258,7 @@ class TestOverflowNamesItsWindow:
 class TestChunking:
     def test_chunk_closes_before_it_passes_the_cap(self):
         def task(index, tokens):
-            return _WindowTask(index, (), (), (["w"] * tokens,), FOCAL, None, None)
+            return _WindowTask(index, (), (), 0, (["w"] * tokens,), FOCAL, None, None)
 
         sizes = [CHUNK_TOKENS // 2, CHUNK_TOKENS // 2, 1, CHUNK_TOKENS + 1, 0, 3, CHUNK_TOKENS]
         chunks = list(_chunks([task(i, size) for i, size in enumerate(sizes)]))

@@ -513,7 +513,7 @@ class TestPanel:
     def test_panel_columns(self):
         panel = _synthetic_panel()
         assert panel.week_count == 60
-        assert set(panel.column_names) == set(PREDICTOR_COLUMNS) | {"price"}
+        assert set(panel.columns) == set(PREDICTOR_COLUMNS) | {"price"}
         assert len(panel.column("activity")) == 60
 
     def test_unknown_column_lists_available(self):

@@ -212,47 +212,40 @@ class TestWordNetwork:
 
 class TestInteractionNetwork:
     def test_reply_creates_reversed_arc(self):
-        g, tallies = build_interaction_network(["alice", "bob"], [("bob", "alice")])
+        g = build_interaction_network(["alice", "bob"], [("bob", "alice")])
         assert arcs(g) == {("bob", "alice"): 1}
-        assert tallies.comments == 1
-        assert tallies.self_replies == 0
-        assert tallies.dangling_parents == 0
+        assert g.self_loop_events == 0
 
     def test_self_reply_tally_no_arc(self):
-        g, tallies = build_interaction_network(["alice", "alice"], [("alice", "alice")])
+        g = build_interaction_network(["alice", "alice"], [("alice", "alice")])
         assert g.m == 0
         assert g.nodes == ("alice",)
-        assert tallies.self_replies == 1
         assert g.self_loop_events == 1
 
     def test_repeat_replies_accumulate_weight(self):
-        g, tallies = build_interaction_network(
+        g = build_interaction_network(
             ["alice", "bob", "bob"], [("bob", "alice"), ("bob", "alice")]
         )
         assert arcs(g) == {("bob", "alice"): 2}
         assert g.m == 1 and g.total_weight == 2
-        assert tallies.comments == 2
 
-    def test_unknown_parent_skipped_and_counted(self, caplog):
-        with caplog.at_level("WARNING"):
-            g, tallies = build_interaction_network(["bob"], [("bob", None)])
-        assert g.m == 0
-        assert g.nodes == ("bob",)
-        assert (tallies.comments, tallies.dangling_parents) == (1, 1)
-        # the loader reports unknown parents, once per window
-        assert caplog.records == []
+    def test_unknown_parent_skipped_and_counted(self):
+        # The text pass keeps a reply to an unknown parent out of the
+        # window's replies and counts it; the diagnostics row adds it back.
+        task = _WindowTask(0, ("bob", "carol"), (("carol", "bob"),), 1, ([], []), "x", None, None)
+        (result,) = _compute_chunk([task], PipelineConfig())
+        assert result.diagnostics[6:] == (2, 1, 1, 2, 0, 1)
 
     def test_parent_author_outside_the_window_is_a_node(self):
-        g, tallies = build_interaction_network(["bob"], [("bob", "alice")])
+        g = build_interaction_network(["bob"], [("bob", "alice")])
         assert g.nodes == ("alice", "bob")
         assert arcs(g) == {("bob", "alice"): 1}
-        assert tallies.dangling_parents == 0
 
     def test_message_order_irrelevant(self):
         authors = ["alice", "bob", "carol"]
         replies = [("bob", "alice"), ("carol", "bob")]
-        a, _ = build_interaction_network(authors, replies)
-        b, _ = build_interaction_network(authors[::-1], replies[::-1])
+        a = build_interaction_network(authors, replies)
+        b = build_interaction_network(authors[::-1], replies[::-1])
         assert same_graph(a, b)
 
     def test_weight_conservation_random_threads(self):
@@ -261,16 +254,11 @@ class TestInteractionNetwork:
             users = [f"u{i}" for i in range(rng.randrange(2, 6))]
             authors = [rng.choice(users) for _ in range(rng.randrange(2, 25))]
             replies = [
-                (author, rng.choice([None, rng.choice(users)]))
-                for author in authors[1:] if rng.random() < 0.7
+                (author, rng.choice(users)) for author in authors[1:] if rng.random() < 0.7
             ]
-            g, tallies = build_interaction_network(authors, replies)
-            assert (
-                g.total_weight + tallies.self_replies + tallies.dangling_parents
-                == len(replies)
-            )
-            assert tallies.comments == len(replies)
-            assert tallies.dangling_parents == sum(p is None for _, p in replies)
+            g = build_interaction_network(authors, replies)
+            assert g.total_weight + g.self_loop_events == len(replies)
+            assert g.self_loop_events == sum(a == p for a, p in replies)
 
 
 class TestActivity:
@@ -278,7 +266,7 @@ class TestActivity:
 
     @staticmethod
     def activity_cells(authors, streams) -> tuple[int, int]:
-        task = _WindowTask(0, tuple(authors), (), tuple(streams), "hello", None, None)
+        task = _WindowTask(0, tuple(authors), (), 0, tuple(streams), "hello", None, None)
         (result,) = _compute_chunk([task], PipelineConfig())
         return result.graph_features[:2]
 

@@ -315,7 +315,7 @@ class TestGraphExports:
             return export(index, *graphs)
 
         monkeypatch.setattr(pipeline, "_export_graphs", failing)
-        with pytest.raises(DataError, match="window 2: disk on fire"):
+        with pytest.raises(DataError, match="disk on fire"):
             run_features(config)
         # the earlier run's tables went as stale exports; the failed run's
         # tables never appear, and their temp files are gone
@@ -674,10 +674,10 @@ class TestWorkerPool:
     def test_task_pickles_only_what_the_window_reads(self, config):
         tasks, _vocab, _rejections = pipeline._load_windows(config)
         # m4 in week 2 replies to m2 of week 0; m5's parent is unknown
-        assert [(t.index, t.authors, t.replies) for t in tasks] == [
-            (0, ("alice", "bob", "carol"), (("bob", "alice"), ("carol", "alice"))),
-            (1, (), ()),
-            (2, ("alice", "dave"), (("alice", "bob"), ("dave", None))),
+        assert [(t.index, t.authors, t.replies, t.dangling) for t in tasks] == [
+            (0, ("alice", "bob", "carol"), (("bob", "alice"), ("carol", "alice")), 0),
+            (1, (), (), 0),
+            (2, ("alice", "dave"), (("alice", "bob"),), 1),
         ]
         assert "__reduce__" not in vars(pipeline._WindowTask)
         referenced = [{"alice", "bob", "carol"}, set(), {"alice", "bob", "dave"}]

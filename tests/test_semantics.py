@@ -19,7 +19,13 @@ from forumcast.semantics import (
     score_message,
     window_sentiment,
 )
-from forumcast.textproc import build_vocabulary, token_surprisal, tokenize
+from forumcast.textproc import (
+    StopwordList,
+    TokenFilter,
+    build_vocabulary,
+    token_surprisal,
+    tokenize,
+)
 
 from conftest import make_message
 
@@ -53,8 +59,13 @@ class TestMessageScoring:
     def test_all_digit_tokens_never_count(self):
         msg = make_message("m", "u", body="gain 42 ٤٢")
         scorer = LexiconScorer({"gain": 1.0, "42": -1.0, "٤٢": -1.0})
+        tokens = tokenize(msg.body)
+        assert tokens == ["gain", "42", "٤٢"]
+        assert score_message(msg, tokens, scorer) == 1.0
+        stop = StopwordList(frozenset({"the"}), "english")
         for keep_digits in (False, True):
-            assert score_message(msg, tokenize(msg.body, keep_digits), scorer) == 1.0
+            stream = TokenFilter(stop, keep_digits=keep_digits).stream(tokens)
+            assert score_message(msg, stream, scorer) == 1.0
 
     def test_lexicon_polarity_range_enforced(self):
         with pytest.raises(DataError):

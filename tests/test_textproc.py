@@ -25,6 +25,11 @@ from forumcast.textproc import (
 )
 
 
+# A stopword no token can be, so that a filter drops only what its other
+# rules drop.
+NO_STOPWORDS = StopwordList(words=frozenset({"-"}), language="english")
+
+
 class TestTokenize:
     def test_hyphenated_words_stay_whole(self):
         assert tokenize("E-mail, e-mail!") == ["e-mail", "e-mail"]
@@ -33,10 +38,14 @@ class TestTokenize:
         assert tokenize("Hello, DOLLY... (yes)") == ["hello", "dolly", "yes"]
 
     def test_pure_digits_dropped_by_default(self):
-        assert tokenize("q3 2019 saw 12 wins") == ["q3", "saw", "wins"]
+        # tokenize keeps them; the token filter is the one place that drops them
+        tokens = tokenize("q3 2019 saw 12 wins")
+        assert tokens == ["q3", "2019", "saw", "12", "wins"]
+        assert TokenFilter(NO_STOPWORDS).stream(tokens) == ["q3", "saw", "wins"]
 
     def test_keep_digits_flag(self):
-        assert tokenize("2019 wins", keep_digits=True) == ["2019", "wins"]
+        kept = TokenFilter(NO_STOPWORDS, keep_digits=True).stream(tokenize("2019 wins"))
+        assert kept == ["2019", "wins"]
 
     @given(st.text(st.one_of(
         st.characters(),
@@ -45,8 +54,10 @@ class TestTokenize:
     )))
     def test_digit_rule_is_the_regex_rule(self, text):
         # A token is dropped when \d+ matches all of it.
-        every = tokenize(text, keep_digits=True)
-        assert tokenize(text) == [t for t in every if not re.fullmatch(r"\d+", t)]
+        every = tokenize(text)
+        assert TokenFilter(NO_STOPWORDS).stream(every) == [
+            t for t in every if not re.fullmatch(r"\d+", t)
+        ]
 
     @given(st.one_of(
         st.text(alphabet=(
@@ -63,11 +74,11 @@ class TestTokenize:
     @example("plain words 42 and more")
     @example("\u212a_9 x\x1cy")  # the Kelvin sign lowercases to an ASCII "k"
     def test_matches_the_regex_definition(self, text):
+        tokens = tokenize(text)
+        assert tokens == _TOKEN_RE.findall(text.lower())
         for keep_digits in (False, True):
-            expected = [
-                t for t in _TOKEN_RE.findall(text.lower()) if keep_digits or not t.isdecimal()
-            ]
-            assert tokenize(text, keep_digits) == expected
+            expected = [t for t in tokens if keep_digits or not t.isdecimal()]
+            assert TokenFilter(NO_STOPWORDS, keep_digits=keep_digits).stream(tokens) == expected
 
     def test_accented_words_survive(self):
         assert tokenize("città è bella") == ["città", "è", "bella"]
