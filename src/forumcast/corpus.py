@@ -51,30 +51,6 @@ class RejectedRow(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class MarketSeries:
-    """Weekly closing values keyed by 0-based week index. May contain gaps."""
-
-    name: str
-    values: dict[int, float]
-
-    def __post_init__(self) -> None:
-        for week, value in self.values.items():
-            if not math.isfinite(value):
-                raise DataError(f"{self.name}: non-finite value at week {week}")
-
-    def to_array(self, weeks: int) -> list[float]:
-        """Dense week-indexed list with NaN in the gaps."""
-        out = [math.nan] * weeks
-        for week, value in self.values.items():
-            if not 0 <= week < weeks:
-                raise DataError(
-                    f"{self.name}: week {week} outside the 0..{weeks - 1} grid"
-                )
-            out[week] = value
-        return out
-
-
 @dataclass
 class WindowedCorpus:
     """Messages partitioned onto the weekly grid.
@@ -240,15 +216,13 @@ def ingest_check(config: PipelineConfig) -> dict:
     }
 
 
-def load_market_series(
-    path: str,
-    name: str | None = None,
-    horizon_start: datetime | None = None,
-) -> MarketSeries:
-    """Load a weekly market series from CSV ``week,value`` or ``date,value``.
+def load_market_series(path: str, horizon_start: datetime) -> dict[int, float]:
+    """Load a weekly market series from CSV ``week,value`` or ``date,value``
+    as ``{week: value}``, in week order; missing weeks are absent.
 
-    ``date`` rows need ``horizon_start`` to resolve onto the same weekly grid
-    that :func:`partition_weeks` uses. Duplicate weeks are an error.
+    ``date`` rows resolve onto the weekly grid anchored at ``horizon_start``,
+    the one :func:`partition_weeks` uses. Duplicate weeks and non-finite
+    values are errors.
     """
     with open_input(path, "market series") as handle:
         reader = csv.reader(handle)
@@ -262,9 +236,7 @@ def load_market_series(
                 f"{path}: expected header 'week,value' or 'date,value', got {header}"
             )
         by_date = header[0] == "date"
-        if by_date and horizon_start is None:
-            raise DataError(f"{path}: date-keyed series needs a horizon start")
-        if horizon_start is not None and horizon_start.tzinfo is None:
+        if horizon_start.tzinfo is None:
             horizon_start = horizon_start.replace(tzinfo=timezone.utc)
 
         values: dict[int, float] = {}
@@ -289,6 +261,4 @@ def load_market_series(
             if week in values:
                 raise DataError(f"{path}:{line_no}: duplicate week {week}")
             values[week] = value
-
-    series_name = name if name is not None else "series"
-    return MarketSeries(name=series_name, values=dict(sorted(values.items())))
+    return dict(sorted(values.items()))

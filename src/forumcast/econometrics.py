@@ -33,7 +33,6 @@ from .config import (
     ModelTerm,
     PipelineConfig,
 )
-from .corpus import MarketSeries
 from .errors import (
     AnalysisError,
     DataError,
@@ -345,7 +344,6 @@ class GrangerResult(NamedTuple):
     chi2: float
     df: int
     p: float
-    lag_order: int
     nobs: int
 
 
@@ -390,31 +388,32 @@ def granger_test(
     unrestricted_x = [masked(s) for s in (*own_lags, *cross_lags, *extra)]
     restricted = ols(dep_m, restricted_x)
     unrestricted = ols(dep_m, unrestricted_x)
+    if unrestricted.rss == 0.0:
+        raise AnalysisError(
+            f"granger_test({y.name!r} ~ {x.name!r}): the unrestricted model fits"
+            " exactly (RSS 0), so the statistic is undefined"
+        )
     chi2 = max(n_eff * (restricted.rss - unrestricted.rss) / unrestricted.rss, 0.0)
-    p = _chi2_tail(max_lag, chi2)
-    return GrangerResult(chi2=chi2, df=max_lag, p=p, lag_order=max_lag, nobs=n_eff)
+    return GrangerResult(chi2=chi2, df=max_lag, p=_chi2_tail(max_lag, chi2), nobs=n_eff)
 
 
-class FeaturePanel(NamedTuple):
-    """Named weekly columns on one shared grid: ten predictors plus price."""
-
-    week_count: int
-    columns: Mapping[str, Series]
-
-    def column(self, name: str) -> Series:
-        if name not in self.columns:
-            have = ", ".join(self.columns)
-            raise AnalysisError(f"panel has no column {name!r} (have: {have})")
-        return self.columns[name]
+def _on_grid(name: str, values: Mapping[int, float], week_count: int) -> Series:
+    """A market series on the week grid, NaN in its gaps."""
+    out = np.full(week_count, math.nan)
+    for week, value in values.items():
+        if not 0 <= week < week_count:
+            raise DataError(f"{name}: week {week} outside the 0..{week_count - 1} grid")
+        out[week] = value
+    return Series(name, out)
 
 
 def build_panel(
     features: Mapping[str, Sequence[float | None]],
-    price: MarketSeries,
-    control: MarketSeries,
-) -> FeaturePanel:
-    """Assemble the analysis panel from per-window features and the two
-    market series. All columns must cover the same week grid."""
+    price: Mapping[int, float],
+    control: Mapping[int, float],
+) -> dict[str, Series]:
+    """The analysis panel, column name to series: the per-window features
+    and the two market series (``{week: value}``) on one week grid."""
     missing = [c for c in CORPUS_FEATURE_COLUMNS if c not in features]
     if missing:
         raise DataError(f"feature table lacks columns: {', '.join(missing)}")
@@ -425,16 +424,12 @@ def build_panel(
     mismatched = {n: l for n, l in lengths.items() if l != week_count}
     if mismatched:
         raise DataError(f"feature columns disagree on week grid: {mismatched}")
-    columns: dict[str, Series] = {}
-    for name in PREDICTOR_COLUMNS:
-        if name == "control":
-            columns[name] = Series("control", np.array(control.to_array(week_count)))
-        else:
-            columns[name] = series_from_values(name, features[name])
-    columns[DEPENDENT_COLUMN] = Series(
-        DEPENDENT_COLUMN, np.array(price.to_array(week_count))
-    )
-    return FeaturePanel(week_count=week_count, columns=columns)
+    market = {"control": control, DEPENDENT_COLUMN: price}
+    return {
+        name: _on_grid(name, market[name], week_count) if name in market
+        else series_from_values(name, features[name])
+        for name in (*PREDICTOR_COLUMNS, DEPENDENT_COLUMN)
+    }
 
 
 class CorrelationCell(NamedTuple):
@@ -471,31 +466,32 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-def run_battery(panel: FeaturePanel, config: PipelineConfig) -> AnalysisReport:
-    """Correlation table, Granger table, and declarative regression models,
-    as ``config``'s battery settings ask.
+def run_battery(panel: Mapping[str, Series], config: PipelineConfig) -> AnalysisReport:
+    """Correlation table, Granger table, and declarative regression models
+    over ``build_panel``'s columns, as ``config``'s battery settings ask
+    (``config.validate`` checks that every column they name is a predictor).
 
     A failing cell carries its error message; the rest of the report still
     completes. Cell order is fixed, so reports are byte-stable.
     """
-    price = panel.column(DEPENDENT_COLUMN)
+    price = panel[DEPENDENT_COLUMN]
 
     correlations: list[CorrelationCell] = []
     for predictor in PREDICTOR_COLUMNS:
         for k in config.correlation_lags:
             try:
-                result = pearson(lag(panel.column(predictor), k), price)
+                result = pearson(lag(panel[predictor], k), price)
                 correlations.append(CorrelationCell(predictor, k, result=result))
             except AnalysisError as exc:
                 correlations.append(CorrelationCell(predictor, k, error=str(exc)))
 
-    conditioning = [panel.column(name) for name in config.granger_conditioning]
+    conditioning = [panel[name] for name in config.granger_conditioning]
     granger_cells: list[GrangerCell] = []
     for predictor in PREDICTOR_COLUMNS:
         try:
             result = granger_test(
                 price,
-                panel.column(predictor),
+                panel[predictor],
                 config.granger_max_lag,
                 difference_dependent=config.granger_difference_dependent,
                 conditioning=conditioning,
@@ -507,7 +503,7 @@ def run_battery(panel: FeaturePanel, config: PipelineConfig) -> AnalysisReport:
     models: list[ModelReport] = []
     for spec in config.models:
         try:
-            regressors = [lag(panel.column(term.column), term.lag) for term in spec.terms]
+            regressors = [lag(panel[term.column], term.lag) for term in spec.terms]
             models.append(ModelReport(spec, result=ols(price, regressors)))
         except AnalysisError as exc:
             models.append(ModelReport(spec, error=str(exc)))

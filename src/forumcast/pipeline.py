@@ -373,9 +373,7 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
     """Load and tokenize the corpus: one task per window, the vocabulary
     and the rejected rows."""
     stop = load_stopwords(config.language, config.stopwords_path)
-    dictionary = (
-        frozenset(load_wordlist(config.dictionary_path)) if config.dictionary_path else None
-    )
+    dictionary = load_wordlist(config.dictionary_path) if config.dictionary_path else None
     token_filter = TokenFilter(
         stop, dictionary, config.language if config.stemming else None, config.keep_digits
     )
@@ -444,10 +442,6 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
         ))
     vocab = build_vocabulary(stream for task in tasks for stream in task.streams)
     return tasks, vocab, rejections
-
-
-def write_features_csv(rows: Sequence[WindowFeatures], path: str) -> None:
-    write_csv(path, FEATURE_CSV_COLUMNS, rows)
 
 
 def read_features_csv(path: str) -> dict[str, list[float | None]]:
@@ -555,7 +549,7 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     write_csv(
         os.path.join(config.output_dir, "diagnostics.csv"), DIAGNOSTIC_CSV_COLUMNS, diagnostics
     )
-    write_features_csv(rows, os.path.join(config.output_dir, "features.csv"))
+    write_csv(os.path.join(config.output_dir, "features.csv"), FEATURE_CSV_COLUMNS, rows)
     return rows
 
 
@@ -612,8 +606,8 @@ def run_analyze(config: PipelineConfig, features_path: str | None = None):
         features_path = os.path.join(config.output_dir, "features.csv")
     columns = read_features_csv(features_path)
     horizon_start = parse_timestamp(config.horizon_start)
-    price = load_market_series(config.price_path, "price", horizon_start)
-    control = load_market_series(config.control_path, "control", horizon_start)
+    price = load_market_series(config.price_path, horizon_start)
+    control = load_market_series(config.control_path, horizon_start)
     panel = build_panel(columns, price, control)
     report = run_battery(panel, config)
 

@@ -13,6 +13,7 @@ import numpy as np
 from .centrality import (
     BETWEENNESS,
     DEGREE,
+    approx_betweenness,
     betweenness_centrality,
     centralization,
     degree_centrality,
@@ -64,15 +65,15 @@ def run_selftest() -> list[Check]:
     cc = centralization(BETWEENNESS, betweenness_centrality(cycle))
     check("cycle betweenness centralization is 0", abs(cc) <= 1e-12, f"value={cc}")
 
-    sources, scale = sample_sources(cycle, cycle.n, seed=1)
-    graphs = [cycle] * cycle.n
+    # The two kernels sum in different orders, so they agree to a few ulps.
+    sources, scale = sample_sources(cycle, 2, seed=1)
     ids = range(cycle.n)
-    exact = vertex_betweennesses(graphs, ids, [ids] * cycle.n, [1.0] * cycle.n)
-    sampled = vertex_betweennesses(graphs, ids, [sources] * cycle.n, [scale] * cycle.n)
+    single = vertex_betweennesses([cycle] * cycle.n, ids, [sources] * cycle.n, [scale] * cycle.n)
+    whole = approx_betweenness(cycle, 2, seed=1).tolist()
     check(
-        "full-sample betweenness equals exact",
-        exact == sampled,
-        f"exact={exact} sampled={sampled}",
+        "2-source single-node betweenness matches the sampled vector",
+        all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(single, whole)),
+        f"single={single} vector={whole}",
     )
 
     x = Series("x", np.arange(10.0))

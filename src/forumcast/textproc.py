@@ -36,16 +36,6 @@ _ASCII_BREAKS = str.maketrans({
 })
 
 
-@dataclass(frozen=True)
-class StopwordList:
-    words: frozenset[str]
-    language: str
-
-    def __post_init__(self) -> None:
-        if not self.words:
-            raise DataError(f"empty stopword list for language '{self.language}'")
-
-
 @dataclass
 class Vocabulary:
     """Corpus-level word occurrence counts over filtered streams."""
@@ -80,7 +70,7 @@ def tokenize(body: str) -> list[str]:
 
 def filter_tokens(
     tokens: Iterable[str],
-    stop: StopwordList | None = None,
+    stop: frozenset[str] = frozenset(),
     dictionary: set[str] | frozenset[str] | None = None,
 ) -> list[str]:
     """Drop stopwords and (when a dictionary is given) out-of-dictionary tokens.
@@ -89,10 +79,9 @@ def filter_tokens(
     removed; downstream co-occurrence distances are measured on this
     compacted stream.
     """
-    stopwords = stop.words if stop is not None else frozenset()
     if dictionary is None:
-        return [t for t in tokens if t not in stopwords]
-    return [t for t in tokens if t not in stopwords and t in dictionary]
+        return [t for t in tokens if t not in stop]
+    return [t for t in tokens if t not in stop and t in dictionary]
 
 
 class TokenFilter(dict):
@@ -110,13 +99,13 @@ class TokenFilter(dict):
 
     def __init__(
         self,
-        stop: StopwordList,
+        stop: frozenset[str],
         dictionary: set[str] | frozenset[str] | None = None,
         stem_language: str | None = None,
         keep_digits: bool = False,
     ) -> None:
         super().__init__()
-        self._stopwords = stop.words
+        self._stopwords = stop
         self._dictionary = dictionary
         self._stem = _stemmer.stemmer_for(stem_language) if stem_language else None
         self._keep_digits = keep_digits
@@ -156,21 +145,26 @@ def _surprisal(count: int, total: int) -> float:
     return -math.log2(max(count, 1) / total)
 
 
-def load_wordlist(path: str) -> set[str]:
+def load_wordlist(path: str) -> frozenset[str]:
     """Read a one-word-per-line UTF-8 file (stopwords or dictionary)."""
     with open_input(path, "word list") as handle:
-        return {line.strip().lower() for line in handle if line.strip()}
+        return frozenset(line.strip().lower() for line in handle if line.strip())
 
 
-def load_stopwords(language: str = "english", path: str | None = None) -> StopwordList:
-    """Stopword list from ``path``, or the bundled list for ``language``."""
+def load_stopwords(language: str = "english", path: str | None = None) -> frozenset[str]:
+    """Stopwords from ``path``, or the bundled list for ``language``; an
+    empty list is a DataError."""
     if path is not None:
-        return StopwordList(words=frozenset(load_wordlist(path)), language=language)
-    if language not in BUNDLED_LANGUAGES:
+        words = load_wordlist(path)
+    elif language not in BUNDLED_LANGUAGES:
         raise DataError(
             f"no bundled stopword list for '{language}'"
             f" (bundled: {', '.join(BUNDLED_LANGUAGES)}); supply a file"
         )
-    data = resources.files("forumcast.data").joinpath(f"stopwords_{language}.txt")
-    words = {line.strip() for line in data.read_text(encoding="utf-8").splitlines() if line.strip()}
-    return StopwordList(words=frozenset(words), language=language)
+    else:
+        data = resources.files("forumcast.data").joinpath(f"stopwords_{language}.txt")
+        lines = data.read_text(encoding="utf-8").splitlines()
+        words = frozenset(line.strip() for line in lines if line.strip())
+    if not words:
+        raise DataError(f"empty stopword list for language '{language}'")
+    return words

@@ -81,6 +81,8 @@ def test_missing_required_fields(tmp_path):
         ("correlation_lags", (-1,), "correlation_lags"),
         ("language", "klingon", "stopword"),
         ("granger_conditioning", ("bogus",), "bogus"),
+        # the dependent is a panel column, but not a predictor
+        ("granger_conditioning", ("control", "price"), "'price' is not a predictor"),
     ],
 )
 def test_field_validation(tmp_path, field, value, fragment):

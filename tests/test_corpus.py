@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forumcast.corpus import (
-    MarketSeries,
     load_market_series,
     load_messages,
     parse_timestamp,
@@ -17,6 +16,7 @@ from forumcast.corpus import (
     window_index,
     write_rejections,
 )
+from forumcast.econometrics import CORPUS_FEATURE_COLUMNS, build_panel
 from forumcast.errors import DataError
 
 from conftest import EPOCH, make_message
@@ -227,35 +227,44 @@ class TestWindows:
         assert a.messages_by_window == b.messages_by_window
 
 
+def _features(weeks: int) -> dict[str, list[float]]:
+    return {name: [1.0] * weeks for name in CORPUS_FEATURE_COLUMNS}
+
+
 class TestMarketSeries:
-    def test_gaps_become_nan(self):
-        series = MarketSeries("price", {0: 1.0, 2: 3.0})
-        dense = series.to_array(4)
+    def test_gaps_become_nan(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("week,value\n2,3.0\n0,1.0\n")
+        series = load_market_series(str(path), EPOCH)
+        assert series == {0: 1.0, 2: 3.0} and list(series) == [0, 2]
+        dense = build_panel(_features(4), series, {0: 1.0})["price"].values
         assert dense[0] == 1.0 and dense[2] == 3.0
         assert math.isnan(dense[1]) and math.isnan(dense[3])
 
     def test_out_of_grid_rejected(self):
-        series = MarketSeries("price", {5: 1.0})
-        with pytest.raises(DataError):
-            series.to_array(3)
+        with pytest.raises(DataError, match=re.escape("price: week 5 outside the 0..2 grid")):
+            build_panel(_features(3), {5: 1.0}, {0: 1.0})
+        with pytest.raises(DataError, match=re.escape("control: week -1 outside the 0..2 grid")):
+            build_panel(_features(3), {0: 1.0}, {-1: 1.0})
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(DataError):
-            MarketSeries("price", {0: math.inf})
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        for cell in ("inf", "-inf", "nan"):
+            path.write_text(f"week,value\n0,1.0\n1,{cell}\n")
+            with pytest.raises(DataError, match=re.escape(f"{path}:3: non-finite value for week 1")):
+                load_market_series(str(path), EPOCH)
 
     def test_load_week_value(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("week,value\n0,10.5\n1,11.0\n")
-        series = load_market_series(str(path), "price")
-        assert series.values == {0: 10.5, 1: 11.0}
+        assert load_market_series(str(path), EPOCH) == {0: 10.5, 1: 11.0}
 
     def test_load_date_value_needs_horizon(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,value\n2020-01-13,42.0\n")
-        series = load_market_series(str(path), "price", horizon_start=EPOCH)
-        assert series.values == {1: 42.0}
-        with pytest.raises(DataError):
-            load_market_series(str(path), "price")
+        assert load_market_series(str(path), EPOCH) == {1: 42.0}
+        naive = EPOCH.replace(tzinfo=None)
+        assert load_market_series(str(path), naive) == {1: 42.0}
 
     def test_date_before_a_late_week_end_stays_in_its_week(self, tmp_path):
         end = EPOCH + 16386 * timedelta(days=7)
@@ -264,17 +273,16 @@ class TestMarketSeries:
             f"date,value\n{(end - timedelta(microseconds=1)).isoformat()},1.0\n"
             f"{end.isoformat()},2.0\n"
         )
-        series = load_market_series(str(path), "price", horizon_start=EPOCH)
-        assert series.values == {16385: 1.0, 16386: 2.0}
+        assert load_market_series(str(path), EPOCH) == {16385: 1.0, 16386: 2.0}
 
     def test_date_outside_utc_range_names_file_and_line(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("date,value\n2020-01-13,42.0\n9999-12-31T23:00:00-05:00,1.0\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad week key")):
-            load_market_series(str(path), "price", horizon_start=EPOCH)
+            load_market_series(str(path), EPOCH)
 
     def test_duplicate_week_named_in_error(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("week,value\n0,1.0\n0,2.0\n")
         with pytest.raises(DataError, match="week 0"):
-            load_market_series(str(path), "price")
+            load_market_series(str(path), EPOCH)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forumcast.corpus import MarketSeries
 from forumcast.econometrics import (
     CORPUS_FEATURE_COLUMNS,
     DEFAULT_MODELS,
@@ -488,6 +487,14 @@ class TestGranger:
         with pytest.raises(AnalysisError):
             granger_test(y, y, max_lag=0)
 
+    def test_exact_unrestricted_fit_is_an_analysis_error(self):
+        # price_t = control_(t-1) on every usable row, so the unrestricted
+        # residuals are all zero and the statistic would divide by zero.
+        price = Series("price", np.array([1.0, 2.0, 2.0, 1.0, 2.0]))
+        control = Series("control", np.array([2.0, 2.0, 1.0, 2.0, 4.0]))
+        with pytest.raises(AnalysisError, match="fits exactly"):
+            granger_test(price, control, max_lag=1)
+
     def test_too_few_rows(self):
         rng = np.random.default_rng(29)
         y = Series("y", rng.normal(size=7))
@@ -501,31 +508,22 @@ def _synthetic_panel(weeks: int = 60, seed: int = 99):
     features = {}
     for name in CORPUS_FEATURE_COLUMNS:
         features[name] = list(rng.normal(loc=10.0, scale=2.0, size=weeks))
-    control = MarketSeries("control", {w: 100.0 + float(rng.normal()) for w in range(weeks)})
-    price = MarketSeries(
-        "price",
-        {w: 50.0 + 0.5 * features["activity"][w] + float(rng.normal()) for w in range(weeks)},
-    )
+    control = {w: 100.0 + float(rng.normal()) for w in range(weeks)}
+    price = {w: 50.0 + 0.5 * features["activity"][w] + float(rng.normal()) for w in range(weeks)}
     return build_panel(features, price, control)
 
 
 class TestPanel:
     def test_panel_columns(self):
         panel = _synthetic_panel()
-        assert panel.week_count == 60
-        assert set(panel.columns) == set(PREDICTOR_COLUMNS) | {"price"}
-        assert len(panel.column("activity")) == 60
-
-    def test_unknown_column_lists_available(self):
-        panel = _synthetic_panel()
-        with pytest.raises(AnalysisError, match="price"):
-            panel.column("bogus")
+        assert list(panel) == [*PREDICTOR_COLUMNS, "price"]
+        assert all(panel[name].name == name and len(panel[name]) == 60 for name in panel)
 
     def test_missing_feature_column(self):
         rng = np.random.default_rng(1)
         features = {name: list(rng.normal(size=10)) for name in CORPUS_FEATURE_COLUMNS}
         del features["sentiment"]
-        market = MarketSeries("m", {w: 1.0 * w for w in range(10)})
+        market = {w: 1.0 * w for w in range(10)}
         with pytest.raises(DataError, match="sentiment"):
             build_panel(features, market, market)
 
@@ -533,17 +531,17 @@ class TestPanel:
         rng = np.random.default_rng(1)
         features = {name: list(rng.normal(size=10)) for name in CORPUS_FEATURE_COLUMNS}
         features["activity"] = features["activity"][:7]
-        market = MarketSeries("m", {w: 1.0 * w for w in range(10)})
+        market = {w: 1.0 * w for w in range(10)}
         with pytest.raises(DataError, match="disagree"):
             build_panel(features, market, market)
 
     def test_market_gaps_become_nan(self):
         rng = np.random.default_rng(1)
         features = {name: list(rng.normal(size=10)) for name in CORPUS_FEATURE_COLUMNS}
-        price = MarketSeries("price", {w: 1.0 * w for w in range(10) if w != 4})
-        control = MarketSeries("control", {w: 1.0 for w in range(10)})
+        price = {w: 1.0 * w for w in range(10) if w != 4}
+        control = {w: 1.0 for w in range(10)}
         panel = build_panel(features, price, control)
-        assert math.isnan(panel.column("price").values[4])
+        assert math.isnan(panel["price"].values[4])
 
 
 class TestBattery:
@@ -566,11 +564,8 @@ class TestBattery:
 
     def test_failed_cells_carry_errors(self):
         panel = _synthetic_panel()
-        columns = dict(panel.columns)
-        nan = np.full(panel.week_count, math.nan)
-        columns["focal_degree"] = Series("focal_degree", nan)
-        broken = type(panel)(week_count=panel.week_count, columns=columns)
-        report = run_battery(broken, PipelineConfig())
+        panel["focal_degree"] = Series("focal_degree", np.full(60, math.nan))
+        report = run_battery(panel, PipelineConfig())
         focal_corr = [c for c in report.correlations if c.predictor == "focal_degree"]
         assert all(c.result is None and c.error for c in focal_corr)
         model_7 = next(m for m in report.models if m.spec.name == "model_7")
@@ -589,14 +584,14 @@ class TestBattery:
         for cell in report.granger:
             try:
                 expected = granger_test(
-                    panel.column("price"), panel.column(cell.predictor), 2,
+                    panel["price"], panel[cell.predictor], 2,
                     difference_dependent=False,
-                    conditioning=[panel.column(name) for name in conditioning],
+                    conditioning=[panel[name] for name in conditioning],
                 )
             except AnalysisError as exc:
                 assert cell.result is None and cell.error == str(exc)
             else:
-                assert cell.result == expected and expected.lag_order == 2
+                assert cell.result == expected and expected.df == 2
 
     def test_incremental_requires_both_models(self):
         config = PipelineConfig(models=(DEFAULT_MODELS[0],))

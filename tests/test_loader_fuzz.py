@@ -111,9 +111,9 @@ class TestLoadersRaiseOnlyDataErrors:
     @given(data=st.data())
     def test_market_series(self, tmp_path, key, data):
         raw = data.draw(file_bytes(csv_rows([key, "value"])))
-        series = loaded(tmp_path, raw, load_market_series, "price", HORIZON)
+        series = loaded(tmp_path, raw, load_market_series, HORIZON)
         if series is not None:
-            assert list(series.values) == sorted(series.values)
+            assert list(series) == sorted(series)
 
     @fuzz
     @given(data=file_bytes(csv_rows(["word", "polarity"])))

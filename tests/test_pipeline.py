@@ -47,9 +47,9 @@ from forumcast.pipeline import (
     run_all,
     run_analyze,
     run_features,
-    write_features_csv,
 )
 from forumcast.synth import generate_demo
+from forumcast.tables import write_csv
 
 HORIZON = "2020-01-06T00:00:00Z"
 
@@ -214,7 +214,7 @@ class TestFeatureCsv:
     def test_read_rejects_week_gap(self, config, tmp_path):
         rows = run_features(config)
         path = tmp_path / "gappy.csv"
-        write_features_csv([rows[0], rows[2]], str(path))
+        write_csv(str(path), FEATURE_CSV_COLUMNS, [rows[0], rows[2]])
         with pytest.raises(DataError, match="without gaps"):
             read_features_csv(str(path))
 
@@ -549,6 +549,25 @@ class TestAnalyze:
         moved.write_bytes((Path(config.output_dir) / "features.csv").read_bytes())
         report = run_analyze(config, features_path=str(moved))
         assert report.models
+
+    def test_market_week_outside_the_grid(self, config):
+        run_features(config)
+        with open(config.price_path, "a") as handle:
+            handle.write("3,14.0\n")
+        with pytest.raises(DataError, match=r"^price: week 3 outside the 0\.\.2 grid$"):
+            run_analyze(config)
+
+    def test_split_commands_write_what_run_writes(self, tmp_path):
+        demo = generate_demo(str(tmp_path / "demo"), seed=7)
+        argv = ["-c", demo["config"], "--output-dir", str(tmp_path / "out")]
+        assert main(["features", *argv]) == 0
+        assert main(["analyze", *argv]) == 0
+        out = tmp_path / "out"
+        split = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        os.rename(out, tmp_path / "split")
+        assert main(["run", *argv]) == 0
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == split
+        assert out / "manifest.json" in split and out / "summary.md" in split
 
 
 class TestFailureHandling:
@@ -1101,6 +1120,37 @@ class TestCli:
         code = main(["analyze", "-c", self.write_config(config, tmp_path)])
         assert code == 2
         assert "data error" in capsys.readouterr().err
+
+    def test_empty_stopwords_file_exit_code(self, config, tmp_path, capsys):
+        config.stopwords_path = str(tmp_path / "stop.txt")
+        Path(config.stopwords_path).write_text("\n")
+        code = main(["run", "-c", self.write_config(config, tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: empty stopword list for language 'english'\n"
+        )
+
+    def test_exact_granger_fit_is_an_error_cell(self, config, tmp_path, capsys):
+        # Five weeks on which price_t = control_(t-1): the control's Granger
+        # test fits exactly, its cell carries the error, and the run completes.
+        config.granger_max_lag = 1
+        config.granger_difference_dependent = False
+        features = os.path.join(config.output_dir, "features.csv")
+        os.makedirs(config.output_dir)
+        write_csv(features, FEATURE_CSV_COLUMNS, [
+            (week, 3 + week % 2, 2 + week * week, 0.5, 0.25 * week, 0.1, 0.2 + week,
+             1, 0.5, 0.1 * week, 9 - week)
+            for week in range(5)
+        ])
+        Path(config.price_path).write_text("week,value\n0,1\n1,2\n2,2\n3,1\n4,2\n")
+        Path(config.control_path).write_text("week,value\n0,2\n1,2\n2,1\n3,2\n4,4\n")
+        assert main(["analyze", "-c", self.write_config(config, tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cells = {row["predictor"]: row for row in read_rows(Path(config.output_dir, "granger.csv"))}
+        assert cells["control"]["chi2"] == ""
+        assert "fits exactly" in cells["control"]["error"]
+        assert cells["activity"]["error"] == "" and cells["activity"]["chi2"] != ""
+        assert os.path.isfile(os.path.join(config.output_dir, "summary.md"))
 
     def test_non_numeric_feature_cell_exit_code(self, config, tmp_path, capsys):
         run_features(config)

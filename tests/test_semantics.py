@@ -20,7 +20,6 @@ from forumcast.semantics import (
     window_sentiment,
 )
 from forumcast.textproc import (
-    StopwordList,
     TokenFilter,
     build_vocabulary,
     token_surprisal,
@@ -62,7 +61,7 @@ class TestMessageScoring:
         tokens = tokenize(msg.body)
         assert tokens == ["gain", "42", "٤٢"]
         assert score_message(msg, tokens, scorer) == 1.0
-        stop = StopwordList(frozenset({"the"}), "english")
+        stop = frozenset({"the"})
         for keep_digits in (False, True):
             stream = TokenFilter(stop, keep_digits=keep_digits).stream(tokens)
             assert score_message(msg, stream, scorer) == 1.0

@@ -16,6 +16,13 @@ from forumcast.semantics import load_lexicon, load_precomputed
 from forumcast.tables import format_cell, open_input, replacing, sha256, write_csv, write_json
 from forumcast.textproc import load_wordlist
 
+from conftest import EPOCH
+
+# The market loader on a fixed grid, listed under its own name.
+LOAD_MARKET_SERIES = pytest.param(
+    lambda path: load_market_series(path, EPOCH), id="load_market_series"
+)
+
 
 class TestFormatCell:
     @pytest.mark.parametrize(
@@ -105,7 +112,7 @@ class TestUnreadableInputs:
         "load",
         [
             load_messages,
-            load_market_series,
+            LOAD_MARKET_SERIES,
             load_lexicon,
             load_precomputed,
             load_wordlist,
@@ -122,7 +129,7 @@ class TestUnreadableInputs:
         "load",
         [
             lambda path: load_messages(path, "csv"),
-            load_market_series,
+            LOAD_MARKET_SERIES,
             load_lexicon,
             load_precomputed,
             read_features_csv,

@@ -14,7 +14,6 @@ from forumcast._stemmer import italian_stem, porter_stem
 from forumcast.errors import ConfigError, DataError
 from forumcast.textproc import (
     _TOKEN_RE,
-    StopwordList,
     TokenFilter,
     build_vocabulary,
     filter_tokens,
@@ -27,7 +26,7 @@ from forumcast.textproc import (
 
 # A stopword no token can be, so that a filter drops only what its other
 # rules drop.
-NO_STOPWORDS = StopwordList(words=frozenset({"-"}), language="english")
+NO_STOPWORDS = frozenset({"-"})
 
 
 class TestTokenize:
@@ -95,11 +94,11 @@ class TestTokenize:
 
 class TestFiltering:
     def test_stopwords_removed_and_stream_compacted(self):
-        stop = StopwordList(words=frozenset({"the", "a"}), language="english")
+        stop = frozenset({"the", "a"})
         assert filter_tokens(["the", "cat", "a", "mat"], stop) == ["cat", "mat"]
 
     def test_dictionary_keeps_only_known_words(self):
-        stop = StopwordList(words=frozenset({"the"}), language="english")
+        stop = frozenset({"the"})
         kept = filter_tokens(["the", "cat", "zzyzx"], stop, dictionary={"cat", "mat"})
         assert kept == ["cat"]
 
@@ -108,7 +107,7 @@ class TestFiltering:
 
     @given(st.lists(st.sampled_from(["alpha", "beta", "gamma", "the"]), max_size=30))
     def test_filter_preserves_relative_order(self, tokens):
-        stop = StopwordList(words=frozenset({"the"}), language="english")
+        stop = frozenset({"the"})
         out = filter_tokens(tokens, stop)
         assert out == [t for t in tokens if t != "the"]
 
@@ -136,7 +135,7 @@ class TestTokenFilter:
     )
     def test_streams_equal_per_token_filtering(self, messages, language, use_dictionary,
                                                keep_digits):
-        stop = StopwordList(words=frozenset({"the", "and", "il", "che", "42"}), language="english")
+        stop = frozenset({"the", "and", "il", "che", "42"})
         dictionary = frozenset(_FILTER_WORDS[2::2] + ["2019", "q3"]) if use_dictionary else None
         token_filter = TokenFilter(stop, dictionary, language, keep_digits)
         for tokens in messages:
@@ -155,7 +154,7 @@ class TestTokenFilter:
             return lambda token: stemmed.append(token) or stem(token)
 
         monkeypatch.setattr(_stemmer, "stemmer_for", counting)
-        stop = StopwordList(words=frozenset({"the"}), language="english")
+        stop = frozenset({"the"})
         token_filter = TokenFilter(stop, stem_language="english")
         assert token_filter.stream(["running", "the", "ponies", "running"]) == ["run", "poni", "run"]
         assert token_filter.stream(["ponies", "the", "running"]) == ["poni", "run"]
@@ -165,12 +164,12 @@ class TestTokenFilter:
 class TestStopwordLists:
     def test_bundled_english(self):
         stop = load_stopwords("english")
-        assert "the" in stop.words and "and" in stop.words
-        assert all(w == w.lower() for w in stop.words)
+        assert "the" in stop and "and" in stop
+        assert all(w == w.lower() for w in stop)
 
     def test_bundled_italian(self):
         stop = load_stopwords("italian")
-        assert "il" in stop.words and "che" in stop.words
+        assert "il" in stop and "che" in stop
 
     def test_unknown_language_needs_file(self):
         with pytest.raises(DataError):
@@ -180,7 +179,7 @@ class TestStopwordLists:
         path = tmp_path / "stop.txt"
         path.write_text("foo\nBAR\n\n")
         stop = load_stopwords("english", str(path))
-        assert stop.words == frozenset({"foo", "bar"})
+        assert stop == frozenset({"foo", "bar"})
 
     def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -188,6 +187,12 @@ class TestStopwordLists:
         assert load_wordlist(str(path)) == {"the", "and"}
         stop = load_stopwords("english", str(path))
         assert filter_tokens(["the", "cat", "and"], stop) == ["cat"]
+
+    def test_empty_file_is_data_error(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("\n  \n")
+        with pytest.raises(DataError, match="empty stopword list for language 'italian'"):
+            load_stopwords("italian", str(path))
 
     def test_wordlist_missing_file(self):
         with pytest.raises(DataError):
@@ -219,7 +224,7 @@ class TestStemming:
         assert italian_stem("velocissimamente") != "velocissimamente"
 
     def test_token_filter_stemmer_dispatch(self):
-        stop = StopwordList(words=frozenset({"the"}), language="english")
+        stop = frozenset({"the"})
         assert TokenFilter(stop, stem_language="english").stream(["running", "ponies"]) == [
             "run", "poni"
         ]
