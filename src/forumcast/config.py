@@ -1,7 +1,6 @@
 """Pipeline configuration: a YAML file mirroring one dataclass, the
 analysis battery's model types (``ModelTerm``, ``ModelSpec``) it parses, and
-the timestamp parser, week length and bundled stopword languages it checks
-against (``corpus`` and ``textproc`` import them from here).
+the timestamp parser, week length and languages it checks against.
 
 The file round-trips: load -> save -> load yields an equal config. Unknown
 keys are rejected so typos fail fast. Paths are checked separately
@@ -24,6 +23,7 @@ import yaml
 from .errors import ConfigError
 
 WEEK = timedelta(days=7)
+# The languages with a bundled stopword list, and the languages with a stemmer.
 BUNDLED_LANGUAGES = ("english", "italian")
 BETWEENNESS_MODES = ("exact", "sampled")
 MESSAGE_FORMATS = ("jsonl", "csv")
@@ -186,6 +186,11 @@ def validate(config: PipelineConfig) -> None:
     if config.stopwords_path is None and config.language not in BUNDLED_LANGUAGES:
         raise ConfigError(
             f"language {config.language!r} has no bundled stopword list; set stopwords_path"
+        )
+    if config.stemming and config.language not in BUNDLED_LANGUAGES:
+        raise ConfigError(
+            f"language {config.language!r} has no stemmer; stemming needs one of"
+            f" {BUNDLED_LANGUAGES}"
         )
     if config.lexicon_path and config.precomputed_sentiment_path:
         raise ConfigError("set lexicon_path or precomputed_sentiment_path, not both")

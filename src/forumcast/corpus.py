@@ -24,7 +24,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from typing import NamedTuple
 
 # WEEK and parse_timestamp live in config, which checks the horizon with
@@ -112,8 +112,6 @@ def load_messages(
     ``format`` is "jsonl" or "csv". Line numbers in the report are 1-based
     (for CSV the header is line 1).
     """
-    if format not in ("jsonl", "csv"):
-        raise DataError(f"unknown message format '{format}'")
     messages: list[Message] = []
     rejections: list[RejectedRow] = []
     seen_ids: set[str] = set()
@@ -173,16 +171,11 @@ def partition_weeks(
     messages: list[Message], horizon_start: datetime, horizon_weeks: int
 ) -> WindowedCorpus:
     """Assign each message to its 7-day window by timestamp: window i is
-    [horizon_start + i weeks, horizon_start + (i + 1) weeks). A naive
-    ``horizon_start`` is taken as UTC.
+    [horizon_start + i weeks, horizon_start + (i + 1) weeks).
 
     Out-of-range messages are collected in ``dropped``. The result does not
     depend on the order of ``messages``.
     """
-    if horizon_weeks < 1:
-        raise ValueError("horizon_weeks must be >= 1")
-    if horizon_start.tzinfo is None:
-        horizon_start = horizon_start.replace(tzinfo=timezone.utc)
     buckets: list[list[Message]] = [[] for _ in range(horizon_weeks)]
     dropped: list[Message] = []
     for message in messages:
@@ -236,9 +229,6 @@ def load_market_series(path: str, horizon_start: datetime) -> dict[int, float]:
                 f"{path}: expected header 'week,value' or 'date,value', got {header}"
             )
         by_date = header[0] == "date"
-        if horizon_start.tzinfo is None:
-            horizon_start = horizon_start.replace(tzinfo=timezone.utc)
-
         values: dict[int, float] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row or all(cell.strip() == "" for cell in row):

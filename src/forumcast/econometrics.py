@@ -24,15 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-# The battery's model types live in config, which parses them without
-# loading NumPy; they stay importable from here.
-from .config import (
-    DEFAULT_MODELS,
-    PREDICTOR_COLUMNS,
-    ModelSpec,
-    ModelTerm,
-    PipelineConfig,
-)
+from .config import PREDICTOR_COLUMNS, ModelSpec, PipelineConfig
 from .errors import (
     AnalysisError,
     DataError,
@@ -52,18 +44,11 @@ CORPUS_FEATURE_COLUMNS = tuple(c for c in PREDICTOR_COLUMNS if c != "control")
 
 @dataclass(frozen=True)
 class Series:
-    """Weekly series on the 0-based week grid; NaN marks missing weeks."""
+    """Weekly series on the 0-based week grid: a one-dimensional float array
+    in which NaN marks missing weeks."""
 
     name: str
     values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise DataError(f"series {self.name!r} must be one-dimensional")
-        if np.isinf(arr).any():
-            raise DataError(f"series {self.name!r} contains infinite values")
-        object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -413,17 +398,9 @@ def build_panel(
     control: Mapping[int, float],
 ) -> dict[str, Series]:
     """The analysis panel, column name to series: the per-window features
-    and the two market series (``{week: value}``) on one week grid."""
-    missing = [c for c in CORPUS_FEATURE_COLUMNS if c not in features]
-    if missing:
-        raise DataError(f"feature table lacks columns: {', '.join(missing)}")
-    lengths = {name: len(features[name]) for name in CORPUS_FEATURE_COLUMNS}
-    week_count = lengths[CORPUS_FEATURE_COLUMNS[0]]
-    if week_count == 0:
-        raise DataError("feature table is empty")
-    mismatched = {n: l for n, l in lengths.items() if l != week_count}
-    if mismatched:
-        raise DataError(f"feature columns disagree on week grid: {mismatched}")
+    (``read_features_csv``'s columns) and the two market series
+    (``{week: value}``) on one week grid."""
+    week_count = len(features[CORPUS_FEATURE_COLUMNS[0]])
     market = {"control": control, DEPENDENT_COLUMN: price}
     return {
         name: _on_grid(name, market[name], week_count) if name in market

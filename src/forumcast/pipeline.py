@@ -28,6 +28,7 @@ import csv
 import functools
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -109,6 +110,15 @@ logger = logging.getLogger(__name__)
 _EXPORT_NAME = re.compile(
     r"(?:interaction|words)_edges\.csv"
     r"|week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)"
+)
+
+# The reports analyze writes from a feature table.
+_REPORTS = (
+    "correlations.csv",
+    "granger.csv",
+    "regressions.csv",
+    "regression_models.csv",
+    "summary.md",
 )
 
 # A chunk of consecutive windows closes before it passes this many tokens,
@@ -342,6 +352,14 @@ def _make_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
 
 
+def _remove(output_dir: str, names: Sequence[str]) -> None:
+    """Delete the files ``names`` in ``output_dir`` that exist."""
+    for name in names:
+        path = os.path.join(output_dir, name)
+        with writing(path), contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+
+
 def _remove_stale_exports(output_dir: str) -> None:
     """Delete the graph exports of an earlier run, and nothing else, so a
     rerun with fewer weeks or without exports leaves none behind."""
@@ -445,7 +463,8 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
 
 
 def read_features_csv(path: str) -> dict[str, list[float | None]]:
-    """Feature table back into columns; empty cells become None."""
+    """Feature table back into columns; empty cells become None. Every check
+    of the table's contents is made here, as a DataError naming the file."""
     with open_input(path, "feature table") as handle:
         reader = csv.DictReader(handle)
         have = set(reader.fieldnames or ())
@@ -458,6 +477,8 @@ def read_features_csv(path: str) -> dict[str, list[float | None]]:
         rows.sort(key=lambda r: int(r["week"]))
     except (TypeError, ValueError):
         raise DataError(f"{path}: non-integer week column") from None
+    if not rows:
+        raise DataError(f"{path}: feature table has no rows")
     weeks = [int(r["week"]) for r in rows]
     if weeks != list(range(len(rows))):
         raise DataError(f"{path}: week column must cover 0..{len(rows) - 1} without gaps")
@@ -472,11 +493,14 @@ def read_features_csv(path: str) -> dict[str, list[float | None]]:
         for name in CORPUS_FEATURE_COLUMNS:
             cell = r[name].strip()
             try:
-                columns[name].append(float(cell) if cell else None)
+                value = float(cell) if cell else None
             except ValueError:
                 raise DataError(
                     f"{path}: non-numeric {name} cell {cell!r} in week {r['week']}"
                 ) from None
+            if value is not None and math.isinf(value):
+                raise DataError(f"{path}: infinite {name} cell {cell!r} in week {r['week']}")
+            columns[name].append(value)
     return columns
 
 
@@ -519,6 +543,9 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
                     process.join()
                 raise WorkerError(f"cannot start the window workers: {exc}") from exc
         tasks, vocab, rejections = _load_windows(config)
+        # An earlier run's reports and manifest go before the first write,
+        # so a failure from here on leaves none of them beside new outputs.
+        _remove(config.output_dir, (*_REPORTS, "manifest.json"))
         write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
 
         _remove_stale_exports(config.output_dir)
@@ -602,6 +629,8 @@ def run_analyze(config: PipelineConfig, features_path: str | None = None):
     validate(config)
     validate_output_dir(config)
     _make_dir(config.output_dir)
+    # Before anything is read: a failure leaves no report of other features.
+    _remove(config.output_dir, _REPORTS)
     if features_path is None:
         features_path = os.path.join(config.output_dir, "features.csv")
     columns = read_features_csv(features_path)
@@ -629,8 +658,7 @@ def run_all(config: PipelineConfig):
     error_path = os.path.join(config.output_dir, "errors.json")
     stage = "features"
     try:
-        with writing(error_path), contextlib.suppress(FileNotFoundError):
-            os.remove(error_path)
+        _remove(config.output_dir, ("errors.json",))
         run_features(config)
         stage = "analyze"
         return run_analyze(config)

@@ -32,16 +32,14 @@ class SentimentScorer(Protocol):
 
 
 class LexiconScorer:
-    """Mean token polarity p, mapped into [0,1] via (p+1)/2.
+    """Mean token polarity p, mapped into [0,1] via (p+1)/2; ``lexicon``'s
+    polarities are in [-1, 1], as ``load_lexicon`` checks.
 
     All-digit words are left out of the lexicon, so the all-digit tokens
     that ``tokenize`` keeps never count.
     """
 
     def __init__(self, lexicon: Mapping[str, float]) -> None:
-        for word, polarity in lexicon.items():
-            if not -1.0 <= polarity <= 1.0:
-                raise DataError(f"lexicon polarity for {word!r} outside [-1, 1]: {polarity}")
         self._lexicon = {word: p for word, p in lexicon.items() if not word.isdecimal()}
 
     def score(self, msg: Message, tokens: Sequence[str]) -> float:
@@ -53,14 +51,10 @@ class LexiconScorer:
 
 
 class PrecomputedScorer:
-    """Looks up externally computed scores; total over the corpus it serves."""
+    """Looks up externally computed scores in [0, 1], as ``load_precomputed``
+    checks; total over the corpus it serves."""
 
     def __init__(self, scores: Mapping[str, float]) -> None:
-        for message_id, value in scores.items():
-            if not 0.0 <= value <= 1.0:
-                raise DataError(
-                    f"sentiment score {value} for message id {message_id!r} outside [0, 1]"
-                )
         self._scores = dict(scores)
 
     def score(self, msg: Message, tokens: Sequence[str]) -> float:

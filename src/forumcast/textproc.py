@@ -6,8 +6,9 @@ Tokens are lowercased; punctuation is discarded. Tokens consisting solely of
 digits are kept by ``tokenize`` and dropped by ``TokenFilter`` unless
 ``keep_digits`` is set.
 
-Stopword and dictionary files are plain UTF-8, one lowercase word per line.
-Default stopword lists for English and Italian ship with the package.
+Stopword and dictionary files are plain UTF-8, one word per line, read
+lowercased; blank lines and ``#`` comment lines are skipped. Default
+stopword lists for English and Italian ship with the package.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from importlib import resources
 from typing import Iterable
 
 from . import _stemmer
-from .config import BUNDLED_LANGUAGES  # config checks the language; importable from here too
 from .errors import DataError
 from .tables import open_input
 
@@ -146,25 +146,21 @@ def _surprisal(count: int, total: int) -> float:
 
 
 def load_wordlist(path: str) -> frozenset[str]:
-    """Read a one-word-per-line UTF-8 file (stopwords or dictionary)."""
+    """Read a one-word-per-line UTF-8 file (stopwords or dictionary): each
+    word is lowercased, and blank lines and ``#`` comment lines are skipped."""
     with open_input(path, "word list") as handle:
-        return frozenset(line.strip().lower() for line in handle if line.strip())
+        return frozenset(
+            word for word in (line.strip().lower() for line in handle)
+            if word and not word.startswith("#")
+        )
 
 
 def load_stopwords(language: str = "english", path: str | None = None) -> frozenset[str]:
     """Stopwords from ``path``, or the bundled list for ``language``; an
     empty list is a DataError."""
-    if path is not None:
-        words = load_wordlist(path)
-    elif language not in BUNDLED_LANGUAGES:
-        raise DataError(
-            f"no bundled stopword list for '{language}'"
-            f" (bundled: {', '.join(BUNDLED_LANGUAGES)}); supply a file"
-        )
-    else:
-        data = resources.files("forumcast.data").joinpath(f"stopwords_{language}.txt")
-        lines = data.read_text(encoding="utf-8").splitlines()
-        words = frozenset(line.strip() for line in lines if line.strip())
+    if path is None:
+        path = str(resources.files("forumcast.data").joinpath(f"stopwords_{language}.txt"))
+    words = load_wordlist(path)
     if not words:
         raise DataError(f"empty stopword list for language '{language}'")
     return words

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from forumcast.config import (
+    ModelSpec,
+    ModelTerm,
     PipelineConfig,
     from_dict,
     load_config,
@@ -11,7 +13,6 @@ from forumcast.config import (
     validate,
     validate_paths,
 )
-from forumcast.econometrics import ModelSpec, ModelTerm
 from forumcast.errors import ConfigError
 
 
@@ -147,6 +148,18 @@ def test_custom_stopwords_allow_any_language(tmp_path):
     config.language = "klingon"
     config.stopwords_path = str(tmp_path / "stop.txt")
     validate(config)
+
+
+def test_stemming_needs_a_language_with_a_stemmer(tmp_path):
+    config = valid_config(tmp_path)
+    config.stopwords_path = str(tmp_path / "stop.txt")
+    config.stemming = True
+    for language in ("english", "italian"):
+        config.language = language
+        validate(config)
+    config.language = "klingon"
+    with pytest.raises(ConfigError, match="language 'klingon' has no stemmer"):
+        validate(config)
 
 
 def test_validate_paths_names_missing_file(tmp_path):

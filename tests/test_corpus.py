@@ -165,12 +165,6 @@ class TestLoadMessages:
         assert [m.id for m in messages] == ["a"]
         assert rejections == []
 
-    def test_unknown_format(self, tmp_path):
-        path = tmp_path / "m.xml"
-        path.write_text("<myformat/>")
-        with pytest.raises(DataError):
-            load_messages(str(path), "xml")
-
     def test_rejection_report_written(self, tmp_path):
         out = tmp_path / "rej.csv"
         from forumcast.corpus import RejectedRow
@@ -263,8 +257,6 @@ class TestMarketSeries:
         path = tmp_path / "p.csv"
         path.write_text("date,value\n2020-01-13,42.0\n")
         assert load_market_series(str(path), EPOCH) == {1: 42.0}
-        naive = EPOCH.replace(tzinfo=None)
-        assert load_market_series(str(path), naive) == {1: 42.0}
 
     def test_date_before_a_late_week_end_stays_in_its_week(self, tmp_path):
         end = EPOCH + 16386 * timedelta(days=7)

@@ -18,6 +18,8 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -232,6 +234,22 @@ class TestFeatureCsv:
         header = ",".join(FEATURE_CSV_COLUMNS)
         path.write_text(header + "\n" + "x" + ",1" * (len(FEATURE_CSV_COLUMNS) - 1) + "\n")
         with pytest.raises(DataError, match="week"):
+            read_features_csv(str(path))
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity"])
+    def test_read_rejects_infinite_cell(self, config, tmp_path, cell):
+        rows = [row._replace(complexity=cell) if row.week == 1 else row
+                for row in run_features(config)]
+        path = tmp_path / "infinite.csv"
+        write_csv(str(path), FEATURE_CSV_COLUMNS, rows)
+        message = f"{path}: infinite complexity cell '{cell}' in week 1"
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_features_csv(str(path))
+
+    def test_read_rejects_table_without_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(FEATURE_CSV_COLUMNS) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: feature table has no rows")):
             read_features_csv(str(path))
 
 
@@ -645,6 +663,80 @@ class TestFailureHandling:
         config.precomputed_sentiment_path = str(scores)
         with pytest.raises(MissingScoreError, match="window 2.*m5"):
             run_features(config)
+
+
+class TestFailedRunLeavesOneCoherentDirectory:
+    """A run into the directory of an earlier complete run from other inputs
+    fails at each output write in turn, then in the battery. Whatever it
+    leaves must be coherent: no temp file, no report from the earlier run,
+    and no manifest digest that disagrees with its file."""
+
+    FEATURE_OUTPUTS = (
+        "rejections.csv", "graphs/interaction_edges.csv", "graphs/words_edges.csv",
+        "diagnostics.csv", "features.csv",
+    )
+    REPORTS = (
+        "correlations.csv", "granger.csv", "regressions.csv", "regression_models.csv",
+        "summary.md",
+    )
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """The 6-week demo's config, the output directory, a copy of a
+        complete 7-week run of other inputs into that directory, and each
+        run's files as {relative path: bytes}."""
+        base = tmp_path_factory.mktemp("coherent")
+        out = base / "out"
+        configs, files = {}, {}
+        for name, seed, weeks in (("later", 7, 6), ("earlier", 8, 7)):
+            configs[name] = generate_demo(str(base / name), seed=seed, weeks=weeks)["config"]
+            assert main(["run", "-c", configs[name], "--output-dir", str(out)]) == 0
+            files[name] = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()
+            }
+        for report in self.REPORTS:
+            assert files["earlier"][report] != files["later"][report]
+        shutil.copytree(out, base / "earlier_out")
+        return configs["later"], out, base / "earlier_out", files
+
+    def check_failed_run(self, runs, code, stage):
+        """Rerun the demo into the earlier run's directory and check what the
+        failure leaves."""
+        later, out, earlier_out, files = runs
+        shutil.rmtree(out)
+        shutil.copytree(earlier_out, out)
+        assert main(["run", "-c", later, "--output-dir", str(out)]) == code
+        assert json.loads((out / "errors.json").read_text())["stage"] == stage
+        left = {str(path.relative_to(out)): path for path in out.rglob("*") if path.is_file()}
+        assert not [name for name in left if name.endswith(".tmp")]
+        for report in self.REPORTS:
+            if report in left:
+                assert left[report].read_bytes() == files["later"][report]
+        if "manifest.json" in left:
+            inputs = json.loads(left["manifest.json"].read_text())["inputs"]
+            for path, digest in inputs.items():
+                assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("failing", [*FEATURE_OUTPUTS, *REPORTS, "manifest.json"])
+    def test_failed_write(self, runs, monkeypatch, failing):
+        replace = os.replace
+
+        def fail_one(src, dst):
+            if dst.endswith(os.sep + failing.replace("/", os.sep)):
+                disk_full()
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_one)
+        stage = "features" if failing in self.FEATURE_OUTPUTS else "analyze"
+        self.check_failed_run(runs, 5, stage)
+
+    def test_failed_battery(self, runs, monkeypatch):
+        def fail(*args):
+            raise DataError("planted battery failure")
+
+        monkeypatch.setattr(pipeline, "run_battery", fail)
+        self.check_failed_run(runs, 2, "analyze")
 
 
 class TestWorkerPool:
@@ -1123,12 +1215,23 @@ class TestCli:
 
     def test_empty_stopwords_file_exit_code(self, config, tmp_path, capsys):
         config.stopwords_path = str(tmp_path / "stop.txt")
-        Path(config.stopwords_path).write_text("\n")
-        code = main(["run", "-c", self.write_config(config, tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "data error: empty stopword list for language 'english'\n"
-        )
+        for text in ("\n", "# only a comment\n"):
+            Path(config.stopwords_path).write_text(text)
+            code = main(["run", "-c", self.write_config(config, tmp_path)])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "data error: empty stopword list for language 'english'\n"
+            )
+
+    def test_stemming_without_a_stemmer_fails_the_dry_run(self, config, tmp_path, capsys):
+        config.language = "klingon"
+        config.stemming = True
+        config.stopwords_path = str(tmp_path / "stop.txt")
+        Path(config.stopwords_path).write_text("the\n")
+        code = main(["run", "-c", self.write_config(config, tmp_path), "--dry-run"])
+        assert code == 1
+        assert "language 'klingon' has no stemmer" in capsys.readouterr().err
+        assert not os.path.exists(config.output_dir)
 
     def test_exact_granger_fit_is_an_error_cell(self, config, tmp_path, capsys):
         # Five weeks on which price_t = control_(t-1): the control's Granger

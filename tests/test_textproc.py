@@ -172,14 +172,21 @@ class TestStopwordLists:
         assert "il" in stop and "che" in stop
 
     def test_unknown_language_needs_file(self):
-        with pytest.raises(DataError):
+        # config.validate refuses such a language; called directly, the
+        # loader finds no bundled file
+        with pytest.raises(DataError, match="stopwords_klingon.txt"):
             load_stopwords("klingon")
 
     def test_custom_file_overrides(self, tmp_path):
         path = tmp_path / "stop.txt"
-        path.write_text("foo\nBAR\n\n")
+        path.write_text("# my list\nfoo\nBAR\n\n  # indented comment\n")
         stop = load_stopwords("english", str(path))
         assert stop == frozenset({"foo", "bar"})
+
+    def test_comment_line_in_a_dictionary_is_not_a_word(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("#words\nwidget\n# launch\n")
+        assert load_wordlist(str(path)) == {"widget"}
 
     def test_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -190,9 +197,10 @@ class TestStopwordLists:
 
     def test_empty_file_is_data_error(self, tmp_path):
         path = tmp_path / "stop.txt"
-        path.write_text("\n  \n")
-        with pytest.raises(DataError, match="empty stopword list for language 'italian'"):
-            load_stopwords("italian", str(path))
+        for text in ("\n  \n", "# comment only\n\n#\n"):
+            path.write_text(text)
+            with pytest.raises(DataError, match="empty stopword list for language 'italian'"):
+                load_stopwords("italian", str(path))
 
     def test_wordlist_missing_file(self):
         with pytest.raises(DataError):
