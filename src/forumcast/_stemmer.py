@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from .config import BUNDLED_LANGUAGES
 from .errors import ConfigError
 
 _VOWELS = set("aeiou")
@@ -210,4 +211,6 @@ def stemmer_for(language: str) -> Callable[[str], str]:
         return porter_stem
     if language == "italian":
         return italian_stem
-    raise ConfigError(f"no stemmer for language '{language}' (have: english, italian)")
+    raise ConfigError(
+        f"no stemmer for language '{language}' (have: {', '.join(BUNDLED_LANGUAGES)})"
+    )

@@ -19,9 +19,7 @@ start-inclusive and end-exclusive.
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -31,7 +29,7 @@ from typing import NamedTuple
 # them; they stay importable from here.
 from .config import WEEK, PipelineConfig, parse_timestamp, validate, validate_paths
 from .errors import DataError
-from .tables import open_input, write_csv
+from .tables import InputTable, open_input, write_csv
 
 
 class Message(NamedTuple):
@@ -104,13 +102,21 @@ def _message_from_record(record: dict, seen_ids: set[str]) -> Message:
     )
 
 
+def _json_object(line: str) -> dict:
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise DataError("line is not a JSON object")
+    return record
+
+
 def load_messages(
     path: str, format: str = "jsonl"
 ) -> tuple[list[Message], list[RejectedRow]]:
     """Load messages in file order; malformed rows go to the rejection report.
 
     ``format`` is "jsonl" or "csv". Line numbers in the report are 1-based
-    (for CSV the header is line 1).
+    (for CSV the header is line 1). A CSV row with more or fewer cells than
+    the header is a rejected row.
     """
     messages: list[Message] = []
     rejections: list[RejectedRow] = []
@@ -118,40 +124,25 @@ def load_messages(
 
     with open_input(path, "messages file") as handle:
         if format == "jsonl":
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    if not isinstance(record, dict):
-                        raise DataError("line is not a JSON object")
-                    message = _message_from_record(record, seen_ids)
-                except (ValueError, DataError) as exc:
-                    # ValueError: a JSONDecodeError, or an integer with more
-                    # digits than int() converts
-                    rejections.append(RejectedRow(line_no, str(exc)))
-                    continue
-                except RecursionError:
-                    rejections.append(RejectedRow(line_no, "line nests too deeply to parse"))
-                    continue
-                seen_ids.add(message.id)
-                messages.append(message)
+            lines = ((n, line) for n, line in enumerate(handle, start=1) if line.strip())
+            to_record = _json_object
         else:
-            reader = csv.DictReader(handle)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty CSV, header required")
-            missing = [k for k in ("id", "author_id", "timestamp") if k not in reader.fieldnames]
-            if missing:
-                raise DataError(f"{path}: CSV header missing columns {missing}")
-            for record in reader:
-                line_no = reader.line_num
-                try:
-                    message = _message_from_record(record, seen_ids)
-                except DataError as exc:
-                    rejections.append(RejectedRow(line_no, str(exc)))
-                    continue
-                seen_ids.add(message.id)
-                messages.append(message)
+            table = InputTable(handle, path, ("id", "author_id", "timestamp"))
+            lines = table.rows()
+            to_record = table.record
+        for line_no, raw in lines:
+            try:
+                message = _message_from_record(to_record(raw), seen_ids)
+            except (ValueError, DataError) as exc:
+                # ValueError: a JSONDecodeError, or an integer with more
+                # digits than int() converts
+                rejections.append(RejectedRow(line_no, str(exc)))
+                continue
+            except RecursionError:
+                rejections.append(RejectedRow(line_no, "line nests too deeply to parse"))
+                continue
+            seen_ids.add(message.id)
+            messages.append(message)
     return messages, rejections
 
 
@@ -214,41 +205,24 @@ def load_market_series(path: str, horizon_start: datetime) -> dict[int, float]:
     as ``{week: value}``, in week order; missing weeks are absent.
 
     ``date`` rows resolve onto the weekly grid anchored at ``horizon_start``,
-    the one :func:`partition_weeks` uses. Duplicate weeks and non-finite
-    values are errors.
+    the one :func:`partition_weeks` uses. Duplicate weeks are errors.
     """
     with open_input(path, "market series") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header required") from None
-        header = [h.strip().lower() for h in header]
-        if len(header) < 2 or header[1] != "value" or header[0] not in ("week", "date"):
-            raise DataError(
-                f"{path}: expected header 'week,value' or 'date,value', got {header}"
-            )
-        by_date = header[0] == "date"
+        table = InputTable(handle, path, ("value",))
+        key = "week" if "week" in table.header else "date"
+        if key not in table.header:
+            raise DataError(f"{path}: header {table.header} lacks week or date")
         values: dict[int, float] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{line_no}: expected two columns")
+        for row in table:
             try:
-                if by_date:
-                    week = window_index(parse_timestamp(row[0]), horizon_start)
+                if key == "date":
+                    week = window_index(parse_timestamp(row["date"]), horizon_start)
                 else:
-                    week = int(row[0])
+                    week = int(row["week"])
             except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: bad week key: {exc}") from exc
-            try:
-                value = float(row[1])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: bad value: {exc}") from exc
-            if not math.isfinite(value):
-                raise DataError(f"{path}:{line_no}: non-finite value for week {week}")
+                raise table.error(f"bad week key: {exc}") from exc
+            value = table.number(row["value"], "value")
             if week in values:
-                raise DataError(f"{path}:{line_no}: duplicate week {week}")
+                raise table.error(f"duplicate week {week}")
             values[week] = value
     return dict(sorted(values.items()))

@@ -72,11 +72,15 @@ def lag(s: Series, k: int) -> Series:
 
 
 def first_difference(s: Series) -> Series:
-    """Week-over-week change; the first week becomes missing."""
+    """Week-over-week change; the first week becomes missing, and so does a
+    week whose own or previous value is missing. A change beyond the float
+    range is an AnalysisError."""
     if len(s) < 2:
         raise InsufficientDataError(f"series {s.name!r} too short to difference")
     out = np.full(len(s), math.nan)
     out[1:] = s.values[1:] - s.values[:-1]
+    if np.isinf(out).any():
+        raise AnalysisError(f"series {s.name!r}: a week-over-week change overflows")
     return Series(f"{s.name}_diff", out)
 
 
@@ -218,7 +222,10 @@ def pearson(x: Series, y: Series) -> CorrelationResult:
         raise UndefinedCorrelationError(f"series {x.name!r} has zero variance")
     if sy == 0.0:
         raise UndefinedCorrelationError(f"series {y.name!r} has zero variance")
-    r = float(np.clip(float(dx @ dy) / (sx * sy), -1.0, 1.0))
+    sxy, scale = float(dx @ dy), sx * sy
+    if not (math.isfinite(sxy) and math.isfinite(scale)):
+        raise AnalysisError(f"pearson({x.name!r}, {y.name!r}): the sums of squares overflow")
+    r = float(np.clip(sxy / scale, -1.0, 1.0))
     if abs(r) == 1.0:
         p = 0.0
     else:
@@ -305,6 +312,10 @@ def ols(y: Series, X: Sequence[Series]) -> OlsResult:
     pvalues = np.array([2.0 * _t_tail(df_resid, t) for t in tvalues.tolist()])
     centered = yv - yv.mean()
     tss = float(centered @ centered)
+    dw = durbin_watson(resid)
+    if not (np.isfinite(beta).all() and np.isfinite(bse).all()
+            and math.isfinite(tss) and math.isfinite(dw)):
+        raise AnalysisError(f"ols({y.name!r}): the fit overflows")
     r2 = 1.0 - rss / tss if tss > 0.0 else 0.0
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
     return OlsResult(
@@ -317,7 +328,7 @@ def ols(y: Series, X: Sequence[Series]) -> OlsResult:
         adj_r2=adj_r2,
         residuals=resid,
         rss=rss,
-        durbin_watson=durbin_watson(resid),
+        durbin_watson=dw,
         nobs=n,
         df_resid=df_resid,
         condition_number=condition_number,
@@ -443,13 +454,16 @@ def significance_stars(p: float) -> str:
     return ""
 
 
+@np.errstate(all="ignore")
 def run_battery(panel: Mapping[str, Series], config: PipelineConfig) -> AnalysisReport:
     """Correlation table, Granger table, and declarative regression models
     over ``build_panel``'s columns, as ``config``'s battery settings ask
     (``config.validate`` checks that every column they name is a predictor).
 
     A failing cell carries its error message; the rest of the report still
-    completes. Cell order is fixed, so reports are byte-stable.
+    completes. Cell order is fixed, so reports are byte-stable. NumPy's
+    floating-point warnings are off: an overflow is the failing cell's
+    error, raised by ``pearson``, ``ols`` or ``first_difference``.
     """
     price = panel[DEPENDENT_COLUMN]
 

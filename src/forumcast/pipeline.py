@@ -24,11 +24,9 @@ never changes the output. Every file appears only once it is complete.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -92,7 +90,7 @@ from .semantics import (
     score_message,
     window_sentiment,
 )
-from .tables import open_input, replacing, sha256, write_csv, write_json, writing
+from .tables import InputTable, open_input, replacing, sha256, write_csv, write_json, writing
 from .textproc import (
     TokenFilter,
     Vocabulary,
@@ -465,43 +463,27 @@ def _load_windows(config: PipelineConfig) -> tuple[list[_WindowTask], Vocabulary
 def read_features_csv(path: str) -> dict[str, list[float | None]]:
     """Feature table back into columns; empty cells become None. Every check
     of the table's contents is made here, as a DataError naming the file."""
+    by_week: dict[int, list[float | None]] = {}
     with open_input(path, "feature table") as handle:
-        reader = csv.DictReader(handle)
-        have = set(reader.fieldnames or ())
-        needed = {"week", *CORPUS_FEATURE_COLUMNS}
-        missing = sorted(needed - have)
-        if missing:
-            raise DataError(f"{path}: feature table lacks columns: {', '.join(missing)}")
-        rows = list(reader)
-    try:
-        rows.sort(key=lambda r: int(r["week"]))
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: non-integer week column") from None
-    if not rows:
-        raise DataError(f"{path}: feature table has no rows")
-    weeks = [int(r["week"]) for r in rows]
-    if weeks != list(range(len(rows))):
-        raise DataError(f"{path}: week column must cover 0..{len(rows) - 1} without gaps")
-    columns: dict[str, list[float | None]] = {name: [] for name in CORPUS_FEATURE_COLUMNS}
-    for r in rows:
-        # DictReader pads a short row with None and files a long row's
-        # surplus under the key None; a cut-off file must not pass.
-        if None in r or None in r.values():
-            raise DataError(
-                f"{path}: the row of week {r['week']} does not have one cell per column"
-            )
-        for name in CORPUS_FEATURE_COLUMNS:
-            cell = r[name].strip()
+        table = InputTable(handle, path, ("week", *CORPUS_FEATURE_COLUMNS))
+        number = table.number
+        for row in table:
             try:
-                value = float(cell) if cell else None
+                week = int(row["week"])
             except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric {name} cell {cell!r} in week {r['week']}"
-                ) from None
-            if value is not None and math.isinf(value):
-                raise DataError(f"{path}: infinite {name} cell {cell!r} in week {r['week']}")
-            columns[name].append(value)
-    return columns
+                raise table.error(f"week {row['week']!r} is not an integer") from None
+            if week in by_week:
+                raise table.error(f"duplicate week {week}")
+            by_week[week] = [
+                number(cell, name) if (cell := row[name].strip()) else None
+                for name in CORPUS_FEATURE_COLUMNS
+            ]
+    if not by_week:
+        raise DataError(f"{path}: feature table has no rows")
+    if min(by_week) != 0 or max(by_week) != len(by_week) - 1:
+        raise DataError(f"{path}: week column must cover 0..{len(by_week) - 1} without gaps")
+    weeks = [by_week[week] for week in range(len(by_week))]
+    return {name: list(cells) for name, cells in zip(CORPUS_FEATURE_COLUMNS, zip(*weeks))}
 
 
 def run_features(config: PipelineConfig) -> list[WindowFeatures]:

@@ -13,16 +13,15 @@ Windows with nothing to score yield ``None`` (missing), never zero.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
 from itertools import chain
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .corpus import Message
 from .errors import DataError, MissingScoreError
-from .tables import open_input
+from .tables import InputTable, open_input
 from .textproc import Vocabulary
 from .textproc import tokenize  # noqa: F401  (bench/tracing.py wraps it by this name)
 
@@ -130,28 +129,28 @@ def complexity(streams: Iterable[Sequence[str]], vocab: Vocabulary) -> float | N
     return functools.reduce(operator.add, bits, 0.0) / len(bits)
 
 
+def _scores(path: str, what: str, columns: tuple[str, str], low: float, high: float,
+            fold: Callable[[str], str]) -> dict[str, float]:
+    """CSV ``key,value`` table as a dict; each key is stripped, then folded by
+    ``fold``, and each value lies in [``low``, ``high``]."""
+    key_name, value_name = columns
+    scores: dict[str, float] = {}
+    with open_input(path, what) as handle:
+        table = InputTable(handle, path, columns)
+        for row in table:
+            key = fold(row[key_name].strip())
+            if not key:
+                raise table.error(f"empty {key_name}")
+            value = table.number(row[value_name], value_name, low, high)
+            if key in scores:
+                raise table.error(f"duplicate {key_name} {key!r}")
+            scores[key] = value
+    return scores
+
+
 def load_lexicon(path: str) -> dict[str, float]:
-    """CSV word,polarity with polarity in [-1, 1]."""
-    lexicon: dict[str, float] = {}
-    with open_input(path, "lexicon") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"word", "polarity"}:
-            raise DataError(f"{path}: expected header word,polarity, got {reader.fieldnames}")
-        for row in reader:
-            word = (row["word"] or "").strip().lower()
-            if not word:
-                raise DataError(f"{path} line {reader.line_num}: empty word")
-            try:
-                polarity = float(row["polarity"])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path} line {reader.line_num}: bad polarity {row['polarity']!r}"
-                ) from None
-            if not -1.0 <= polarity <= 1.0:
-                raise DataError(f"{path} line {reader.line_num}: polarity {polarity} outside [-1, 1]")
-            if word in lexicon:
-                raise DataError(f"{path} line {reader.line_num}: duplicate word {word!r}")
-            lexicon[word] = polarity
+    """CSV word,polarity with polarity in [-1, 1]; words are lowercased."""
+    lexicon = _scores(path, "lexicon", ("word", "polarity"), -1.0, 1.0, str.lower)
     if not lexicon:
         raise DataError(f"{path}: empty lexicon")
     return lexicon
@@ -159,24 +158,4 @@ def load_lexicon(path: str) -> dict[str, float]:
 
 def load_precomputed(path: str) -> dict[str, float]:
     """CSV message_id,score with score in [0, 1]."""
-    scores: dict[str, float] = {}
-    with open_input(path, "precomputed sentiment file") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or set(reader.fieldnames) != {"message_id", "score"}:
-            raise DataError(f"{path}: expected header message_id,score, got {reader.fieldnames}")
-        for row in reader:
-            message_id = (row["message_id"] or "").strip()
-            if not message_id:
-                raise DataError(f"{path} line {reader.line_num}: empty message_id")
-            try:
-                value = float(row["score"])
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path} line {reader.line_num}: bad score {row['score']!r}"
-                ) from None
-            if not 0.0 <= value <= 1.0:
-                raise DataError(f"{path} line {reader.line_num}: score {value} outside [0, 1]")
-            if message_id in scores:
-                raise DataError(f"{path} line {reader.line_num}: duplicate id {message_id!r}")
-            scores[message_id] = value
-    return scores
+    return _scores(path, "precomputed sentiment file", ("message_id", "score"), 0.0, 1.0, str)

@@ -1,5 +1,5 @@
 """The one cell format, CSV writer and JSON writer behind every output file,
-and the one way input files are opened.
+the one way input files are opened, and the one CSV table reader.
 
 Floats are spelled with ``repr`` so they survive a round-trip exactly;
 missing values (None, NaN) become empty cells. ``write_csv`` formats every
@@ -11,6 +11,9 @@ directory) is an OutputError naming the path.
 
 ``sha256`` is CPython's built-in SHA-256 constructor. ``hashlib`` would load
 OpenSSL for it, about 3.4 MB resident, to hash the few files of a manifest.
+
+Every CSV input is read by ``InputTable``, which owns the header, row-width
+and number rules and the ``<path>:<line>: <reason>`` form of their faults.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import csv
 import json
 import math
 import os
-from typing import IO, Any, Iterable, Iterator, Sequence, TextIO
+import sys
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataError, OutputError
 
@@ -31,6 +35,9 @@ except ImportError:
         from _sha256 import sha256  # Python 3.11 and earlier
     except ImportError:  # an interpreter built without its own hashes
         from hashlib import sha256
+
+# A number cell lies within +-_MAX: one comparison refuses inf and NaN too.
+_MAX = sys.float_info.max
 
 
 def format_cell(value: Any) -> str:
@@ -102,3 +109,54 @@ def open_input(path: str, what: str) -> Iterator[TextIO]:
             yield handle
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+class InputTable:
+    """The rows of a CSV input file under its header row, whose names are
+    stripped and lowercased and must include each of ``columns``; other
+    columns are ignored. A line of only whitespace is skipped, and every
+    other row must have one cell per header name. A fault is a DataError
+    reading ``<path>:<line>: <reason>``, for the line the row read last ends
+    on (a quoted cell may span lines), or ``<path>: <reason>`` for the whole
+    file; its text is built only when it is raised."""
+
+    def __init__(self, handle: TextIO, path: str, columns: Iterable[str]) -> None:
+        self.path = path
+        self._reader = csv.reader(handle)
+        self.header = [name.strip().lower() for name in next(self._reader, ())]
+        missing = [name for name in columns if name not in self.header]
+        if missing:
+            raise DataError(f"{path}: header {self.header} lacks {', '.join(missing)}")
+
+    def error(self, reason: str) -> DataError:
+        return DataError(f"{self.path}:{self._reader.line_num}: {reason}")
+
+    def rows(self) -> Iterator[tuple[int, list[str]]]:
+        """``(line, cells)`` for each row that is not blank, its width unchecked."""
+        for row in self._reader:
+            if len(row) > 1 or row and row[0].strip():
+                yield self._reader.line_num, row
+
+    def record(self, row: list[str], fault: Callable[[str], DataError] = DataError) -> dict:
+        """``row``'s cells by column name. A row with more or fewer cells than
+        the header raises ``fault(reason)``: by default the reason alone, for
+        a caller that keeps bad rows as rejections."""
+        if len(row) != len(self.header):
+            raise fault(f"row has {len(row)} cells, header has {len(self.header)}")
+        return dict(zip(self.header, row))
+
+    def __iter__(self) -> Iterator[dict[str, str]]:
+        for _, row in self.rows():
+            yield self.record(row, self.error)
+
+    def number(self, cell: str, name: str, low: float = -_MAX, high: float = _MAX) -> float:
+        """``cell``, the ``name`` of the row read last, as a float in
+        [``low``, ``high``]: by default any finite float."""
+        try:
+            value = float(cell)
+        except ValueError:
+            raise self.error(f"{name} {cell!r} is not a number") from None
+        if not low <= value <= high:
+            reason = f"outside [{low:g}, {high:g}]" if math.isfinite(value) else "is not finite"
+            raise self.error(f"{name} {cell!r} {reason}")
+        return value

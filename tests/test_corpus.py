@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forumcast.corpus import (
+    RejectedRow,
     load_market_series,
     load_messages,
     parse_timestamp,
@@ -141,6 +142,32 @@ class TestLoadMessages:
         assert messages[1].parent_id == "a"
         assert rejections == []
 
+    def test_csv_row_of_wrong_width_is_rejected(self, tmp_path):
+        # An unquoted comma in a body gives the row a cell too many; a row
+        # without its last cell has one too few. Neither loads cut short.
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "id,author_id,timestamp,body,parent_id\n"
+            "a,u1,2020-01-06T00:00:00Z,hello,\n"
+            "b,u2,2020-01-06T01:00:00Z,hello, world and more,a\n"
+            "\n"
+            "c,u3,2020-01-06T02:00:00Z,short\n"
+            "d,u4,2020-01-06T03:00:00Z,\"quoted, comma\",a\n"
+        )
+        messages, rejections = load_messages(str(path), "csv")
+        assert [(m.id, m.body) for m in messages] == [("a", "hello"), ("d", "quoted, comma")]
+        assert rejections == [
+            RejectedRow(3, "row has 6 cells, header has 5"),
+            RejectedRow(5, "row has 4 cells, header has 5"),
+        ]
+
+    def test_csv_header_names_are_stripped_and_lowercased(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(" ID ,Author_Id,TIMESTAMP,Body\na,u1,2020-01-06T00:00:00Z,hi\n")
+        messages, rejections = load_messages(str(path), "csv")
+        assert [(m.id, m.author_id, m.body) for m in messages] == [("a", "u1", "hi")]
+        assert rejections == []
+
     def test_jsonl_byte_order_mark_is_skipped(self, tmp_path):
         # The first line starts after the mark: its message is kept, not
         # rejected as undecodable JSON.
@@ -245,7 +272,7 @@ class TestMarketSeries:
         path = tmp_path / "p.csv"
         for cell in ("inf", "-inf", "nan"):
             path.write_text(f"week,value\n0,1.0\n1,{cell}\n")
-            with pytest.raises(DataError, match=re.escape(f"{path}:3: non-finite value for week 1")):
+            with pytest.raises(DataError, match=re.escape(f"{path}:3: value '{cell}' is not finite")):
                 load_market_series(str(path), EPOCH)
 
     def test_load_week_value(self, tmp_path):
@@ -272,6 +299,18 @@ class TestMarketSeries:
         path.write_text("date,value\n2020-01-13,42.0\n9999-12-31T23:00:00-05:00,1.0\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad week key")):
             load_market_series(str(path), EPOCH)
+
+    @pytest.mark.parametrize("text", ["weeks,value\n", "weeks,value\n0,1.0\n", "value\n"])
+    def test_header_without_week_or_date_is_refused(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: header .* lacks week or date$"):
+            load_market_series(str(path), EPOCH)
+
+    def test_columns_are_found_by_name(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("Value, Week ,source\n1.5,2,exchange\n")
+        assert load_market_series(str(path), EPOCH) == {2: 1.5}
 
     def test_duplicate_week_named_in_error(self, tmp_path):
         path = tmp_path / "p.csv"

@@ -101,8 +101,24 @@ class TestLagDiff:
         with pytest.raises(InsufficientDataError):
             first_difference(Series("x", np.array([1.0])))
 
+    def test_missing_week_is_missing_but_an_overflow_is_an_error(self):
+        gappy = first_difference(Series("x", np.array([1.0, math.nan, 4.0, 6.0])))
+        assert np.isnan(gappy.values[:3]).all() and gappy.values[3] == 2.0
+        with np.errstate(over="ignore"):
+            with pytest.raises(AnalysisError, match="'x': a week-over-week change overflows"):
+                first_difference(Series("x", np.array([1.0, 1.7e308, -1.7e308])))
+
 
 class TestPearson:
+    def test_overflow_is_an_error(self):
+        x = Series("x", np.array([0.0, 1.0, 2.0, 4.0]))
+        y = Series("y", np.array([1.0, -1.7e308, 1.7e308, 0.0]))
+        with np.errstate(all="ignore"):
+            with pytest.raises(AnalysisError, match=r"pearson\('x', 'y'\): .* overflow"):
+                pearson(x, y)
+            with pytest.raises(AnalysisError, match=r"ols\('y'\): the fit overflows"):
+                ols(y, [x])
+
     def test_perfect_correlation(self):
         # this fixture evaluates to r = 1.0 exactly, hitting the p = 0 shortcut
         x = Series("x", np.array([0.0, 1.0, 2.0]))

@@ -23,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 from pathlib import Path
 
@@ -226,7 +227,8 @@ class TestFeatureCsv:
         header = ",".join(FEATURE_CSV_COLUMNS)
         full = "0" + ",1" * (len(FEATURE_CSV_COLUMNS) - 1)
         path.write_text(f"{header}\n{full}\n1" + ",1" * (cells - 1) + "\n")
-        with pytest.raises(DataError, match="week 1 does not have one cell per column"):
+        message = f"{path}:3: row has {cells} cells, header has {len(FEATURE_CSV_COLUMNS)}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             read_features_csv(str(path))
 
     def test_read_rejects_bad_week(self, tmp_path):
@@ -236,14 +238,21 @@ class TestFeatureCsv:
         with pytest.raises(DataError, match="week"):
             read_features_csv(str(path))
 
-    @pytest.mark.parametrize("cell", ["inf", "-Infinity"])
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "nan"])
     def test_read_rejects_infinite_cell(self, config, tmp_path, cell):
         rows = [row._replace(complexity=cell) if row.week == 1 else row
                 for row in run_features(config)]
         path = tmp_path / "infinite.csv"
         write_csv(str(path), FEATURE_CSV_COLUMNS, rows)
-        message = f"{path}: infinite complexity cell '{cell}' in week 1"
+        message = f"{path}:3: complexity '{cell}' is not finite"
         with pytest.raises(DataError, match=re.escape(message)):
+            read_features_csv(str(path))
+
+    def test_read_rejects_duplicate_week(self, config, tmp_path):
+        rows = run_features(config)
+        path = tmp_path / "twice.csv"
+        write_csv(str(path), FEATURE_CSV_COLUMNS, [rows[0], rows[1], rows[1], rows[2]])
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: duplicate week 1")):
             read_features_csv(str(path))
 
     def test_read_rejects_table_without_rows(self, tmp_path):
@@ -586,6 +595,32 @@ class TestAnalyze:
         assert main(["run", *argv]) == 0
         assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == split
         assert out / "manifest.json" in split and out / "summary.md" in split
+
+    def test_csv_messages_give_the_jsonl_outputs(self, tmp_path):
+        demo = generate_demo(str(tmp_path / "demo"), seed=7, weeks=12)
+        fields = ("id", "author_id", "timestamp", "body", "parent_id")
+        csv_path = tmp_path / "messages.csv"
+        with open(demo["messages"], encoding="utf-8") as source, \
+                open(csv_path, "w", encoding="utf-8", newline="") as target:
+            writer = csv.writer(target)
+            writer.writerow(fields)
+            for line in source:
+                record = json.loads(line)
+                writer.writerow(["" if record[name] is None else record[name] for name in fields])
+        names = ("features.csv", "diagnostics.csv", "rejections.csv",
+                 "graphs/interaction_edges.csv", "graphs/words_edges.csv",
+                 *pipeline._REPORTS)
+        outputs = []
+        for messages, messages_format in ((demo["messages"], "jsonl"), (str(csv_path), "csv")):
+            config = load_config(demo["config"])
+            config.messages_path = messages
+            config.messages_format = messages_format
+            config.output_dir = str(tmp_path / messages_format)
+            run_all(config)
+            outputs.append({name: (tmp_path / messages_format / name).read_bytes()
+                            for name in names})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]["features.csv"].splitlines()) == 13
 
 
 class TestFailureHandling:
@@ -1267,9 +1302,43 @@ class TestCli:
         code = main(["analyze", "-c", self.write_config(config, tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert features in err
-        assert "sentiment" in err
-        assert "week 1" in err
+        assert f"{features}:3: sentiment 'n/a' is not a number" in err
+
+    def test_overflowing_market_values_are_error_cells(self, tmp_path, capfd):
+        # Prices near the float maximum overflow every statistic that
+        # touches the price: each such cell must say so, not stay blank,
+        # and no NumPy warning may reach stderr.
+        demo = generate_demo(str(tmp_path / "demo"), seed=7, weeks=12)
+        out = tmp_path / "out"
+        argv = ["-c", demo["config"], "--output-dir", str(out)]
+        assert main(["features", *argv]) == 0
+        with open(demo["price"]) as handle:
+            lines = handle.read().splitlines()
+        assert lines[3].startswith("2,") and lines[4].startswith("3,")
+        lines[3:5] = ["2,1.7e308", "3,-1.7e308"]
+        with open(demo["price"], "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        capfd.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["analyze", *argv]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr().err == ""
+        reports = {
+            "correlations.csv": ("r", "n", "p"),
+            "granger.csv": ("chi2", "df", "p", "nobs"),
+            "regressions.csv": ("term", "coefficient", "std_error", "t", "p"),
+            "regression_models.csv": ("nobs", "regressors", "r2", "adj_r2", "durbin_watson",
+                                      "condition_number", "dropped_rows"),
+        }
+        errors = []
+        for name, columns in reports.items():
+            for row in read_rows(out / name):
+                assert bool(row["error"]) != all(row[column] for column in columns), (name, row)
+                errors.append(row["error"])
+        assert "series 'price': a week-over-week change overflows" in errors
+        assert "ols('price'): the fit overflows" in errors
+        assert "pearson('activity', 'price'): the sums of squares overflow" in errors
 
     def test_truncated_feature_table_exit_code(self, config, tmp_path, capsys):
         run_features(config)
@@ -1282,7 +1351,7 @@ class TestCli:
         code = main(["analyze", "-c", self.write_config(config, tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert features in err and "week 2" in err
+        assert f"{features}:4: row has " in err
 
     @pytest.mark.parametrize(
         "command",

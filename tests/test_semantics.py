@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import statistics
 import sys
 
@@ -222,7 +223,8 @@ class TestLexiconFiles:
 
     def test_precomputed_score_range(self, tmp_path):
         path = tmp_path / "scores.csv"
-        for value in ("1.2", "-0.1", "nan"):
+        for value, reason in (("1.2", "outside [0, 1]"), ("-0.1", "outside [0, 1]"),
+                              ("nan", "is not finite")):
             path.write_text(f"message_id,score\nm0,0.5\nm1,{value}\n")
-            with pytest.raises(DataError, match=f"line 3: score {value} outside"):
+            with pytest.raises(DataError, match=re.escape(f"{path}:3: score '{value}' {reason}")):
                 load_precomputed(str(path))

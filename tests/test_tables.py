@@ -11,7 +11,7 @@ import pytest
 
 from forumcast.corpus import load_market_series, load_messages
 from forumcast.errors import DataError, OutputError
-from forumcast.pipeline import read_features_csv
+from forumcast.pipeline import FEATURE_CSV_COLUMNS, read_features_csv
 from forumcast.semantics import load_lexicon, load_precomputed
 from forumcast.tables import format_cell, open_input, replacing, sha256, write_csv, write_json
 from forumcast.textproc import load_wordlist
@@ -154,6 +154,40 @@ class TestUnreadableInputs:
         with pytest.raises(DataError, match="^boom$"):
             with open_input(str(path), "thing"):
                 raise DataError("boom")
+
+
+_FEATURE_ROW = ",1" * (len(FEATURE_CSV_COLUMNS) - 1)
+
+
+class TestRowWidth:
+    """One width rule for every table: a row with more or fewer cells than
+    the header is refused, with the line it ends on. (A messages row of the
+    wrong width is a rejected row: TestLoadMessages.)"""
+
+    @pytest.mark.parametrize("change", ["one_more", "one_less"])
+    @pytest.mark.parametrize(
+        "load,header,first,second",
+        [
+            pytest.param(load_lexicon, "word,polarity", "good,0.5", "bad,-0.5", id="lexicon"),
+            pytest.param(load_precomputed, "message_id,score", "m0,0.5", "m1,0.25",
+                         id="precomputed"),
+            # The note column makes a two-cell row one cell short.
+            pytest.param(lambda path: load_market_series(path, EPOCH), "week,value,note",
+                         "0,1.5,a", "1,2.5,b", id="market_series"),
+            pytest.param(read_features_csv, ",".join(FEATURE_CSV_COLUMNS), "0" + _FEATURE_ROW,
+                         "1" + _FEATURE_ROW, id="features"),
+        ],
+    )
+    def test_table_row_is_a_data_error(self, tmp_path, load, header, first, second, change):
+        cells = second.split(",")
+        bad = [*cells, "1"] if change == "one_more" else cells[:-1]
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{first}\n{','.join(bad)}\n")
+        with pytest.raises(DataError) as caught:
+            load(str(path))
+        assert str(caught.value) == (
+            f"{path}:3: row has {len(bad)} cells, header has {len(cells)}"
+        )
 
 
 class TestSha256:

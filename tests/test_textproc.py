@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from forumcast import _stemmer
 from forumcast._stemmer import italian_stem, porter_stem
+from forumcast.config import BUNDLED_LANGUAGES
 from forumcast.errors import ConfigError, DataError
 from forumcast.textproc import (
     _TOKEN_RE,
@@ -236,8 +237,12 @@ class TestStemming:
         assert TokenFilter(stop, stem_language="english").stream(["running", "ponies"]) == [
             "run", "poni"
         ]
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"'latin' \(have: english, italian\)$"):
             TokenFilter(stop, stem_language="latin")
+
+    @pytest.mark.parametrize("language", BUNDLED_LANGUAGES)
+    def test_every_bundled_language_has_a_stemmer(self, language):
+        assert callable(_stemmer.stemmer_for(language))
 
 
 class TestVocabulary:
