@@ -8,9 +8,9 @@ Subcommands:
     run            features then analyze; --dry-run validates config only
     selftest       run built-in fixture checks
 
-Flags override the corresponding config-file fields. Exit codes: 0 success,
-1 config error, 2 data error, 3 analysis error, 4 a window worker died,
-5 an output could not be written.
+Flags override the corresponding config-file fields. A ForumcastError ends
+the command with its class's ``exit_code`` (see ``forumcast.errors`` and
+README "Command line"); 0 is success.
 
 The config is loaded and checked before the pipeline is imported, so
 ``--help``, ``--version``, ``run --dry-run``, ``ingest-check`` and a config
@@ -29,14 +29,7 @@ import sys
 
 from . import __version__
 from .config import PipelineConfig, load_config, validate, validate_paths
-from .errors import (
-    AnalysisError,
-    ConfigError,
-    DataError,
-    ForumcastError,
-    OutputError,
-    WorkerError,
-)
+from .errors import ForumcastError
 
 _OVERRIDE_FLAGS = (
     ("output_dir", "--output-dir", str, "directory for all outputs"),
@@ -166,11 +159,7 @@ def _run_command(argv: list[str] | None) -> int:
 
         if args.command == "features":
             rows = run_features(config)
-            write_manifest(
-                config,
-                os.path.join(config.output_dir, "features.csv"),
-                os.path.join(config.output_dir, "manifest.json"),
-            )
+            write_manifest(config, os.path.join(config.output_dir, "features.csv"))
             print(f"wrote {len(rows)} weekly feature rows to {config.output_dir}")
         elif args.command == "analyze":
             run_analyze(config, features_path=args.features)
@@ -179,24 +168,9 @@ def _run_command(argv: list[str] | None) -> int:
             run_all(config)
             print(f"pipeline complete; outputs in {config.output_dir}")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except AnalysisError as exc:
-        print(f"analysis error: {exc}", file=sys.stderr)
-        return 3
-    except WorkerError as exc:
-        print(f"worker error: {exc}", file=sys.stderr)
-        return 4
-    except OutputError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 5
     except ForumcastError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

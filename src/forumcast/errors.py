@@ -1,20 +1,29 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-AnalysisError -> 3, WorkerError -> 4, OutputError -> 5.
+Each class carries the exit code and the stderr label the CLI gives it; a
+subclass inherits both from its base. README "Command line" lists the codes.
 """
 
 
 class ForumcastError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 3
+    label = "error"
+
 
 class ConfigError(ForumcastError):
     """Invalid or inconsistent pipeline configuration."""
 
+    exit_code = 1
+    label = "config error"
+
 
 class DataError(ForumcastError):
     """Malformed or unusable input data."""
+
+    exit_code = 2
+    label = "data error"
 
 
 class MissingScoreError(DataError):
@@ -23,6 +32,9 @@ class MissingScoreError(DataError):
 
 class AnalysisError(ForumcastError):
     """A statistical operation could not be carried out."""
+
+    exit_code = 3
+    label = "analysis error"
 
 
 class InsufficientDataError(AnalysisError):
@@ -41,7 +53,13 @@ class WorkerError(ForumcastError):
     """A window worker process could not be started, or died before it
     returned its window."""
 
+    exit_code = 4
+    label = "worker error"
+
 
 class OutputError(ForumcastError):
     """An output file or directory could not be written (a full disk, or an
     unwritable or read-only directory)."""
+
+    exit_code = 5
+    label = "output error"

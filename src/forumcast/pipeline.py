@@ -28,7 +28,6 @@ import functools
 import json
 import logging
 import os
-import re
 import sys
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
@@ -103,12 +102,8 @@ from .textproc import (
 
 logger = logging.getLogger(__name__)
 
-# The edge tables, and the per-week files that older versions wrote instead;
-# nothing else in graphs/ is ever removed.
-_EXPORT_NAME = re.compile(
-    r"(?:interaction|words)_edges\.csv"
-    r"|week_.*_(?:interaction|words)_(?:edges\.csv|summary\.json)"
-)
+# The edge tables, one per graph kind; nothing else in graphs/ is ever removed.
+_EDGE_TABLES = ("graphs/interaction_edges.csv", "graphs/words_edges.csv")
 
 # The reports analyze writes from a feature table.
 _REPORTS = (
@@ -358,28 +353,15 @@ def _remove(output_dir: str, names: Sequence[str]) -> None:
             os.remove(path)
 
 
-def _remove_stale_exports(output_dir: str) -> None:
-    """Delete the graph exports of an earlier run, and nothing else, so a
-    rerun with fewer weeks or without exports leaves none behind."""
-    graphs_dir = os.path.join(output_dir, "graphs")
-    with writing(graphs_dir), contextlib.suppress(FileNotFoundError):
-        for name in os.listdir(graphs_dir):
-            if _EXPORT_NAME.fullmatch(name):
-                os.remove(os.path.join(graphs_dir, name))
-
-
 def _edge_tables(output_dir: str, stack: contextlib.ExitStack) -> tuple[BinaryIO, ...]:
     """One open edge table per graph kind, header written. Each replaces its
     file when ``stack`` closes cleanly and is removed when it unwinds on an
     error, so a table exists only once its last window is in."""
-    graphs_dir = os.path.join(output_dir, "graphs")
-    _make_dir(graphs_dir)
+    _make_dir(os.path.join(output_dir, "graphs"))
     header = (",".join(EDGE_TABLE_COLUMNS) + "\r\n").encode("ascii")
     tables = []
-    for kind in ("interaction", "words"):
-        handle = stack.enter_context(
-            replacing(os.path.join(graphs_dir, f"{kind}_edges.csv"), "wb")
-        )
+    for name in _EDGE_TABLES:
+        handle = stack.enter_context(replacing(os.path.join(output_dir, name), "wb"))
         handle.write(header)
         tables.append(handle)
     return tuple(tables)
@@ -530,7 +512,8 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         _remove(config.output_dir, (*_REPORTS, "manifest.json"))
         write_rejections(os.path.join(config.output_dir, "rejections.csv"), rejections)
 
-        _remove_stale_exports(config.output_dir)
+        # So a rerun with fewer weeks or without exports leaves none behind.
+        _remove(config.output_dir, _EDGE_TABLES)
         tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
             results = _computed_in_workers(pool, _chunks(tasks), config)
@@ -580,11 +563,11 @@ def config_hash(config: PipelineConfig) -> str:
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_manifest(config: PipelineConfig, features_path: str, path: str) -> None:
-    """The manifest: tool version, config hash and a digest of every input.
-    A configured input that is gone by now (analyze reads only the feature
-    table and the market series) is listed with the digest null, and a
-    warning names it."""
+def write_manifest(config: PipelineConfig, features_path: str) -> None:
+    """``<output_dir>/manifest.json``: tool version, config hash and a digest
+    of every input. A configured input that is gone by now (analyze reads
+    only the feature table and the market series) is listed with the digest
+    null, and a warning names it."""
     inputs: dict[str, str | None] = {
         features_path: _sha256_file(features_path, "feature table")
     }
@@ -603,7 +586,7 @@ def write_manifest(config: PipelineConfig, features_path: str, path: str) -> Non
         "config_sha256": config_hash(config),
         "inputs": inputs,
     }
-    write_json(path, manifest)
+    write_json(os.path.join(config.output_dir, "manifest.json"), manifest)
 
 
 def run_analyze(config: PipelineConfig, features_path: str | None = None):
@@ -628,7 +611,7 @@ def run_analyze(config: PipelineConfig, features_path: str | None = None):
     write_regression_terms_csv(report, os.path.join(out, "regressions.csv"))
     write_regression_models_csv(report, os.path.join(out, "regression_models.csv"))
     write_summary_md(report, os.path.join(out, "summary.md"))
-    write_manifest(config, features_path, os.path.join(out, "manifest.json"))
+    write_manifest(config, features_path)
     return report
 
 

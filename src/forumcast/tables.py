@@ -100,42 +100,54 @@ def write_json(path: str, obj: Any) -> None:
 @contextlib.contextmanager
 def open_input(path: str, what: str) -> Iterator[TextIO]:
     """Open ``path`` as UTF-8 text for reading, without the byte-order mark
-    some editors write first. A file that cannot be read, that is not UTF-8,
-    or whose CSV the ``csv`` module refuses (a field over its size limit)
+    some editors write first. A file that cannot be read or that is not UTF-8
     raises a DataError naming it, also when the fault shows up only while the
     caller reads."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
             yield handle
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 class InputTable:
     """The rows of a CSV input file under its header row, whose names are
-    stripped and lowercased and must include each of ``columns``; other
-    columns are ignored. A line of only whitespace is skipped, and every
-    other row must have one cell per header name. A fault is a DataError
-    reading ``<path>:<line>: <reason>``, for the line the row read last ends
-    on (a quoted cell may span lines), or ``<path>: <reason>`` for the whole
-    file; its text is built only when it is raised."""
+    stripped and lowercased, must include each of ``columns`` and must not
+    repeat; other columns are ignored. A line of only whitespace is skipped,
+    and every other row must have one cell per header name. A line the
+    ``csv`` module cannot parse (a field over its size limit) is a fault of
+    that line. A fault is a DataError reading ``<path>:<line>: <reason>``,
+    for the line the row read last ends on (a quoted cell may span lines),
+    or ``<path>: <reason>`` for the whole file; its text is built only when
+    it is raised."""
 
     def __init__(self, handle: TextIO, path: str, columns: Iterable[str]) -> None:
         self.path = path
         self._reader = csv.reader(handle)
-        self.header = [name.strip().lower() for name in next(self._reader, ())]
+        try:
+            self.header = [name.strip().lower() for name in next(self._reader, ())]
+        except csv.Error as exc:
+            raise self.error(str(exc)) from None
         missing = [name for name in columns if name not in self.header]
         if missing:
             raise DataError(f"{path}: header {self.header} lacks {', '.join(missing)}")
+        seen: set[str] = set()
+        for name in self.header:
+            if name in seen:
+                raise DataError(f"{path}: header {self.header} names {name!r} twice")
+            seen.add(name)
 
     def error(self, reason: str) -> DataError:
         return DataError(f"{self.path}:{self._reader.line_num}: {reason}")
 
     def rows(self) -> Iterator[tuple[int, list[str]]]:
         """``(line, cells)`` for each row that is not blank, its width unchecked."""
-        for row in self._reader:
-            if len(row) > 1 or row and row[0].strip():
-                yield self._reader.line_num, row
+        try:
+            for row in self._reader:
+                if len(row) > 1 or row and row[0].strip():
+                    yield self._reader.line_num, row
+        except csv.Error as exc:
+            raise self.error(str(exc)) from None
 
     def record(self, row: list[str], fault: Callable[[str], DataError] = DataError) -> dict:
         """``row``'s cells by column name. A row with more or fewer cells than

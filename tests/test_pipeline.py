@@ -30,16 +30,19 @@ from pathlib import Path
 import pytest
 
 from forumcast import cli, pipeline
+from forumcast.centrality import PathCountOverflow
 from forumcast.cli import main
 from forumcast.config import PipelineConfig, load_config, save_config, to_dict
 from forumcast.corpus import ingest_check, load_messages
 from forumcast.errors import (
+    AnalysisError,
     ConfigError,
     DataError,
     ForumcastError,
     InsufficientDataError,
     MissingScoreError,
     OutputError,
+    WorkerError,
 )
 from forumcast.pipeline import (
     DIAGNOSTIC_CSV_COLUMNS,
@@ -305,14 +308,9 @@ class TestGraphExports:
         run_features(config)
         assert self._exports(config) == ["interaction_edges.csv", "words_edges.csv"]
         assert "2" in {r["week"] for r in self._table(config, "words")}
-        graphs_dir = os.path.join(config.output_dir, "graphs")
-        # week_notes.txt is no export; the others are names of the older
-        # one-file-per-week layout
-        for name in ("week_notes.txt", "week_002_interaction_edges.csv",
-                     "week_002_interaction_summary.json", "week_002_words_edges.csv",
-                     "week_002_words_summary.json"):
-            with open(os.path.join(graphs_dir, name), "w") as handle:
-                handle.write("not an export")
+        # week_notes.txt is no export
+        with open(os.path.join(config.output_dir, "graphs", "week_notes.txt"), "w") as handle:
+            handle.write("not an export")
         config.horizon_weeks = 1
         run_features(config)
         assert self._exports(config) == [
@@ -1394,8 +1392,11 @@ class TestCli:
             handle.write("x" * 140_000 + ",0.5\n")
         code = main(["run", "-c", self.write_config(config, tmp_path)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "data error: cannot read lexicon" in err and config.lexicon_path in err
+        with open(config.lexicon_path) as handle:
+            line = len(handle.readlines())
+        assert capsys.readouterr().err == (
+            f"data error: {config.lexicon_path}:{line}: field larger than field limit (131072)\n"
+        )
 
     @pytest.mark.parametrize("field", ["messages_path", "lexicon_path"])
     def test_non_utf8_input_exit_code(self, config, tmp_path, capsys, field):
@@ -1450,26 +1451,35 @@ class TestCli:
         assert code == 3
         assert "window 0: shortest-path counts exceed the float range" in capsys.readouterr().err
 
+    # Each class's code and stderr label; a subclass has its base's.
+    EXIT_CODES = [
+        (ConfigError("boom"), 1, "config error"),
+        (DataError("boom"), 2, "data error"),
+        (ForumcastError("boom"), 3, "error"),
+        (AnalysisError("boom"), 3, "analysis error"),
+        (WorkerError("boom"), 4, "worker error"),
+        (OutputError("boom"), 5, "output error"),
+        (MissingScoreError("boom"), 2, "data error"),
+        (PathCountOverflow("boom"), 3, "analysis error"),
+    ]
+
     @pytest.mark.parametrize(
-        "exc,expected",
-        [
-            (ConfigError("boom"), 1),
-            (DataError("boom"), 2),
-            (ForumcastError("boom"), 3),
-        ],
+        "exc,expected,label",
+        EXIT_CODES,
+        # pytest's default form, exc<index>-<code>, without the label
+        ids=[f"exc{i}-{code}" for i, (_, code, _) in enumerate(EXIT_CODES)],
     )
-    def test_exit_code_mapping(self, config, tmp_path, capsys, monkeypatch, exc, expected):
+    def test_exit_code_mapping(self, config, tmp_path, capsys, monkeypatch, exc, expected,
+                               label):
         def explode(_config):
             raise exc
 
         monkeypatch.setattr("forumcast.pipeline.run_features", explode)
         code = main(["features", "-c", self.write_config(config, tmp_path)])
         assert code == expected
-        assert capsys.readouterr().err
+        assert capsys.readouterr().err == f"{label}: boom\n"
 
     def test_analysis_error_exit_code(self, config, tmp_path, capsys, monkeypatch):
-        from forumcast.errors import AnalysisError
-
         def explode(_config):
             raise AnalysisError("boom")
 

@@ -190,6 +190,46 @@ class TestRowWidth:
         )
 
 
+class TestHeaderAndParseFaults:
+    """A header that names a column twice is refused, and a cell the csv
+    module cannot parse is a fault of its line."""
+
+    @pytest.mark.parametrize(
+        "load,header,row,name",
+        [
+            pytest.param(lambda path: load_market_series(path, EPOCH), "week,value,value",
+                         "0,1.0,2.0", "value", id="market_series"),
+            pytest.param(load_lexicon, "word,Polarity,polarity ", "good,0.5,-0.5", "polarity",
+                         id="lexicon"),
+        ],
+    )
+    def test_repeated_header_name_is_a_data_error(self, tmp_path, load, header, row, name):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(DataError) as caught:
+            load(str(path))
+        names = [cell.strip().lower() for cell in header.split(",")]
+        assert str(caught.value) == f"{path}: header {names} names {name!r} twice"
+
+    @pytest.mark.parametrize(
+        "load,header,first,second",
+        [
+            pytest.param(lambda path: load_messages(path, "csv"), "id,author_id,timestamp,body",
+                         "m0,u0,2020-01-06T10:00:00Z,hello",
+                         "m1,u1,2020-01-06T11:00:00Z,{}", id="messages"),
+            pytest.param(lambda path: load_market_series(path, EPOCH), "week,value",
+                         "0,1.5", "1,{}", id="market_series"),
+            pytest.param(load_lexicon, "word,polarity", "good,0.5", "{},-0.5", id="lexicon"),
+        ],
+    )
+    def test_oversized_field_names_its_line(self, tmp_path, load, header, first, second):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{first}\n{second.format('x' * 200_000)}\n")
+        with pytest.raises(DataError) as caught:
+            load(str(path))
+        assert str(caught.value) == f"{path}:3: field larger than field limit (131072)"
+
+
 class TestSha256:
     def test_is_cpython_builtin_not_openssl(self):
         assert sha256.__module__ in ("_sha2", "_sha256")
