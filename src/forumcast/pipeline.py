@@ -16,9 +16,12 @@ Everything is deterministic for a fixed config: reruns are byte-identical.
 The graph work runs on chunks of consecutive windows, each built and swept
 at once, and a chunk gives each window what that window alone would give.
 Chunks can be processed by a worker pool, started before the corpus loads,
-one chunk to a task; each window's edge rows are rendered where its chunk is
-computed, and the results are appended in window order, so the worker count
-never changes the output. Every file appears only once it is complete.
+one chunk to a task. Each chunk's edge rows are written where the chunk is
+computed: straight to the open edge tables in a one-process run, and in a
+pool worker to the chunk's own hidden part files in ``graphs/``, which the
+main process appends to the tables in window order. So the worker count
+never changes the output, and no edge row passes through the main process of
+a pooled run. Every file appears only once it is complete.
 """
 
 from __future__ import annotations
@@ -158,13 +161,10 @@ DIAGNOSTIC_CSV_COLUMNS = (
 class _WindowResult(NamedTuple):
     """What one window's graph work sends back: the feature cells it
     computes (the ``WindowFeatures`` fields from ``activity`` to
-    ``focal_present``, in that order), its diagnostics.csv row and, when
-    graphs are exported, the rendered rows of its (interaction, words) edge
-    tables."""
+    ``focal_present``, in that order) and its diagnostics.csv row."""
 
     graph_features: tuple
     diagnostics: tuple[int, ...]
-    edge_rows: tuple[list[bytes], list[bytes]] | None
 
 
 class _WindowTask(NamedTuple):
@@ -230,9 +230,13 @@ def _overflow_named(windows: Sequence[int], kernel, *args):
         raise PathCountOverflow(f"window {windows[exc.graph]}: {exc}") from exc
 
 
-def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list[_WindowResult]:
+def _compute_chunk(
+    tasks: Sequence[_WindowTask], config: PipelineConfig, tables: Sequence[BinaryIO]
+) -> list[_WindowResult]:
     """The graph work of a chunk of consecutive windows: both builders and
-    both kernels take the whole chunk at once."""
+    both kernels take the whole chunk at once. The windows' edge rows go to
+    ``tables``, the open (interaction, words) edge files, when there are
+    any."""
     word_graphs = build_word_networks([task.streams for task in tasks], config.window_size)
     interactions = build_interaction_networks((task.authors, task.replies) for task in tasks)
 
@@ -304,40 +308,99 @@ def _compute_chunk(tasks: Sequence[_WindowTask], config: PipelineConfig) -> list
             interaction.self_loop_events,
             task.dangling,
         )
-        edge_rows = (
-            _export_graphs(index, interaction, word_graph) if config.export_graphs else None
-        )
-        results.append(_WindowResult(graph_features, diagnostics, edge_rows))
+        results.append(_WindowResult(graph_features, diagnostics))
+        if tables:
+            _export_graphs(tables, index, (interaction, word_graph), config.output_dir)
     return results
 
 
+def _export_graphs(
+    tables: Sequence[BinaryIO], index: int, graphs: tuple, output_dir: str
+) -> None:
+    """Write window ``index``'s rows of each edge table to its open file in
+    ``tables``, from its (interaction, words) ``graphs``. A failed write is
+    an OutputError naming the edge table."""
+    for name, table, graph in zip(_EDGE_TABLES, tables, graphs):
+        with writing(os.path.join(output_dir, name)):
+            table.writelines(graph.edge_table_rows(index))
+
+
+def _parts(output_dir: str, pid: int, number: int) -> Iterator[tuple[str, str]]:
+    """``(edge table, part file)`` for each edge table: the part files that
+    chunk ``number`` of the run in process ``pid`` writes lie hidden beside
+    their tables, named like ``tables.replacing``'s temp files."""
+    for name in _EDGE_TABLES:
+        table = os.path.join(output_dir, name)
+        directory, base = os.path.split(table)
+        yield table, os.path.join(directory, f".{base}.{pid}.{number}.part")
+
+
+def _compute_chunk_to_parts(
+    numbered: tuple[int, list[_WindowTask]], config: PipelineConfig, pid: int
+) -> list[_WindowResult]:
+    """``_compute_chunk`` in a pool worker: ``numbered`` is ``(number,
+    tasks)``, chunk ``number`` of the run in process ``pid``, whose edge rows
+    go to the chunk's own part files."""
+    number, tasks = numbered
+    if not config.export_graphs:
+        return _compute_chunk(tasks, config, ())
+    with contextlib.ExitStack() as stack:
+        parts = []
+        for table, part in _parts(config.output_dir, pid, number):
+            stack.enter_context(writing(table))
+            parts.append(stack.enter_context(open(part, "wb")))
+        return _compute_chunk(tasks, config, parts)
+
+
+def _append_parts(tables: Sequence[BinaryIO], output_dir: str, pid: int, number: int) -> None:
+    """Move chunk ``number``'s part files to the ends of their open edge
+    tables. ``os.copy_file_range`` copies inside the kernel, so the rows
+    never enter this process."""
+    for handle, (table, part) in zip(tables, _parts(output_dir, pid, number)):
+        with writing(table):
+            handle.flush()
+            with open(part, "rb") as source:
+                while os.copy_file_range(source.fileno(), handle.fileno(), 1 << 30):
+                    pass
+            os.remove(part)
+
+
+def _remove_parts(output_dir: str, pid: int) -> None:
+    """Delete the part files that the run in process ``pid`` left in
+    ``graphs/``: on a failure, those of the chunks not yet appended."""
+    graphs = os.path.join(output_dir, "graphs")
+    prefixes = tuple(f".{os.path.basename(name)}.{pid}." for name in _EDGE_TABLES)
+    with contextlib.suppress(OSError):
+        for name in os.listdir(graphs):
+            if name.startswith(prefixes) and name.endswith(".part"):
+                os.remove(os.path.join(graphs, name))
+
+
 def _computed_in_workers(
-    pool, chunks: Iterator[list[_WindowTask]], config: PipelineConfig
+    pool, chunks: Iterator[list[_WindowTask]], config: PipelineConfig,
+    tables: Sequence[BinaryIO],
 ) -> Iterator[_WindowResult]:
     """The windows' results from ``pool``, in window order, one chunk to a
-    task. Each task is sent with the config, about 1.5 KB pickled. A worker
-    that dies (killed, or out of memory) breaks the pool; that ends the run
-    in a WorkerError."""
+    task; each chunk's part files are appended to ``tables`` when its
+    results arrive. Each task is sent with the config, about 1.4 KB
+    pickled. A worker that dies (killed, or out of memory) breaks the pool;
+    that ends the run in a WorkerError."""
     from concurrent.futures.process import BrokenProcessPool
 
+    pid = os.getpid()
+    compute = functools.partial(_compute_chunk_to_parts, config=config, pid=pid)
     try:
-        # chunksize=1: a worker sends a map chunk's results in one piece, so
-        # the parent holds every window of it at once; 4-window map chunks
-        # raised peak RSS by 5-7 MB on the forum_sampled workload.
-        for results in pool.map(
-            functools.partial(_compute_chunk, config=config), chunks, chunksize=1
-        ):
+        # chunksize=1: each chunk's results come back, and its part files
+        # are appended and deleted, as soon as it and the chunks before it
+        # are done. 4-chunk map tasks lowered no peak: the main process of a
+        # forum_sampled run read 39.1-39.5 MB with them, 39.1-39.2 MB
+        # without, and paper-scale workers 73.7-74.3 against 72.8-73.3 MB.
+        for number, results in enumerate(pool.map(compute, enumerate(chunks), chunksize=1)):
+            if tables:
+                _append_parts(tables, config.output_dir, pid, number)
             yield from results
     except BrokenProcessPool as exc:
         raise WorkerError(f"a window worker ended abruptly: {exc}") from exc
-
-
-def _export_graphs(index: int, interaction, word_graph) -> tuple[list[bytes], list[bytes]]:
-    """The window's rows of the interaction and the word edge table."""
-    return (
-        list(interaction.edge_table_rows(index)),
-        list(word_graph.edge_table_rows(index)),
-    )
 
 
 def _make_dir(path: str) -> None:
@@ -481,16 +544,10 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         if config.workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            # Load OpenSSL here, once, for the workers to inherit: a worker
-            # that runs a heavy sweep imports scipy.sparse and hashlib with
-            # it (through numpy.random, secrets and hmac), and a worker that
-            # loads OpenSSL itself peaks about 3 MB higher (60.7 against
-            # 63.6 MB with 256-source samples on a busy forum). Dense and
-            # light sweeps never need it, so a run without heavy sweeps pays
-            # about 3 MB for it; a one-worker run never loads it, as the
-            # manifest is hashed with tables.sha256.
-            import hashlib  # noqa: F401
-
+            if config.export_graphs:
+                # Unwound after the pool's shutdown, when no worker is left
+                # to write a part file.
+                stack.callback(_remove_parts, config.output_dir, os.getpid())
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             # The pool forks its workers on its first submit. Submit a no-op
             # now, before the corpus loads, so that each worker starts as a
@@ -516,27 +573,21 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         _remove(config.output_dir, _EDGE_TABLES)
         tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
-            results = _computed_in_workers(pool, _chunks(tasks), config)
+            results = _computed_in_workers(pool, _chunks(tasks), config, tables)
         else:
             results = (
-                result for chunk in _chunks(tasks) for result in _compute_chunk(chunk, config)
+                result
+                for chunk in _chunks(tasks)
+                for result in _compute_chunk(chunk, config, tables)
             )
         # Complexity reads the corpus-wide vocabulary, so it is scored here,
-        # in the main process, while the workers build the graphs. The
-        # results are not zipped with the tasks: zip would hold each
-        # window's edge rows until the next window's arrive.
-        for task in tasks:
-            result = next(results)
+        # in the main process, while the workers build the graphs.
+        for task, result in zip(tasks, results):
             rows.append(WindowFeatures(
                 task.index, *result.graph_features, task.sentiment, task.emotionality,
                 complexity(task.streams, vocab),
             ))
             diagnostics.append(result.diagnostics)
-            for i, table in enumerate(tables):
-                table.writelines(result.edge_rows[i])
-            # Let the written rows go now, not when the next window arrives:
-            # holding two windows' rows at once showed in peak RSS.
-            del result
 
     write_csv(
         os.path.join(config.output_dir, "diagnostics.csv"), DIAGNOSTIC_CSV_COLUMNS, diagnostics

@@ -3,6 +3,7 @@ as stacks of equal-size graphs, gives each window what that window alone
 gives, bit for bit, and what the brute-force oracles give."""
 from __future__ import annotations
 
+import io
 import random
 
 import pytest
@@ -64,6 +65,22 @@ def chunk_config(mode: str, samples: int, seed: int, window_size: int) -> Pipeli
     )
 
 
+def computed(tasks, config) -> tuple[list, list[bytes]]:
+    """``_compute_chunk``'s results for ``tasks`` and the bytes it writes to
+    each edge table."""
+    tables = (io.BytesIO(), io.BytesIO())
+    results = _compute_chunk(tasks, config, tables)
+    return results, [table.getvalue() for table in tables]
+
+
+def computed_alone(tasks, config) -> tuple[list, list[bytes]]:
+    """What ``computed`` gives for ``tasks`` when each window is a chunk of
+    its own, the tables' bytes joined in window order."""
+    alone = [computed([task], config) for task in tasks]
+    results = [result for results, _ in alone for result in results]
+    return results, [b"".join(parts) for parts in zip(*(tables for _, tables in alone))]
+
+
 def freeman_betweenness_centralization(raw: dict) -> float:
     """The textbook formula: each raw score over (n-1)(n-2), then the spread
     around the largest over n - 1."""
@@ -99,8 +116,7 @@ class TestChunkMatchesWindowsAlone:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(centrality, "DENSE_NODE_LIMIT", dense_limit)
             patch.setattr(centrality, "LIGHT_SWEEP_ARCS", light_arcs)
-            chunk = _compute_chunk(tasks, config)
-            alone = [_compute_chunk([task], config)[0] for task in tasks]
+            chunk, tables = computed(tasks, config)
             word_graphs = build_word_networks([t.streams for t in tasks], window_size)
             interactions = build_interaction_networks((t.authors, t.replies) for t in tasks)
             grouped = [g for g in interactions if g.n >= 3]
@@ -117,8 +133,8 @@ class TestChunkMatchesWindowsAlone:
                 [g for g, _, _, _ in jobs], [v for _, v, _, _ in jobs],
                 [s for _, _, s, _ in jobs], [scale for _, _, _, scale in jobs],
             )
-            # bit for bit what each window gives alone
-            assert repr(chunk) == repr(alone)
+            # bit for bit what each window gives alone, edge rows included
+            assert repr((chunk, tables)) == repr(computed_alone(tasks, config))
             for task, g, h in zip(tasks, word_graphs, interactions):
                 assert same_graph(g, build_word_network(task.streams, window_size))
                 assert same_graph(h, build_interaction_network(task.authors, task.replies))
@@ -172,8 +188,8 @@ class TestChunkMatchesWindowsAlone:
             replies = tuple((p, rng.choice("abcdef")) for p in posters)
             tasks.append(_WindowTask(index, posters, replies, 0, streams, FOCAL, None, None))
         config = chunk_config(mode, 6, 3, 3)
-        chunk = _compute_chunk(tasks, config)
-        assert repr(chunk) == repr([_compute_chunk([task], config)[0] for task in tasks])
+        chunk, tables = computed(tasks, config)
+        assert repr((chunk, tables)) == repr(computed_alone(tasks, config))
         sizes = [result.diagnostics[2] for result in chunk if result.graph_features[6]]
         assert max(map(sizes.count, sizes)) >= 4
 
@@ -186,8 +202,8 @@ class TestChunkMatchesWindowsAlone:
             _WindowTask(2, ("u2",), (), 0, (("w1", "w0", "w2"),), FOCAL, None, None),
         ]
         config = chunk_config("sampled", 5, 11, 2)
-        chunk = _compute_chunk(tasks, config)
-        assert repr(chunk) == repr([_compute_chunk([task], config)[0] for task in tasks])
+        chunk, tables = computed(tasks, config)
+        assert repr((chunk, tables)) == repr(computed_alone(tasks, config))
         big = build_word_network(chain, 2)
         assert big.n > centrality.DENSE_NODE_LIMIT
         sources, scale = sample_sources(big, 5, 11 + 1)
@@ -252,7 +268,7 @@ class TestOverflowNamesItsWindow:
             _WindowTask(9, (), (), 0, (("a0500", "x"),), "a0500", None, None),
         ]
         with pytest.raises(AnalysisError, match="^window 8: shortest-path counts exceed"):
-            _compute_chunk(tasks, chunk_config("sampled", 1, seed, 1))
+            _compute_chunk(tasks, chunk_config("sampled", 1, seed, 1), ())
 
 
 class TestChunking:

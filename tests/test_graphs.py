@@ -233,7 +233,7 @@ class TestInteractionNetwork:
         # The text pass keeps a reply to an unknown parent out of the
         # window's replies and counts it; the diagnostics row adds it back.
         task = _WindowTask(0, ("bob", "carol"), (("carol", "bob"),), 1, ([], []), "x", None, None)
-        (result,) = _compute_chunk([task], PipelineConfig())
+        (result,) = _compute_chunk([task], PipelineConfig(), ())
         assert result.diagnostics[6:] == (2, 1, 1, 2, 0, 1)
 
     def test_parent_author_outside_the_window_is_a_node(self):
@@ -267,7 +267,7 @@ class TestActivity:
     @staticmethod
     def activity_cells(authors, streams) -> tuple[int, int]:
         task = _WindowTask(0, tuple(authors), (), 0, tuple(streams), "hello", None, None)
-        (result,) = _compute_chunk([task], PipelineConfig())
+        (result,) = _compute_chunk([task], PipelineConfig(), ())
         return result.graph_features[:2]
 
     def test_activity_counts_messages(self):

@@ -334,10 +334,10 @@ class TestGraphExports:
         assert self._exports(config) == ["interaction_edges.csv", "words_edges.csv"]
         export = pipeline._export_graphs
 
-        def failing(index, *graphs):
+        def failing(tables, index, *args):
             if index == 2:
                 raise DataError("disk on fire")
-            return export(index, *graphs)
+            return export(tables, index, *args)
 
         monkeypatch.setattr(pipeline, "_export_graphs", failing)
         with pytest.raises(DataError, match="disk on fire"):
@@ -742,7 +742,7 @@ class TestFailedRunLeavesOneCoherentDirectory:
         assert main(["run", "-c", later, "--output-dir", str(out)]) == code
         assert json.loads((out / "errors.json").read_text())["stage"] == stage
         left = {str(path.relative_to(out)): path for path in out.rglob("*") if path.is_file()}
-        assert not [name for name in left if name.endswith(".tmp")]
+        assert not [name for name in left if name.endswith((".tmp", ".part"))]
         for report in self.REPORTS:
             if report in left:
                 assert left[report].read_bytes() == files["later"][report]
@@ -973,6 +973,57 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
+class TestPartFiles:
+    """At 2 workers each chunk's edge rows go to part files in graphs/. A
+    worker that fails over several chunks leaves no part file, no temp file
+    and no edge table behind."""
+
+    @pytest.fixture()
+    def demo(self, tmp_path, monkeypatch) -> str:
+        # each window of the 12-week demo a chunk of its own
+        monkeypatch.setattr(pipeline, "CHUNK_TOKENS", 1)
+        return generate_demo(str(tmp_path / "demo"), seed=7, weeks=12)["config"]
+
+    def check_failed_run(self, demo, out, code) -> dict:
+        """Run the demo at 2 workers into ``out``, expecting exit ``code``
+        in the features stage; errors.json's record."""
+        assert main(["run", "-c", demo, "--workers", "2", "--output-dir", str(out)]) == code
+        record = json.loads((out / "errors.json").read_text())
+        assert record["stage"] == "features"
+        assert not [path for path in out.rglob("*") if path.suffix in (".part", ".tmp")]
+        assert os.listdir(out / "graphs") == []
+        assert multiprocessing.active_children() == []
+        return record
+
+    def test_successful_run_leaves_no_hidden_file(self, demo, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "-c", demo, "--workers", "2", "--output-dir", str(out)]) == 0
+        assert not [path for path in out.rglob(".*")]
+        assert sorted(os.listdir(out / "graphs")) == ["interaction_edges.csv", "words_edges.csv"]
+
+    def test_dying_worker(self, demo, tmp_path, capfd, monkeypatch):
+        monkeypatch.setattr(pipeline, "_compute_chunk", _dying_compute_chunk)
+        record = self.check_failed_run(demo, tmp_path / "out", 4)
+        assert record["type"] == "WorkerError"
+        assert capfd.readouterr().err.startswith("worker error: a window worker ended abruptly")
+
+    def test_part_file_write_fails(self, demo, tmp_path, capfd, monkeypatch):
+        # The worker of chunk 3 writes its interaction rows to a full disk.
+        def full_disk_at_chunk_3(path, *args, **kwargs):
+            name = os.path.basename(path)
+            if name.startswith(".interaction_edges.csv.") and name.endswith(".3.part"):
+                return open("/dev/full", "wb", buffering=0)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "open", full_disk_at_chunk_3, raising=False)
+        out = tmp_path / "out"
+        record = self.check_failed_run(demo, out, 5)
+        table = str(out / "graphs" / "interaction_edges.csv")
+        assert record["type"] == "OutputError"
+        assert record["error"].startswith(f"cannot write {table}: [Errno 28]")
+        assert capfd.readouterr().err.startswith(f"output error: cannot write {table}:")
+
+
 class TestTextOptions:
     """Each text option, seen in the week-0 rows of graphs/words_edges.csv
     and in the focal-word lookup. Every body is a root post of week 0."""
@@ -1151,13 +1202,13 @@ def _battery_lacks_data(config, monkeypatch):
     monkeypatch.setattr(pipeline, "run_battery", lacking)
 
 
-def _dying_compute_chunk(tasks, config):
+def _dying_compute_chunk(tasks, config, tables):
     """``_compute_chunk``, except that the process ends abruptly at the chunk
-    that holds window 1. The pool pickles the function it maps by name, so
-    this one lives at module level."""
+    that holds window 1. The pool's workers are forked after the patch, so
+    they call this one."""
     if any(task.index == 1 for task in tasks):
         os._exit(1)
-    return _compute_chunk(tasks, config)
+    return _compute_chunk(tasks, config, tables)
 
 
 def _worker_dies(config, monkeypatch):
@@ -1479,15 +1530,6 @@ class TestCli:
         assert code == expected
         assert capsys.readouterr().err == f"{label}: boom\n"
 
-    def test_analysis_error_exit_code(self, config, tmp_path, capsys, monkeypatch):
-        def explode(_config):
-            raise AnalysisError("boom")
-
-        monkeypatch.setattr("forumcast.pipeline.run_features", explode)
-        code = main(["features", "-c", self.write_config(config, tmp_path)])
-        assert code == 3
-        assert "analysis error" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "fail,code,message",
         [
@@ -1564,9 +1606,10 @@ class TestCli:
         # scipy.stats costs about a second of start-up. Commands that do no
         # numeric work load neither NumPy nor SciPy, and a run whose graphs
         # all fit the dense sweep loads NumPy but no SciPy module at all. A
-        # one-worker run loads no OpenSSL (hashlib) and no statistics (with
-        # fractions and decimal) either. A dry run loads no pipeline layer:
-        # corpus, textproc and tables first load with ingest-check.
+        # run loads no OpenSSL (hashlib) and no statistics (with fractions
+        # and decimal) either, in one process or in the main process of a
+        # pool. A dry run loads no pipeline layer: corpus, textproc and
+        # tables first load with ingest-check.
         bad = tmp_path / "bad.yaml"
         bad.write_text("mesages_path: typo.jsonl\n")
         demo = generate_demo(str(tmp_path / "demo"), seed=7)
@@ -1594,12 +1637,15 @@ class TestCli:
             exit_code = main(["run", "-c", sys.argv[3], "--workers", "1",
                               "--output-dir", sys.argv[4]])
             seen.append(("demo run", exit_code, loaded(), "scipy.stats" in sys.modules))
+            exit_code = main(["run", "-c", sys.argv[3], "--workers", "2",
+                              "--output-dir", sys.argv[5]])
+            seen.append(("pooled run", exit_code, loaded(), "scipy.stats" in sys.modules))
             print(json.dumps(seen))
         """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run(
             [sys.executable, "-c", code, self.write_config(config, tmp_path), str(bad),
-             demo["config"], str(tmp_path / "demo_out")],
+             demo["config"], str(tmp_path / "demo_out"), str(tmp_path / "pooled_out")],
             capture_output=True, text=True, check=True, env=env,
         ).stdout
         seen = json.loads(out.strip().splitlines()[-1])
@@ -1612,6 +1658,7 @@ class TestCli:
             ["config error", 1, ingested, False],
             ["run", 0, ran, False],
             ["demo run", 0, ran, False],
+            ["pooled run", 0, ran, False],
         ]
 
     def test_features_run_writes_a_fresh_manifest(self, config, tmp_path):
