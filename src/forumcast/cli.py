@@ -8,6 +8,10 @@ Subcommands:
     run            features then analyze; --dry-run validates config only
     selftest       run built-in fixture checks
 
+``features``, ``analyze`` and ``run`` hold the output directory for the
+whole command (``pipeline.holding``): a second command into a held
+directory ends in an OutputError.
+
 Flags override the corresponding config-file fields. A ForumcastError ends
 the command with its class's ``exit_code`` (see ``forumcast.errors`` and
 README "Command line"); 0 is success.
@@ -155,18 +159,19 @@ def _run_command(argv: list[str] | None) -> int:
             print(json.dumps(ingest_check(config), indent=2, sort_keys=True))
             return 0
 
-        from .pipeline import run_all, run_analyze, run_features, write_manifest
+        from .pipeline import holding, run_all, run_analyze, run_features, write_manifest
 
-        if args.command == "features":
-            rows = run_features(config)
-            write_manifest(config, os.path.join(config.output_dir, "features.csv"))
-            print(f"wrote {len(rows)} weekly feature rows to {config.output_dir}")
-        elif args.command == "analyze":
-            run_analyze(config, features_path=args.features)
-            print(f"analysis reports written to {config.output_dir}")
-        elif args.command == "run":
-            run_all(config)
-            print(f"pipeline complete; outputs in {config.output_dir}")
+        with holding(config):
+            if args.command == "features":
+                rows = run_features(config)
+                write_manifest(config, os.path.join(config.output_dir, "features.csv"))
+                print(f"wrote {len(rows)} weekly feature rows to {config.output_dir}")
+            elif args.command == "analyze":
+                run_analyze(config, features_path=args.features)
+                print(f"analysis reports written to {config.output_dir}")
+            elif args.command == "run":
+                run_all(config)
+                print(f"pipeline complete; outputs in {config.output_dir}")
         return 0
     except ForumcastError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

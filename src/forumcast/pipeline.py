@@ -15,22 +15,31 @@ Stage outputs land in ``config.output_dir``:
 Everything is deterministic for a fixed config: reruns are byte-identical.
 The graph work runs on chunks of consecutive windows, each built and swept
 at once, and a chunk gives each window what that window alone would give.
-Chunks can be processed by a worker pool, started before the corpus loads,
-one chunk to a task. Each chunk's edge rows are written where the chunk is
-computed: straight to the open edge tables in a one-process run, and in a
-pool worker to the chunk's own hidden part files in ``graphs/``, which the
-main process appends to the tables in window order. So the worker count
-never changes the output, and no edge row passes through the main process of
-a pooled run. Every file appears only once it is complete.
+With ``workers`` > 1 the main process forks its window workers itself,
+before the corpus loads. Each worker owns a task pipe and a result pipe, of
+which the main process holds the only other ends. It reads one pickled
+chunk and its number at a time, writes the chunk's edge rows to the chunk's
+own hidden part files in ``graphs/`` and sends back the feature cells and
+diagnostics rows; the main process appends the part files to the tables in
+window order. So the worker count never changes the output, and no edge row
+passes through the main process. A worker ends on end-of-file on its task
+pipe, so it ends with the run, and with its main process if that is killed.
+Every file appears only once it is complete. A command holds its output
+directory (``holding``), so a killed run's hidden files are deleted by the
+next one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
+import fcntl
 import json
 import logging
 import os
+import pickle
+import re
+import select
+import signal
 import sys
 from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
@@ -336,12 +345,11 @@ def _parts(output_dir: str, pid: int, number: int) -> Iterator[tuple[str, str]]:
 
 
 def _compute_chunk_to_parts(
-    numbered: tuple[int, list[_WindowTask]], config: PipelineConfig, pid: int
+    number: int, tasks: list[_WindowTask], config: PipelineConfig, pid: int
 ) -> list[_WindowResult]:
-    """``_compute_chunk`` in a pool worker: ``numbered`` is ``(number,
-    tasks)``, chunk ``number`` of the run in process ``pid``, whose edge rows
-    go to the chunk's own part files."""
-    number, tasks = numbered
+    """``_compute_chunk`` in a window worker: ``tasks`` is chunk ``number``
+    of the run in process ``pid``, whose edge rows go to the chunk's own part
+    files."""
     if not config.export_graphs:
         return _compute_chunk(tasks, config, ())
     with contextlib.ExitStack() as stack:
@@ -376,36 +384,191 @@ def _remove_parts(output_dir: str, pid: int) -> None:
                 os.remove(os.path.join(graphs, name))
 
 
+class _Worker(NamedTuple):
+    """A forked window worker: its pid, the write end of its task pipe and a
+    reader on its result pipe, the pipes' only ends outside the worker."""
+
+    pid: int
+    tasks: int
+    results: BinaryIO
+
+
+def _send(fd: int, message) -> None:
+    """Write ``message``, pickled, to the pipe ``fd``: every task and result."""
+    data = memoryview(pickle.dumps(message))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _serve(tasks: int, results: int, config: PipelineConfig, pid: int) -> None:
+    """A window worker's loop: read one ``(number, chunk)`` from the pipe
+    ``tasks``, and write the chunk's results, or the exception it raised, to
+    the pipe ``results``. It ends on end-of-file on ``tasks``: when the run
+    is done, or when its main process ``pid`` has died, even by SIGKILL."""
+    with os.fdopen(tasks, "rb") as reader:
+        while True:
+            try:
+                number, chunk = pickle.load(reader)
+            except EOFError:
+                return
+            try:
+                reply = _compute_chunk_to_parts(number, chunk, config, pid)
+            except Exception as exc:
+                reply = exc
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:
+                    reply = WorkerError(
+                        f"a window worker raised {type(exc).__name__}, which cannot be sent back"
+                    )
+            _send(results, reply)
+
+
+def _fork_worker(workers: Sequence[_Worker], config: PipelineConfig) -> _Worker:
+    """Fork one window worker beside ``workers``. It closes every pipe end
+    it inherited but its own two, and it ends through ``os._exit``."""
+    pid = os.getpid()
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        child = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    task_read, task_write, result_read, result_write = fds
+    if child == 0:
+        code = 1
+        try:
+            for fd in (task_write, result_read, *(w.tasks for w in workers),
+                       *(w.results.fileno() for w in workers)):
+                os.close(fd)
+            _serve(task_read, result_write, config, pid)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(task_read)
+    os.close(result_write)
+    return _Worker(child, task_write, os.fdopen(result_read, "rb"))
+
+
+@contextlib.contextmanager
+def _window_workers(config: PipelineConfig) -> Iterator[list[_Worker]]:
+    """``config.workers`` window workers for the block. When it ends, their
+    pipes are closed, they are killed if it raised, and each is waited for,
+    so none is left, not even a zombie, and ``ru_maxrss`` covers them. A
+    failed pipe or fork is a WorkerError."""
+    workers: list[_Worker] = []
+    try:
+        try:
+            for _ in range(config.workers):
+                workers.append(_fork_worker(workers, config))
+        except OSError as exc:
+            raise WorkerError(f"cannot start the window workers: {exc}") from exc
+        yield workers
+    except BaseException:
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+        raise
+    finally:
+        for worker in workers:
+            os.close(worker.tasks)
+            worker.results.close()
+        for worker in workers:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(worker.pid, 0)
+
+
 def _computed_in_workers(
-    pool, chunks: Iterator[list[_WindowTask]], config: PipelineConfig,
+    workers: Sequence[_Worker], chunks: Iterator[list[_WindowTask]], config: PipelineConfig,
     tables: Sequence[BinaryIO],
 ) -> Iterator[_WindowResult]:
-    """The windows' results from ``pool``, in window order, one chunk to a
-    task; each chunk's part files are appended to ``tables`` when its
-    results arrive. Each task is sent with the config, about 1.4 KB
-    pickled. A worker that dies (killed, or out of memory) breaks the pool;
-    that ends the run in a WorkerError."""
-    from concurrent.futures.process import BrokenProcessPool
-
+    """The windows' results from ``workers``, in window order. Each idle
+    worker is sent the next chunk and its number, never the config, which it
+    was forked with; a chunk's part files are appended to ``tables`` once it
+    and the chunks before it are done. A worker that dies (killed, or out of
+    memory) is a WorkerError."""
     pid = os.getpid()
-    compute = functools.partial(_compute_chunk_to_parts, config=config, pid=pid)
-    try:
-        # chunksize=1: each chunk's results come back, and its part files
-        # are appended and deleted, as soon as it and the chunks before it
-        # are done. 4-chunk map tasks lowered no peak: the main process of a
-        # forum_sampled run read 39.1-39.5 MB with them, 39.1-39.2 MB
-        # without, and paper-scale workers 73.7-74.3 against 72.8-73.3 MB.
-        for number, results in enumerate(pool.map(compute, enumerate(chunks), chunksize=1)):
+    numbered = enumerate(chunks)
+    idle = list(workers)
+    sent: dict[int, tuple[_Worker, int, list[_WindowTask]]] = {}
+    done: dict[int, list[_WindowResult]] = {}
+    poller = select.poll()
+    appended = 0
+    while True:
+        while idle and (task := next(numbered, None)):
+            worker = idle.pop()
+            try:
+                _send(worker.tasks, task)
+            except BrokenPipeError:
+                raise _ended_abruptly(task[1]) from None
+            sent[worker.results.fileno()] = (worker, *task)
+            poller.register(worker.results, select.POLLIN)
+        if not sent:
+            return
+        for fd, _event in poller.poll():
+            poller.unregister(fd)
+            worker, number, chunk = sent.pop(fd)
+            try:
+                reply = pickle.load(worker.results)
+            except (EOFError, pickle.UnpicklingError):
+                raise _ended_abruptly(chunk) from None
+            if isinstance(reply, Exception):
+                raise reply
+            done[number] = reply
+            idle.append(worker)
+        while appended in done:
             if tables:
-                _append_parts(tables, config.output_dir, pid, number)
-            yield from results
-    except BrokenProcessPool as exc:
-        raise WorkerError(f"a window worker ended abruptly: {exc}") from exc
+                _append_parts(tables, config.output_dir, pid, appended)
+            yield from done.pop(appended)
+            appended += 1
+
+
+def _ended_abruptly(chunk: Sequence[_WindowTask]) -> WorkerError:
+    first, last = chunk[0].index, chunk[-1].index
+    return WorkerError(f"a window worker ended abruptly, sent windows {first}-{last}")
 
 
 def _make_dir(path: str) -> None:
     with writing(path):
         os.makedirs(path, exist_ok=True)
+
+
+# The hidden files a run writes beside its outputs: ``tables.replacing``'s
+# ``.<name>.<pid>.tmp`` and ``_parts``' ``.<table>.<pid>.<chunk>.part``.
+_HIDDEN = re.compile(r"\..+\.[0-9]+\.(?:[0-9]+\.part|tmp)")
+
+
+@contextlib.contextmanager
+def holding(config: PipelineConfig) -> Iterator[None]:
+    """Hold an exclusive lock on ``config.output_dir``, made if missing, for
+    the block: one ``flock`` on the directory's own descriptor, so no file
+    is added. With it held no other run writes there, so the hidden temp
+    and part files in the directory and in ``graphs/`` are a killed run's
+    leftovers; they are deleted first. A directory that another run holds
+    is an OutputError, and nothing is written to it."""
+    validate_output_dir(config)
+    out = config.output_dir
+    _make_dir(out)
+    with writing(out):
+        fd = os.open(out, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        with writing(out):
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise OutputError(f"{out} is in use by another forumcast run") from None
+        for directory in (out, os.path.join(out, "graphs")):
+            with writing(directory):
+                try:
+                    names = os.listdir(directory)
+                except (FileNotFoundError, NotADirectoryError):
+                    continue
+            _remove(directory, [name for name in names if _HIDDEN.fullmatch(name)])
+        yield
+    finally:
+        os.close(fd)
 
 
 def _remove(output_dir: str, names: Sequence[str]) -> None:
@@ -542,27 +705,13 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
     diagnostics: list[tuple[int, ...]] = []
     with contextlib.ExitStack() as stack:
         if config.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
             if config.export_graphs:
-                # Unwound after the pool's shutdown, when no worker is left
-                # to write a part file.
+                # Unwound after the workers are waited for, when none is
+                # left to write a part file.
                 stack.callback(_remove_parts, config.output_dir, os.getpid())
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
-            # The pool forks its workers on its first submit. Submit a no-op
-            # now, before the corpus loads, so that each worker starts as a
-            # copy of this small process and then holds only the windows it
-            # is sent; forked after the load, every worker began with a copy
-            # of the whole corpus.
-            try:
-                pool.submit(int)
-            except OSError as exc:
-                # The workers forked before the failing fork would wait for
-                # work for good, and the pool's shutdown does not end them.
-                for process in pool._processes.values():
-                    process.terminate()
-                    process.join()
-                raise WorkerError(f"cannot start the window workers: {exc}") from exc
+            # Forked before the corpus loads, each worker starts as a copy of
+            # this small process and then holds only the chunks it is sent.
+            workers = stack.enter_context(_window_workers(config))
         tasks, vocab, rejections = _load_windows(config)
         # An earlier run's reports and manifest go before the first write,
         # so a failure from here on leaves none of them beside new outputs.
@@ -573,7 +722,7 @@ def run_features(config: PipelineConfig) -> list[WindowFeatures]:
         _remove(config.output_dir, _EDGE_TABLES)
         tables = _edge_tables(config.output_dir, stack) if config.export_graphs else ()
         if config.workers > 1:
-            results = _computed_in_workers(pool, _chunks(tasks), config, tables)
+            results = _computed_in_workers(workers, _chunks(tasks), config, tables)
         else:
             results = (
                 result

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Mapping
@@ -37,6 +38,25 @@ def make_message(
         body=body,
         parent_id=parent,
     )
+
+
+def children(pid: int | None = None) -> list[int]:
+    """The pids of the children of process ``pid`` (by default this one),
+    live or zombie, read from each process's ``/proc/<pid>/stat``."""
+    parent = os.getpid() if pid is None else pid
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:  # a process that ended meanwhile
+            continue
+        # the fields after the parenthesised command name: state, ppid, ...
+        if int(stat.rpartition(")")[2].split()[1]) == parent:
+            found.append(int(entry))
+    return found
 
 
 def graph_from_arcs(

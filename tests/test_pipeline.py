@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import errno
+import fcntl
 import gc
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import random
@@ -56,6 +56,8 @@ from forumcast.pipeline import (
 )
 from forumcast.synth import generate_demo
 from forumcast.tables import write_csv
+
+from conftest import children
 
 HORIZON = "2020-01-06T00:00:00Z"
 
@@ -782,38 +784,42 @@ class TestWorkerPool:
         load = pipeline.load_messages
 
         def recording(*args, **kwargs):
-            children_at_load.append(len(multiprocessing.active_children()))
+            children_at_load.append(len(children()))
             return load(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_messages", recording)
         config.workers = 2
         run_features(config)
         assert children_at_load == [2]
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
     def test_worker_state_does_not_grow_with_the_corpus(self, tmp_path, monkeypatch):
-        import concurrent.futures
+        # The workers are forked with the config; a task is a chunk and its
+        # number, and nothing else is sent with the chunk.
+        extra_sizes = {}
+        send = pipeline._send
+        main_pid = os.getpid()
 
-        state_sizes = []
-        pool_class = concurrent.futures.ProcessPoolExecutor
+        def recording(fd, message):
+            if os.getpid() == main_pid:  # a task, not a worker's results
+                number, chunk = message
+                assert all(isinstance(task, pipeline._WindowTask) for task in chunk)
+                extra_sizes.setdefault(weeks, []).append(
+                    len(pickle.dumps(message)) - len(pickle.dumps(chunk))
+                )
+            send(fd, message)
 
-        class Recording(pool_class):
-            def map(self, fn, *iterables, **kwargs):
-                # what each task is sent besides its window
-                state_sizes.append(len(pickle.dumps(fn)))
-                return super().map(fn, *iterables, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(pipeline, "_send", recording)
         for weeks in (12, 94):
-            # equal-length paths, so the configs pickle to the same size
             paths = generate_demo(str(tmp_path / f"demo{weeks:03d}"), seed=7, weeks=weeks)
             config = load_config(paths["config"])
             config.output_dir = str(tmp_path / f"out{weeks:03d}")
             config.workers = 2
             config.export_graphs = False
             assert len(run_features(config)) == weeks
-        assert len(state_sizes) == 2
-        assert state_sizes[0] == state_sizes[1] < 4096
+        assert len(extra_sizes[12]) < len(extra_sizes[94])
+        assert set(extra_sizes[12]) == set(extra_sizes[94])
+        assert max(extra_sizes[94]) < 16
 
     def test_task_pickles_only_what_the_window_reads(self, config):
         tasks, _vocab, _rejections = pipeline._load_windows(config)
@@ -918,7 +924,7 @@ class TestWorkerPool:
         graphs_dir = os.path.join(config.output_dir, "graphs")
         assert os.listdir(graphs_dir) == []
         assert not os.path.exists(os.path.join(config.output_dir, "features.csv"))
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
     # forks_before_failure 1 starts one real worker before the failing fork.
     @pytest.mark.parametrize("forks_before_failure", [0, 1])
@@ -947,7 +953,25 @@ class TestWorkerPool:
         assert record["stage"] == "features"
         assert record["type"] == "WorkerError"
         assert not os.path.exists(os.path.join(config.output_dir, "features.csv"))
-        assert multiprocessing.active_children() == []
+        assert children() == []
+
+    def test_exception_that_cannot_be_sent_back(self, config, tmp_path, capsys,
+                                                 monkeypatch):
+        class Unsendable(DataError):
+            """A local class, which pickle cannot name."""
+
+        def failing(tasks, config, tables):
+            raise Unsendable("boom")
+
+        monkeypatch.setattr(pipeline, "_compute_chunk", failing)
+        config.workers = 2
+        path = tmp_path / "config.yaml"
+        save_config(config, str(path))
+        assert main(["run", "-c", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "worker error: a window worker raised Unsendable, which cannot be sent back\n"
+        )
+        assert children() == []
 
     def test_data_error_while_loading_leaves_no_worker(self, config, tmp_path, capsys,
                                                        monkeypatch):
@@ -955,7 +979,7 @@ class TestWorkerPool:
         load = pipeline.load_messages
 
         def recording(*args, **kwargs):
-            children_at_load.append(len(multiprocessing.active_children()))
+            children_at_load.append(len(children()))
             return load(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "load_messages", recording)
@@ -970,7 +994,7 @@ class TestWorkerPool:
         assert "data error: cannot read" in err
         assert "Traceback" not in err
         assert children_at_load == [2]
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
 
 class TestPartFiles:
@@ -992,7 +1016,7 @@ class TestPartFiles:
         assert record["stage"] == "features"
         assert not [path for path in out.rglob("*") if path.suffix in (".part", ".tmp")]
         assert os.listdir(out / "graphs") == []
-        assert multiprocessing.active_children() == []
+        assert children() == []
         return record
 
     def test_successful_run_leaves_no_hidden_file(self, demo, tmp_path):
@@ -1022,6 +1046,55 @@ class TestPartFiles:
         assert record["type"] == "OutputError"
         assert record["error"].startswith(f"cannot write {table}: [Errno 28]")
         assert capfd.readouterr().err.startswith(f"output error: cannot write {table}:")
+
+
+class TestHeldOutputDirectory:
+    """features, analyze and run each hold the output directory for the
+    whole command. A command into a held directory changes nothing there,
+    and a command that holds it first deletes what a killed run left."""
+
+    COMMANDS = ["features", "analyze", "run"]
+
+    def files(self, out: Path) -> dict[str, bytes]:
+        return {str(path.relative_to(out)): path.read_bytes()
+                for path in out.rglob("*") if path.is_file()}
+
+    @pytest.fixture()
+    def ran(self, config, tmp_path) -> tuple[str, Path]:
+        """The config's path and the output directory of a complete run."""
+        path = tmp_path / "config.yaml"
+        save_config(config, str(path))
+        assert main(["run", "-c", str(path)]) == 0
+        return str(path), Path(config.output_dir)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_held_directory_is_an_output_error(self, ran, capsys, command):
+        path, out = ran
+        (out / "graphs" / ".words_edges.csv.1.tmp").write_text("a killed run's")
+        before = self.files(out)
+        fd = os.open(out, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            capsys.readouterr()
+            assert main([command, "-c", path]) == 5
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == f"output error: {out} is in use by another forumcast run\n"
+        assert self.files(out) == before
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_killed_runs_leftovers_are_deleted(self, ran, command):
+        path, out = ran
+        graphs = out / "graphs"
+        leftovers = [out / ".features.csv.99999.tmp", graphs / ".words_edges.csv.99999.tmp",
+                     graphs / ".interaction_edges.csv.99999.3.part"]
+        kept = [out / ".keep", out / ".notes.tmp", graphs / "words_edges.csv.1.part",
+                graphs / ".words_edges.csv.part"]
+        for leftover in leftovers + kept:
+            leftover.write_text("x")
+        assert main([command, "-c", path]) == 0
+        assert [leftover for leftover in leftovers if leftover.exists()] == []
+        assert all(name.exists() for name in kept)
 
 
 class TestTextOptions:
@@ -1218,6 +1291,12 @@ def _worker_dies(config, monkeypatch):
 
 def _disk_full(config, monkeypatch):
     monkeypatch.setattr(os, "replace", disk_full)
+
+
+def _disk_full_with_workers(config, monkeypatch):
+    # the main process's first write fails while its workers wait
+    _disk_full(config, monkeypatch)
+    config.workers = 2
 
 
 class TestCli:
@@ -1538,8 +1617,9 @@ class TestCli:
             (_battery_lacks_data, 3, "analysis error: too few weeks"),
             (_worker_dies, 4, "worker error: a window worker ended abruptly"),
             (_disk_full, 5, "output error: cannot write"),
+            (_disk_full_with_workers, 5, "output error: cannot write"),
         ],
-        ids=["config", "data", "analysis", "worker", "output"],
+        ids=["config", "data", "analysis", "worker", "output", "pooled-output"],
     )
     def test_exit_code_matrix(self, config, tmp_path, capfd, monkeypatch, fail, code, message):
         fail(config, monkeypatch)
@@ -1548,7 +1628,7 @@ class TestCli:
         err = capfd.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        assert children() == []
 
     def test_manifest_input_that_cannot_be_opened_is_a_data_error(
         self, config, tmp_path, capfd, monkeypatch
@@ -1608,8 +1688,9 @@ class TestCli:
         # all fit the dense sweep loads NumPy but no SciPy module at all. A
         # run loads no OpenSSL (hashlib) and no statistics (with fractions
         # and decimal) either, in one process or in the main process of a
-        # pool. A dry run loads no pipeline layer: corpus, textproc and
-        # tables first load with ingest-check.
+        # pool, whose workers it forks itself, without concurrent.futures or
+        # multiprocessing. A dry run loads no pipeline layer: corpus, textproc
+        # and tables first load with ingest-check.
         bad = tmp_path / "bad.yaml"
         bad.write_text("mesages_path: typo.jsonl\n")
         demo = generate_demo(str(tmp_path / "demo"), seed=7)
@@ -1620,7 +1701,8 @@ class TestCli:
                 return sorted(
                     m for m in sys.modules
                     if m in ("numpy", "hashlib", "_hashlib", "statistics", "forumcast.corpus",
-                             "forumcast.textproc", "forumcast.tables")
+                             "forumcast.textproc", "forumcast.tables", "concurrent.futures",
+                             "multiprocessing")
                     or m.startswith("scipy")
                 )
 
